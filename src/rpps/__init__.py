@@ -11,8 +11,6 @@ from .conjugate import (
     PriorPredictive,
     default_prior,
     log_evidence,
-    log_posterior_predictive,
-    log_prior_predictive,
     posterior_mean,
     posterior_update,
     sample_posterior,
@@ -36,6 +34,7 @@ from .harness import (
     OracleConfig,
     emit_outputs,
     quantiles,
+    run_estimator,
     run_experiment,
 )
 from .linmodel import (
@@ -55,12 +54,9 @@ from .scores import (
     EstimatorKind,
     HoldOut,
     Jackknife,
-    MlePluginAdapter,
-    ModelAdapter,
     NotFactorizing,
     PartitionScheme,
-    PosteriorPredictiveAdapter,
-    PriorPredictiveAdapter,
+    PredictiveBuilder,
     ScoreEstimate,
     SIGMA2_FLOOR,
     aic,

@@ -13,38 +13,21 @@ import os
 import sys
 from pathlib import Path
 
-from .conjugate import (
-    PluginGaussian,
-    PosteriorPredictive,
-    PriorPredictive,
-    default_prior,
-    posterior_mean,
-    posterior_update,
-    sample_posterior,
-)
+from .conjugate import default_prior, posterior_mean, posterior_update, sample_posterior
 from .datagen import DataSet, GeneratorSpec, read_dataset_csv, sample_dataset, write_dataset_csv
-from .harness import ExperimentConfig, emit_outputs, run_experiment
-from .linmodel import ModelSpec, fit_mle
-from .scores import (
-    Bootstrap,
-    HoldOut,
-    Jackknife,
-    MlePluginAdapter,
-    PosteriorPredictiveAdapter,
-    PriorPredictiveAdapter,
-    aic,
-    bootstrap_estimator,
-    delta_estimator,
-    dic,
-    evidence_criterion,
-    holdout_estimator,
-    jackknife_estimator,
-    waic,
+from .harness import (
+    EstimatorRequest,
+    ExperimentConfig,
+    emit_outputs,
+    require_count,
+    run_estimator,
+    run_experiment,
 )
+from .linmodel import ModelSpec, fit_mle
+from .scores import PredictiveBuilder, aic, dic, evidence_criterion, waic
 
 ENV_PREFIX = "RPPS_"
 
-_ESTIMATOR_KINDS = ("delta", "holdout", "jackknife", "bootstrap")
 _CRITERION_KINDS = ("evidence", "aic", "waic", "dic")
 
 
@@ -131,59 +114,17 @@ def cmd_fit(args: argparse.Namespace) -> int:
     return 0
 
 
-def _adapter_for(inference: str, model: ModelSpec):
-    if inference == "mle":
-        return MlePluginAdapter(model)
-    prior = default_prior(model)
-    if inference == "prior_predictive":
-        return PriorPredictiveAdapter(prior, model)
-    if inference == "posterior_predictive":
-        return PosteriorPredictiveAdapter(prior, model)
-    raise SystemExit(f"error: unknown inference {inference!r}")
-
-
-def _predictive_for(inference: str, model: ModelSpec, data: DataSet):
-    if inference == "mle":
-        return PluginGaussian(fit_mle(model, data))
-    prior = default_prior(model)
-    if inference == "prior_predictive":
-        return PriorPredictive(prior, model)
-    if inference == "posterior_predictive":
-        return PosteriorPredictive(posterior_update(prior, model, data), model)
-    raise SystemExit(f"error: unknown inference {inference!r}")
-
-
 def _usage_error(message: str) -> SystemExit:
     print(f"usage error: {message}", file=sys.stderr)
     return SystemExit(2)
 
 
-def _score_one(request: dict, model: ModelSpec, data: DataSet) -> dict:
-    kind = request.get("kind")
-    if kind not in _ESTIMATOR_KINDS + _CRITERION_KINDS:
-        raise _usage_error(
-            f"unknown estimator {kind!r}; expected one of {_ESTIMATOR_KINDS + _CRITERION_KINDS}"
-        )
-    seed = int(request.get("seed", 0))
-    inference = request.get("inference", "mle")
-    if kind == "delta":
-        est = delta_estimator(_predictive_for(inference, model, data), data)
-        return est.to_json_dict()
-    if kind == "holdout":
-        scheme = HoldOut(n_train=int(request["n_train"]), n_valid=int(request["n_valid"]), seed=seed)
-        return holdout_estimator(_adapter_for(inference, model), data, scheme).to_json_dict()
-    if kind == "jackknife":
-        scheme = Jackknife(k_folds=int(request["k_folds"]), seed=seed)
-        return jackknife_estimator(_adapter_for(inference, model), data, scheme).to_json_dict()
-    if kind == "bootstrap":
-        scheme = Bootstrap(b_resamples=int(request["b_resamples"]), seed=seed)
-        return bootstrap_estimator(_adapter_for(inference, model), data, scheme).to_json_dict()
+def _criterion(kind: str, model: ModelSpec, data: DataSet, seed: int, n_samples: int) -> dict:
     if kind == "evidence":
         return evidence_criterion(default_prior(model), model, data).to_json_dict()
     if kind == "aic":
         return aic(fit_mle(model, data), data).to_json_dict()
     # waic / dic draw from the conjugate posterior
-    n_samples = int(request.get("n_samples", 1000))
     posterior = posterior_update(default_prior(model), model, data)
     samples = sample_posterior(posterior, n_samples, seed)
     if kind == "waic":
@@ -192,6 +133,36 @@ def _score_one(request: dict, model: ModelSpec, data: DataSet) -> dict:
         record = dic(samples, posterior_mean(posterior), model, data).to_json_dict()
     record["n_samples"] = n_samples
     return record
+
+
+def _parse_request(raw, model: ModelSpec, data: DataSet):
+    """Validate one score request; return a function of no arguments that
+    computes its record.
+
+    Estimator requests follow the experiment schema (EstimatorRequest) plus
+    the score-only `seed` and `inference` keys; criterion requests take
+    `kind`, `seed` and `n_samples`.
+    """
+    if not isinstance(raw, dict):
+        raise ValueError(f"a request must be a JSON object, got {raw!r}")
+    fields = dict(raw)
+    seed = fields.pop("seed", 0)
+    require_count("seed", seed, minimum=0)
+    kind = fields.get("kind")
+    if kind in _CRITERION_KINDS:
+        extra = set(fields) - {"kind", "n_samples"}
+        if extra:
+            raise ValueError(f"unknown {kind} keys: {sorted(extra)}")
+        n_samples = fields.get("n_samples", 1000)
+        require_count("n_samples", n_samples, minimum=2)
+        return lambda: _criterion(kind, model, data, seed, n_samples)
+    if kind not in EstimatorRequest.KINDS:
+        kinds = EstimatorRequest.KINDS + _CRITERION_KINDS
+        raise ValueError(f"unknown estimator {kind!r}; expected one of {kinds}")
+    build = PredictiveBuilder(fields.pop("inference", "mle"), model)
+    request = EstimatorRequest.from_json_dict(fields)
+    request.check_partition(len(data))
+    return lambda: run_estimator(request, build(data), build, data, seed).to_json_dict()
 
 
 def cmd_score(args: argparse.Namespace) -> int:
@@ -204,8 +175,12 @@ def cmd_score(args: argparse.Namespace) -> int:
     requests = raw.get("requests") if isinstance(raw, dict) else raw
     if not isinstance(requests, list) or not requests:
         raise SystemExit(f"error: estimator config {est_path!r} must hold a nonempty list of requests")
-    for request in requests:
-        _print_record(_score_one(request, model, data))
+    try:
+        scorers = [_parse_request(request, model, data) for request in requests]
+    except ValueError as exc:
+        raise _usage_error(f"bad request in {est_path!r}: {exc}")
+    for score in scorers:
+        _print_record(score())
     return 0
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
 from scipy.special import gammaln
 
 from .datagen import LOG_HALF, DataSet
@@ -102,40 +102,78 @@ def default_prior(spec: ModelSpec) -> NormalGammaParams:
     return NormalGammaParams(mu=np.zeros(p), lam=0.001 * np.eye(p), alpha=0.5, beta=0.5)
 
 
-def _sym(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.T)
+def _update(
+    params: NormalGammaParams, spec: ModelSpec, y1: np.ndarray, y2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The conjugate update of `params` by each of R datasets of n points,
+    given as (R, n) arrays; returns the stacked (lam', chol(lam'), mu', beta').
+
+    lam' = lam + Phi^T Phi, mu' = lam'^-1 (lam mu + Phi^T t),
+    alpha' = alpha + n/2 (left to callers), and beta' grows by half the
+    fitted residual sum of squares plus a prior-shrinkage term, a
+    rearrangement of (t^T t + mu^T lam mu - mu'^T lam' mu')/2 that is
+    positive by construction.
+    """
+    y1 = np.asarray(y1, dtype=float)
+    y2 = np.asarray(y2, dtype=float)
+    if y1.ndim != 2 or y1.shape != y2.shape:
+        raise ValueError("expected matching (R, n) arrays")
+    if params.p != spec.n_coeffs:
+        raise ValueError("prior dimension does not match model degree")
+    phi = y1[..., None] ** np.arange(spec.n_coeffs)
+    lam_n = params.lam + np.einsum("rni,rnj->rij", phi, phi)
+    lam_n = 0.5 * (lam_n + np.transpose(lam_n, (0, 2, 1)))
+    rhs = params.lam @ params.mu + np.einsum("rni,rn->ri", phi, y2)
+    chol = np.linalg.cholesky(lam_n)
+    mu_n = np.linalg.solve(lam_n, rhs[..., None])[..., 0]
+    resid = y2 - np.einsum("rni,ri->rn", phi, mu_n)
+    shift = mu_n - params.mu
+    beta_n = (
+        params.beta
+        + 0.5 * np.einsum("rn,rn->r", resid, resid)
+        + 0.5 * np.einsum("ri,ij,rj->r", shift, params.lam, shift)
+    )
+    return lam_n, chol, mu_n, beta_n
 
 
 def posterior_update(prior: NormalGammaParams, spec: ModelSpec, data: DataSet | None) -> NormalGammaParams:
-    """Closed-form conjugate update; `None` (no data) returns the prior.
-
-    lam' = lam + Phi^T Phi, mu' = lam'^-1 (lam mu + Phi^T t),
-    alpha' = alpha + n/2, and beta' grows by half the fitted residual sum of
-    squares plus a prior-shrinkage term, a rearrangement of
-    (t^T t + mu^T lam mu - mu'^T lam' mu')/2 that is positive by construction.
-    """
+    """Closed-form conjugate update (see `_update`); `None` (no data)
+    returns the prior."""
     if data is None or len(data) == 0:
         return prior
-    if prior.p != spec.n_coeffs:
-        raise ValueError("prior dimension does not match model degree")
-    phi = spec.design_matrix(data.y1)
-    t = data.y2
-    lam_n = _sym(prior.lam + phi.T @ phi)
-    rhs = prior.lam @ prior.mu + phi.T @ t
-    try:
-        c_and_lower = cho_factor(lam_n, lower=True)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - SPD by construction
-        raise AssertionError("posterior precision lost positive definiteness") from exc
-    mu_n = cho_solve(c_and_lower, rhs)
-    resid = t - phi @ mu_n
-    shift = mu_n - prior.mu
-    beta_n = prior.beta + 0.5 * float(resid @ resid) + 0.5 * float(shift @ (prior.lam @ shift))
-    return NormalGammaParams(mu=mu_n, lam=lam_n, alpha=prior.alpha + 0.5 * len(data), beta=beta_n)
+    lam_n, _, mu_n, beta_n = _update(prior, spec, data.y1[None], data.y2[None])
+    return NormalGammaParams(mu=mu_n[0], lam=lam_n[0], alpha=prior.alpha + 0.5 * len(data), beta=float(beta_n[0]))
 
 
 def _logdet_spd(a: np.ndarray) -> float:
     chol = np.linalg.cholesky(a)
     return 2.0 * float(np.sum(np.log(np.diagonal(chol))))
+
+
+def _evidence_batch(
+    params: NormalGammaParams,
+    spec: ModelSpec,
+    y1: np.ndarray,
+    y2: np.ndarray,
+    include_y1_factor: bool,
+) -> np.ndarray:
+    """Log evidence of each of R datasets of n points, given as (R, n)
+    arrays: the ratio of Normal-Gamma normalizing constants before and after
+    the conjugate update, through stacked Cholesky factorizations."""
+    _, chol, _, beta_n = _update(params, spec, y1, y2)
+    n = np.shape(y1)[1]
+    alpha_n = params.alpha + 0.5 * n
+    logdet_n = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
+    out = (
+        -0.5 * n * _LOG_2PI
+        + 0.5 * (_logdet_spd(params.lam) - logdet_n)
+        + params.alpha * math.log(params.beta)
+        - alpha_n * np.log(beta_n)
+        + float(gammaln(alpha_n) - gammaln(params.alpha))
+    )
+    if include_y1_factor:
+        out = out + n * LOG_HALF
+    return out
 
 
 def log_evidence(
@@ -147,54 +185,16 @@ def log_evidence(
     """Log marginal likelihood of `data`: log of the likelihood integrated
     against the Normal-Gamma distribution `prior`.
 
-    Computed as the ratio of normalizing constants before and after the
-    conjugate update; `None`/empty data gives 0.  Includes n * log(1/2) for
-    the uniform y1 factors unless `include_y1_factor` is off.
+    The batch evidence at R = 1; `None`/empty data gives 0.  Includes
+    n * log(1/2) for the uniform y1 factors unless `include_y1_factor` is
+    off.  Under a posterior this is the joint posterior predictive density:
+    log_evidence(posterior_update(prior, train), new) equals
+    log_evidence(prior, train + new) - log_evidence(prior, train) by the
+    probability chain rule (asserted in tests).
     """
     if data is None or len(data) == 0:
         return 0.0
-    post = posterior_update(prior, spec, data)
-    n = len(data)
-    value = (
-        -0.5 * n * _LOG_2PI
-        + 0.5 * (_logdet_spd(prior.lam) - _logdet_spd(post.lam))
-        + prior.alpha * math.log(prior.beta)
-        - post.alpha * math.log(post.beta)
-        + float(gammaln(post.alpha) - gammaln(prior.alpha))
-    )
-    if include_y1_factor:
-        value += n * LOG_HALF
-    return value
-
-
-def log_prior_predictive(
-    prior: NormalGammaParams,
-    spec: ModelSpec,
-    new_data: DataSet | None,
-    include_y1_factor: bool = True,
-) -> float:
-    """Joint log density of new data under the prior predictive distribution.
-
-    This is the same integral as the evidence; exposed separately so the
-    predictive interface reads naturally.
-    """
-    return log_evidence(prior, spec, new_data, include_y1_factor=include_y1_factor)
-
-
-def log_posterior_predictive(
-    posterior: NormalGammaParams,
-    spec: ModelSpec,
-    new_data: DataSet | None,
-    include_y1_factor: bool = True,
-) -> float:
-    """Joint log density of new data under the posterior predictive.
-
-    Evaluated as an evidence-style integral under the posterior parameters;
-    when `posterior` came from conditioning on training data, this equals
-    log_evidence(prior, train + new) - log_evidence(prior, train) by the
-    probability chain rule (the identity is asserted in tests).
-    """
-    return log_evidence(posterior, spec, new_data, include_y1_factor=include_y1_factor)
+    return float(_evidence_batch(prior, spec, data.y1[None], data.y2[None], include_y1_factor)[0])
 
 
 def sample_posterior(posterior: NormalGammaParams, count: int, seed: int) -> list[PosteriorSample]:
@@ -279,48 +279,3 @@ class PosteriorPredictive:
 
 
 Predictive = Union[PluginGaussian, PriorPredictive, PosteriorPredictive]
-
-
-def _evidence_batch(
-    params: NormalGammaParams,
-    spec: ModelSpec,
-    y1: np.ndarray,
-    y2: np.ndarray,
-    include_y1_factor: bool,
-) -> np.ndarray:
-    """Vectorized log evidence over R replicate datasets of n points each.
-
-    Same quantity as `log_evidence` row by row (asserted in tests), batched
-    through stacked Cholesky factorizations for the Monte Carlo oracle.
-    """
-    y1 = np.asarray(y1, dtype=float)
-    y2 = np.asarray(y2, dtype=float)
-    if y1.ndim != 2 or y1.shape != y2.shape:
-        raise ValueError("expected matching (R, n) arrays")
-    r_count, n = y1.shape
-    p = spec.n_coeffs
-    phi = y1[..., None] ** np.arange(p)
-    lam_n = params.lam + np.einsum("rni,rnj->rij", phi, phi)
-    lam_n = 0.5 * (lam_n + np.transpose(lam_n, (0, 2, 1)))
-    rhs = params.lam @ params.mu + np.einsum("rni,rn->ri", phi, y2)
-    chol = np.linalg.cholesky(lam_n)
-    mu_n = np.linalg.solve(lam_n, rhs[..., None])[..., 0]
-    resid = y2 - np.einsum("rni,ri->rn", phi, mu_n)
-    shift = mu_n - params.mu
-    beta_n = (
-        params.beta
-        + 0.5 * np.einsum("rn,rn->r", resid, resid)
-        + 0.5 * np.einsum("ri,ij,rj->r", shift, params.lam, shift)
-    )
-    alpha_n = params.alpha + 0.5 * n
-    logdet_n = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
-    out = (
-        -0.5 * n * _LOG_2PI
-        + 0.5 * (_logdet_spd(params.lam) - logdet_n)
-        + params.alpha * math.log(params.beta)
-        - alpha_n * np.log(beta_n)
-        + float(gammaln(alpha_n) - gammaln(params.alpha))
-    )
-    if include_y1_factor:
-        out = out + n * LOG_HALF
-    return out

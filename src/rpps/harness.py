@@ -10,31 +10,22 @@ from __future__ import annotations
 
 import json
 import logging
+import numbers
 from dataclasses import dataclass, field
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
-from .conjugate import (
-    PluginGaussian,
-    PosteriorPredictive,
-    PriorPredictive,
-    Predictive,
-    default_prior,
-    posterior_update,
-)
+from .conjugate import PluginGaussian, Predictive
 from .datagen import DataSet, GeneratorSpec, sample_dataset
-from .linmodel import ModelSpec, RankDeficient, TooFewPoints, fit_mle
+from .linmodel import ModelSpec, RankDeficient, TooFewPoints
 from .scores import (
     AllResamplesDegenerate,
     Bootstrap,
     HoldOut,
+    InferenceKind,
     Jackknife,
-    MlePluginAdapter,
-    ModelAdapter,
-    PosteriorPredictiveAdapter,
-    PriorPredictiveAdapter,
+    PredictiveBuilder,
     ScoreEstimate,
     bootstrap_estimator,
     delta_estimator,
@@ -51,10 +42,10 @@ SUMMARY_HEADER = ["estimator", "q20", "q50", "q80"]
 SUMMARY_PROBS = (0.2, 0.5, 0.8)
 
 
-class InferenceKind(str, Enum):
-    MLE = "mle"
-    PRIOR_PREDICTIVE = "prior_predictive"
-    POSTERIOR_PREDICTIVE = "posterior_predictive"
+def require_count(name: str, value, minimum: int = 1) -> None:
+    """Raise ValueError unless `value` is an integer (not a bool) >= `minimum`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -79,6 +70,16 @@ class EstimatorRequest:
             raise ValueError("jackknife needs k_folds")
         if self.kind == "bootstrap" and self.b_resamples is None:
             raise ValueError("bootstrap needs b_resamples")
+        for key in ("n_train", "n_valid", "k_folds", "b_resamples"):
+            if getattr(self, key) is not None:
+                require_count(key, getattr(self, key))
+
+    def check_partition(self, n_points: int) -> None:
+        """Raise ValueError if the request cannot partition n_points."""
+        if self.kind == "holdout" and self.n_train + self.n_valid != n_points:
+            raise ValueError(f"holdout partitions must cover all {n_points} points")
+        if self.kind == "jackknife" and n_points % self.k_folds != 0:
+            raise ValueError(f"k_folds must divide n_points = {n_points}")
 
     @property
     def name(self) -> str:
@@ -146,10 +147,7 @@ class ExperimentConfig:
         if len(set(names)) != len(names):
             raise ValueError(f"estimator labels must be unique, got {names}")
         for request in self.estimators:
-            if request.kind == "holdout" and request.n_train + request.n_valid != self.n_points:
-                raise ValueError(f"holdout partitions must cover all {self.n_points} points")
-            if request.kind == "jackknife" and self.n_points % request.k_folds != 0:
-                raise ValueError(f"k_folds must divide n_points = {self.n_points}")
+            request.check_partition(self.n_points)
 
     def to_json_dict(self) -> dict:
         return {
@@ -229,19 +227,6 @@ def quantiles(errors, probs) -> list[float]:
     return [float(q) for q in np.quantile(errors, probs, method="linear")]
 
 
-def _build_predictive(
-    config: ExperimentConfig, measurement: DataSet
-) -> tuple[Predictive, ModelAdapter]:
-    if config.inference == InferenceKind.MLE:
-        fit = fit_mle(config.model, measurement)
-        return PluginGaussian(fit), MlePluginAdapter(config.model)
-    prior = default_prior(config.model)
-    if config.inference == InferenceKind.PRIOR_PREDICTIVE:
-        return PriorPredictive(prior, config.model), PriorPredictiveAdapter(prior, config.model)
-    posterior = posterior_update(prior, config.model, measurement)
-    return PosteriorPredictive(posterior, config.model), PosteriorPredictiveAdapter(prior, config.model)
-
-
 def _exact_score(config: ExperimentConfig, predictive: Predictive, oracle_seed: int) -> ScoreEstimate:
     if isinstance(predictive, PluginGaussian) and config.oracle.quadrature:
         return exact_score_quadrature(config.truth, predictive, config.n_points)
@@ -250,21 +235,24 @@ def _exact_score(config: ExperimentConfig, predictive: Predictive, oracle_seed: 
     )
 
 
-def _run_estimator(
+def run_estimator(
     request: EstimatorRequest,
     predictive: Predictive,
-    adapter: ModelAdapter,
+    build: PredictiveBuilder,
     measurement: DataSet,
     seed: int,
 ) -> ScoreEstimate:
+    """Run one estimator request on a measurement: delta scores `predictive`,
+    which `build` made from the whole measurement; the partition estimators
+    call `build` on each training set, with partitions drawn from `seed`."""
     if request.kind == "delta":
         return delta_estimator(predictive, measurement)
     if request.kind == "holdout":
         scheme = HoldOut(n_train=request.n_train, n_valid=request.n_valid, seed=seed)
-        return holdout_estimator(adapter, measurement, scheme)
+        return holdout_estimator(build, measurement, scheme)
     if request.kind == "jackknife":
-        return jackknife_estimator(adapter, measurement, Jackknife(k_folds=request.k_folds, seed=seed))
-    return bootstrap_estimator(adapter, measurement, Bootstrap(b_resamples=request.b_resamples, seed=seed))
+        return jackknife_estimator(build, measurement, Jackknife(k_folds=request.k_folds, seed=seed))
+    return bootstrap_estimator(build, measurement, Bootstrap(b_resamples=request.b_resamples, seed=seed))
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -275,6 +263,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     failures (degenerate folds and the like) are recorded as failed rows;
     the run only fails if every row does.
     """
+    build = PredictiveBuilder(config.inference, config.model)
     root = np.random.SeedSequence(config.seed)
     children = root.spawn(config.replications)
     rows: list[ReplicationRow] = []
@@ -284,7 +273,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         data_seed, oracle_seed = int(sub[0]), int(sub[1])
         measurement = sample_dataset(config.truth, config.n_points, data_seed)
         try:
-            predictive, adapter = _build_predictive(config, measurement)
+            predictive = build(measurement)
             exact = _exact_score(config, predictive, oracle_seed)
         except (TooFewPoints, RankDeficient) as exc:
             for request in config.estimators:
@@ -296,8 +285,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             oracle_ses.append(exact.std_error)
         for j, request in enumerate(config.estimators):
             try:
-                est = _run_estimator(request, predictive, adapter, measurement, int(sub[2 + j]))
-            except (TooFewPoints, RankDeficient, AllResamplesDegenerate, ValueError) as exc:
+                est = run_estimator(request, predictive, build, measurement, int(sub[2 + j]))
+            except (TooFewPoints, RankDeficient, AllResamplesDegenerate) as exc:
                 rows.append(
                     ReplicationRow(
                         r, request.name, None, None, exact.value, None, 0, failed=True, message=str(exc)

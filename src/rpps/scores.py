@@ -14,9 +14,8 @@ orientation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Any
 
 import numpy as np
 from scipy.special import logsumexp
@@ -24,8 +23,11 @@ from scipy.special import logsumexp
 from .conjugate import (
     NormalGammaParams,
     PluginGaussian,
+    PosteriorPredictive,
     PosteriorSample,
     Predictive,
+    PriorPredictive,
+    default_prior,
     log_evidence,
     posterior_update,
 )
@@ -149,114 +151,53 @@ class Criterion:
         return {"criterion": self.kind.value, "value": self.value}
 
 
-def _floored_fit(fit: FitResult) -> tuple[FitResult, bool]:
-    if fit.sigma2 < SIGMA2_FLOOR:
-        return replace(fit, sigma2=SIGMA2_FLOOR), True
-    return fit, False
-
-
 def _floored_predictive(predictive: Predictive) -> tuple[Predictive, int]:
-    if isinstance(predictive, PluginGaussian):
-        fit, engaged = _floored_fit(predictive.fit)
-        if engaged:
-            return replace(predictive, fit=fit), 1
+    if isinstance(predictive, PluginGaussian) and predictive.fit.sigma2 < SIGMA2_FLOOR:
+        return replace(predictive, fit=replace(predictive.fit, sigma2=SIGMA2_FLOOR)), 1
     return predictive, 0
 
 
 # ---------------------------------------------------------------------------
-# Model adapters: one fitting/evaluation contract for every inference kind
+# The predictive builder: one way to turn a training set into a predictive
 
 
-class ModelAdapter:
-    """Uniform contract used by the partition-based estimators.
-
-    fit() maps a training set to an opaque state, log_joint_predictive()
-    scores a dataset under that state, and min_train_size() is the smallest
-    usable training set.  floor_engaged() reports variance-floor engagements
-    recorded in a state (zero unless an adapter overrides it).
-    """
-
-    def fit(self, train: DataSet) -> Any:
-        raise NotImplementedError
-
-    def log_joint_predictive(self, state: Any, data: DataSet) -> float:
-        raise NotImplementedError
-
-    def min_train_size(self) -> int:
-        raise NotImplementedError
-
-    def floor_engaged(self, state: Any) -> int:
-        return 0
+class InferenceKind(str, Enum):
+    MLE = "mle"
+    PRIOR_PREDICTIVE = "prior_predictive"
+    POSTERIOR_PREDICTIVE = "posterior_predictive"
 
 
 @dataclass(frozen=True)
-class _MleState:
-    fit: FitResult
-    floored: bool
+class PredictiveBuilder:
+    """Maps a training set to the predictive of one inference kind.
 
-
-class MlePluginAdapter(ModelAdapter):
-    """Refit the MLE on each training partition and score with the plug-in
-    Gaussian, flooring degenerate noise variances."""
-
-    def __init__(self, spec: ModelSpec, include_y1_factor: bool = True):
-        self.spec = spec
-        self.include_y1_factor = include_y1_factor
-
-    def fit(self, train: DataSet) -> _MleState:
-        fit, floored = _floored_fit(fit_mle(self.spec, train))
-        return _MleState(fit=fit, floored=floored)
-
-    def log_joint_predictive(self, state: _MleState, data: DataSet) -> float:
-        return plugin_log_predictive(state.fit, data, include_y1_factor=self.include_y1_factor)
-
-    def min_train_size(self) -> int:
-        return self.spec.min_fit_size
-
-    def floor_engaged(self, state: _MleState) -> int:
-        return int(state.floored)
-
-
-class PriorPredictiveAdapter(ModelAdapter):
-    """Score under the prior predictive; fitting is a no-op.
-
-    A delta estimate through this adapter is exactly the negated log
-    evidence.  Whether the prior was itself tuned on the measurement is
-    outside the adapter's control.
+    MLE refits and scores with the plug-in Gaussian; the prior predictive
+    ignores the training set (a delta estimate through it is exactly the
+    negated log evidence); the posterior predictive conditions the default
+    conjugate prior on the training set.  `min_train_size` is the smallest
+    usable training set.
     """
 
-    def __init__(self, prior: NormalGammaParams, spec: ModelSpec, include_y1_factor: bool = True):
-        self.prior = prior
-        self.spec = spec
-        self.include_y1_factor = include_y1_factor
+    inference: InferenceKind
+    spec: ModelSpec
+    include_y1_factor: bool = True
+    prior: NormalGammaParams = field(init=False, repr=False, compare=False)
 
-    def fit(self, train: DataSet) -> NormalGammaParams:
-        return self.prior
+    def __post_init__(self):
+        object.__setattr__(self, "inference", InferenceKind(self.inference))
+        object.__setattr__(self, "prior", default_prior(self.spec))
 
-    def log_joint_predictive(self, state: NormalGammaParams, data: DataSet) -> float:
-        return log_evidence(state, self.spec, data, include_y1_factor=self.include_y1_factor)
-
+    @property
     def min_train_size(self) -> int:
-        return 0
+        return self.spec.min_fit_size if self.inference == InferenceKind.MLE else 0
 
-
-class PosteriorPredictiveAdapter(ModelAdapter):
-    """Condition the prior on each training partition and score under the
-    resulting posterior predictive."""
-
-    def __init__(self, prior: NormalGammaParams, spec: ModelSpec, include_y1_factor: bool = True):
-        self.prior = prior
-        self.spec = spec
-        self.include_y1_factor = include_y1_factor
-
-    def fit(self, train: DataSet) -> NormalGammaParams:
-        return posterior_update(self.prior, self.spec, train)
-
-    def log_joint_predictive(self, state: NormalGammaParams, data: DataSet) -> float:
-        return log_evidence(state, self.spec, data, include_y1_factor=self.include_y1_factor)
-
-    def min_train_size(self) -> int:
-        return 0
+    def __call__(self, train: DataSet) -> Predictive:
+        if self.inference == InferenceKind.MLE:
+            return PluginGaussian(fit_mle(self.spec, train), self.include_y1_factor)
+        if self.inference == InferenceKind.PRIOR_PREDICTIVE:
+            return PriorPredictive(self.prior, self.spec, self.include_y1_factor)
+        posterior = posterior_update(self.prior, self.spec, train)
+        return PosteriorPredictive(posterior, self.spec, self.include_y1_factor)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +301,14 @@ def _shuffled_indices(n: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).permutation(n)
 
 
-def holdout_estimator(model: ModelAdapter, data: DataSet, scheme: HoldOut) -> ScoreEstimate:
+def _fit_and_score(build: PredictiveBuilder, data: DataSet, train, valid) -> tuple[float, int]:
+    """Log density of the `valid` points under the (floored) predictive
+    built from the `train` points, and the floor engagement count."""
+    predictive, floored = _floored_predictive(build(data.subset(train)))
+    return predictive.log_density(data.subset(valid)), floored
+
+
+def holdout_estimator(build: PredictiveBuilder, data: DataSet, scheme: HoldOut) -> ScoreEstimate:
     """Fit on a seeded training partition, score the held-out partition,
     and rescale by N / n_valid to the full measurement size."""
     n = len(data)
@@ -368,23 +316,20 @@ def holdout_estimator(model: ModelAdapter, data: DataSet, scheme: HoldOut) -> Sc
         raise ValueError(f"n_train + n_valid must equal {n}")
     if scheme.n_train < 1 or scheme.n_valid < 1:
         raise ValueError("both partitions need at least one point")
-    if scheme.n_train < model.min_train_size():
-        raise TooFewPoints(f"training partition of {scheme.n_train} below model minimum {model.min_train_size()}")
+    if scheme.n_train < build.min_train_size:
+        raise TooFewPoints(f"training partition of {scheme.n_train} below model minimum {build.min_train_size}")
     idx = _shuffled_indices(n, scheme.seed)
-    train = data.subset(idx[: scheme.n_train])
-    valid = data.subset(idx[scheme.n_train :])
-    state = model.fit(train)
-    value = -(n / scheme.n_valid) * model.log_joint_predictive(state, valid)
+    log_density, floored = _fit_and_score(build, data, idx[: scheme.n_train], idx[scheme.n_train :])
     return ScoreEstimate(
-        value=value,
+        value=-(n / scheme.n_valid) * log_density,
         std_error=None,
         estimator=EstimatorKind.HOLD_OUT,
         n_effective=1,
-        floor_engaged=model.floor_engaged(state),
+        floor_engaged=floored,
     )
 
 
-def jackknife_estimator(model: ModelAdapter, data: DataSet, scheme: Jackknife) -> ScoreEstimate:
+def jackknife_estimator(build: PredictiveBuilder, data: DataSet, scheme: Jackknife) -> ScoreEstimate:
     """Sum the held-out log densities over K disjoint folds.
 
     Folds are contiguous blocks after one seeded shuffle; no extra scaling
@@ -395,19 +340,17 @@ def jackknife_estimator(model: ModelAdapter, data: DataSet, scheme: Jackknife) -
     if k < 1 or n % k != 0:
         raise ValueError(f"k_folds must divide the measurement size {n}")
     fold_size = n // k
-    if n - fold_size < model.min_train_size():
-        raise TooFewPoints(
-            f"fold complements of {n - fold_size} below model minimum {model.min_train_size()}"
-        )
+    if n - fold_size < build.min_train_size:
+        raise TooFewPoints(f"fold complements of {n - fold_size} below model minimum {build.min_train_size}")
     idx = _shuffled_indices(n, scheme.seed)
     value = 0.0
     floored = 0
     for j in range(k):
         fold = idx[j * fold_size : (j + 1) * fold_size]
         rest = np.concatenate([idx[: j * fold_size], idx[(j + 1) * fold_size :]])
-        state = model.fit(data.subset(rest))
-        value -= model.log_joint_predictive(state, data.subset(fold))
-        floored += model.floor_engaged(state)
+        log_density, engaged = _fit_and_score(build, data, rest, fold)
+        value -= log_density
+        floored += engaged
     return ScoreEstimate(
         value=value,
         std_error=None,
@@ -417,7 +360,7 @@ def jackknife_estimator(model: ModelAdapter, data: DataSet, scheme: Jackknife) -
     )
 
 
-def bootstrap_estimator(model: ModelAdapter, data: DataSet, scheme: Bootstrap) -> ScoreEstimate:
+def bootstrap_estimator(build: PredictiveBuilder, data: DataSet, scheme: Bootstrap) -> ScoreEstimate:
     """Average hold-out-style scores over resamples drawn with replacement.
 
     Each resample trains on N draws with replacement and validates on the
@@ -434,14 +377,14 @@ def bootstrap_estimator(model: ModelAdapter, data: DataSet, scheme: Bootstrap) -
     for _ in range(scheme.b_resamples):
         draw = rng.integers(0, n, size=n)
         oob = np.setdiff1d(np.arange(n), draw)
-        if oob.size == 0 or np.unique(draw).size < model.min_train_size():
+        if oob.size == 0 or np.unique(draw).size < build.min_train_size:
             continue
         try:
-            state = model.fit(data.subset(draw))
+            log_density, engaged = _fit_and_score(build, data, draw, oob)
         except (TooFewPoints, RankDeficient):
             continue
-        values.append(-(n / oob.size) * model.log_joint_predictive(state, data.subset(oob)))
-        floored += model.floor_engaged(state)
+        values.append(-(n / oob.size) * log_density)
+        floored += engaged
     if not values:
         raise AllResamplesDegenerate(f"no usable resample among {scheme.b_resamples}")
     values = np.asarray(values)

@@ -17,10 +17,10 @@ from rpps.cli import main
 from rpps.conjugate import (
     NormalGammaParams,
     PluginGaussian,
+    PosteriorPredictive,
     PriorPredictive,
     default_prior,
     log_evidence,
-    log_posterior_predictive,
     posterior_mean,
     posterior_update,
 )
@@ -29,8 +29,9 @@ from rpps.harness import ExperimentConfig, run_experiment
 from rpps.linmodel import FitResult, ModelSpec, fit_mle, plugin_log_predictive
 from rpps.scores import (
     HoldOut,
+    InferenceKind,
     Jackknife,
-    MlePluginAdapter,
+    PredictiveBuilder,
     delta_estimator,
     dic,
     exact_score_mc,
@@ -103,9 +104,9 @@ def test_criterion_2_evidence_identities():
         cut = int(rng.integers(1, n))
         head, tail = data.subset(range(cut)), data.subset(range(cut, n))
         whole = log_evidence(prior, spec, data)
-        chained = log_evidence(prior, spec, head) + log_posterior_predictive(
-            posterior_update(prior, spec, head), spec, tail
-        )
+        chained = log_evidence(prior, spec, head) + PosteriorPredictive(
+            posterior_update(prior, spec, head), spec
+        ).log_density(tail)
         worst = max(worst, abs(whole - chained))
         assert abs(whole - chained) < 1e-9
         est = delta_estimator(PriorPredictive(prior, spec), data)
@@ -174,7 +175,8 @@ def test_criterion_5_jackknife_loo_identity():
     leave-one-out sum to 1e-12."""
     truth = GeneratorSpec(1, (0.1, 0.9), 0.5)
     data = sample_dataset(truth, n=12, seed=13)
-    est = jackknife_estimator(MlePluginAdapter(ModelSpec(1)), data, Jackknife(k_folds=12, seed=3))
+    build = PredictiveBuilder(InferenceKind.MLE, ModelSpec(1))
+    est = jackknife_estimator(build, data, Jackknife(k_folds=12, seed=3))
     explicit = 0.0
     for i in range(12):
         rest = [j for j in range(12) if j != i]
@@ -274,12 +276,12 @@ def test_criterion_9_score_difference_invariance():
     def scores(include):
         plugin = PluginGaussian(fit, include_y1_factor=include)
         prior_pred = PriorPredictive(prior, spec, include_y1_factor=include)
-        adapter = MlePluginAdapter(spec, include_y1_factor=include)
+        build = PredictiveBuilder(InferenceKind.MLE, spec, include_y1_factor=include)
         return {
             "delta_plugin": delta_estimator(plugin, data).value,
             "delta_prior": delta_estimator(prior_pred, data).value,
-            "holdout": holdout_estimator(adapter, data, HoldOut(6, 6, seed=2)).value,
-            "jackknife": jackknife_estimator(adapter, data, Jackknife(6, seed=2)).value,
+            "holdout": holdout_estimator(build, data, HoldOut(6, 6, seed=2)).value,
+            "jackknife": jackknife_estimator(build, data, Jackknife(6, seed=2)).value,
             "exact_quadrature": exact_score_quadrature(truth, plugin, n_points=n).value,
         }
 

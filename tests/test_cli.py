@@ -120,12 +120,35 @@ class TestScore:
         assert waic_record["criterion"] == "waic"
         assert waic_record["n_samples"] == 200
 
-    def test_unknown_estimator_is_usage_error(self, data_file, model_file, tmp_path, capsys):
+    def _usage_error(self, data_file, model_file, tmp_path, requests, capsys):
         est = tmp_path / "est.json"
-        est.write_text(json.dumps([{"kind": "magic"}]))
+        est.write_text(json.dumps(requests))
         with pytest.raises(SystemExit) as exc:
             main(["score", "--data", str(data_file), "--model", str(model_file), "--estimators", str(est)])
         assert exc.value.code == 2
+        assert capsys.readouterr().out == ""  # no record printed
+
+    def test_unknown_estimator_is_usage_error(self, data_file, model_file, tmp_path, capsys):
+        self._usage_error(data_file, model_file, tmp_path, [{"kind": "magic"}], capsys)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {"kind": "jackknife", "k_folds": 6, "sed": 3},  # misspelt key
+            {"kind": "jackknife", "k_folds": 5},  # does not divide N = 12
+            {"kind": "holdout", "n_train": 6, "n_valid": 5},  # does not cover N
+            {"kind": "delta", "inference": "maximum_likelihood"},
+            {"kind": "delta", "seed": -1},
+            {"kind": "evidence", "inference": "mle"},  # criteria take no inference
+            {"kind": "waic", "n_samples": 1},
+            {"k_folds": 6},
+        ],
+    )
+    def test_malformed_request_is_usage_error(self, data_file, model_file, tmp_path, capsys, raw):
+        self._usage_error(data_file, model_file, tmp_path, [raw], capsys)
+
+    def test_requests_validated_before_any_record(self, data_file, model_file, tmp_path, capsys):
+        self._usage_error(data_file, model_file, tmp_path, [{"kind": "delta"}, {"kind": "bootstrap"}], capsys)
 
 
 class TestExperiment:

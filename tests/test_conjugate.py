@@ -7,11 +7,11 @@ from scipy import integrate, stats
 from gridref import posterior_grid_summary
 from rpps.conjugate import (
     NormalGammaParams,
+    PosteriorPredictive,
+    PriorPredictive,
     _evidence_batch,
     default_prior,
     log_evidence,
-    log_posterior_predictive,
-    log_prior_predictive,
     posterior_mean,
     posterior_update,
     sample_posterior,
@@ -33,6 +33,27 @@ def _random_case(seed, degree=1, n=6):
     truth = GeneratorSpec(degree=degree, coeffs=tuple(rng.normal(size=p)), sigma=0.7)
     data = sample_dataset(truth, n=n, seed=seed + 1000)
     return prior, ModelSpec(degree), data
+
+
+def _mvt_logpdf(params, spec, y1, y2):
+    """Direct multivariate-t assembly of the joint predictive of a block:
+    nu = 2 alpha, location Phi mu, shape (beta/alpha)(I + Phi lam^-1 Phi'),
+    plus the uniform factor; the implementation goes through the evidence
+    form instead, so this is an independent path."""
+    block = len(y1)
+    phi = spec.design_matrix(y1)
+    nu = 2.0 * params.alpha
+    shape = params.beta / params.alpha * (np.eye(block) + phi @ np.linalg.solve(params.lam, phi.T))
+    dev = np.asarray(y2) - phi @ params.mu
+    quad = float(dev @ np.linalg.solve(shape, dev))
+    return (
+        math.lgamma((nu + block) / 2.0)
+        - math.lgamma(nu / 2.0)
+        - 0.5 * block * math.log(nu * math.pi)
+        - 0.5 * float(np.linalg.slogdet(shape)[1])
+        - 0.5 * (nu + block) * math.log1p(quad / nu)
+        + block * math.log(0.5)
+    )
 
 
 class TestDefaultPrior:
@@ -139,7 +160,7 @@ class TestLogEvidence:
         head, tail = data.subset(range(5)), data.subset(range(5, 8))
         post = posterior_update(prior, spec, head)
         whole = log_evidence(prior, spec, data)
-        chained = log_evidence(prior, spec, head) + log_posterior_predictive(post, spec, tail)
+        chained = log_evidence(prior, spec, head) + PosteriorPredictive(post, spec).log_density(tail)
         assert whole == pytest.approx(chained, abs=1e-9)
 
     def test_uniform_factor_shift(self):
@@ -152,7 +173,7 @@ class TestLogEvidence:
 class TestPriorPredictive:
     def test_equals_evidence_bitwise(self):
         prior, spec, data = _random_case(4, degree=2, n=7)
-        assert log_prior_predictive(prior, spec, data) == log_evidence(prior, spec, data)
+        assert PriorPredictive(prior, spec).log_density(data) == log_evidence(prior, spec, data)
 
     @pytest.mark.parametrize("seed", [0, 5])
     def test_single_point_is_student_t(self, seed):
@@ -166,40 +187,22 @@ class TestPriorPredictive:
             prior.beta / prior.alpha * (1.0 + float(phi @ np.linalg.solve(prior.lam, phi)))
         )
         expected = stats.t.logpdf(y2, df=2 * prior.alpha, loc=loc, scale=scale) + math.log(0.5)
-        value = log_prior_predictive(prior, spec, DataSet([y1], [y2]))
+        value = PriorPredictive(prior, spec).log_density(DataSet([y1], [y2]))
         assert value == pytest.approx(float(expected), abs=1e-10)
 
     @pytest.mark.parametrize("seed,block", [(1, 2), (2, 3)])
     def test_multi_point_block_is_multivariate_student_t(self, seed, block):
-        # direct multivariate-t assembly: nu = 2 alpha, location Phi mu,
-        # shape (beta/alpha)(I + Phi lam^-1 Phi'); the implementation goes
-        # through the evidence form instead, so this is an independent path
         prior, spec, data = _random_case(seed, degree=1, n=block)
-        phi = spec.design_matrix(data.y1)
-        nu = 2.0 * prior.alpha
-        m = phi @ prior.mu
-        shape = prior.beta / prior.alpha * (np.eye(block) + phi @ np.linalg.solve(prior.lam, phi.T))
-        dev = data.y2 - m
-        quad = float(dev @ np.linalg.solve(shape, dev))
-        expected = (
-            math.lgamma((nu + block) / 2.0)
-            - math.lgamma(nu / 2.0)
-            - 0.5 * block * math.log(nu * math.pi)
-            - 0.5 * float(np.linalg.slogdet(shape)[1])
-            - 0.5 * (nu + block) * math.log1p(quad / nu)
-            + block * math.log(0.5)
-        )
-        value = log_prior_predictive(prior, spec, data)
-        assert value == pytest.approx(expected, abs=1e-10)
+        value = PriorPredictive(prior, spec).log_density(data)
+        assert value == pytest.approx(_mvt_logpdf(prior, spec, data.y1, data.y2), abs=1e-10)
 
     def test_joint_is_not_product_of_marginals(self):
         prior = default_prior(ModelSpec(0))
         spec = ModelSpec(0)
         pair = DataSet([0.0, 0.5], [0.3, -0.2])
-        joint = log_prior_predictive(prior, spec, pair)
-        marginals = sum(
-            log_prior_predictive(prior, spec, pair.subset([i])) for i in range(2)
-        )
+        predictive = PriorPredictive(prior, spec)
+        joint = predictive.log_density(pair)
+        marginals = sum(predictive.log_density(pair.subset([i])) for i in range(2))
         assert abs(joint - marginals) > 1e-2
 
     def test_single_point_density_normalizes(self):
@@ -208,7 +211,7 @@ class TestPriorPredictive:
         spec = ModelSpec(1)
 
         def density(y2, y1):
-            return math.exp(log_prior_predictive(prior, spec, DataSet([y1], [y2])))
+            return math.exp(PriorPredictive(prior, spec).log_density(DataSet([y1], [y2])))
 
         total, err = integrate.dblquad(density, -1.0, 1.0, -np.inf, np.inf, epsabs=1e-6)
         assert total == pytest.approx(1.0, abs=1e-5)
@@ -218,14 +221,14 @@ class TestPosteriorPredictive:
     def test_empty_is_zero(self):
         prior, spec, data = _random_case(9, degree=1, n=6)
         post = posterior_update(prior, spec, data)
-        assert log_posterior_predictive(post, spec, None) == 0.0
+        assert PosteriorPredictive(post, spec).log_density(None) == 0.0
 
     @pytest.mark.parametrize("seed", range(4))
     def test_evidence_ratio_identity(self, seed):
         prior, spec, data = _random_case(seed, degree=1, n=9)
         train, new = data.subset(range(6)), data.subset(range(6, 9))
         post = posterior_update(prior, spec, train)
-        direct = log_posterior_predictive(post, spec, new)
+        direct = PosteriorPredictive(post, spec).log_density(new)
         ratio = log_evidence(prior, spec, data) - log_evidence(prior, spec, train)
         assert direct == pytest.approx(ratio, abs=1e-9)
 
@@ -237,7 +240,7 @@ class TestPosteriorPredictive:
         loc = float(post.mu @ phi)
         scale = math.sqrt(post.beta / post.alpha * (1.0 + float(phi @ np.linalg.solve(post.lam, phi))))
         expected = stats.t.logpdf(y2, df=2 * post.alpha, loc=loc, scale=scale) + math.log(0.5)
-        value = log_posterior_predictive(post, spec, DataSet([y1], [y2]))
+        value = PosteriorPredictive(post, spec).log_density(DataSet([y1], [y2]))
         assert value == pytest.approx(float(expected), abs=1e-10)
 
 
@@ -272,11 +275,15 @@ class TestSamplePosterior:
 
 
 class TestBatchEvidence:
-    def test_matches_scalar_path(self):
-        prior, spec, _ = _random_case(8, degree=1, n=4)
+    def test_rows_are_multivariate_student_t(self):
+        # every row of an R = 6 batch against the direct multivariate-t
+        # assembly, on random priors of degrees 0-4
         rng = np.random.default_rng(0)
-        y1 = rng.uniform(-1, 1, size=(6, 4))
-        y2 = rng.normal(0.0, 1.0, size=(6, 4))
-        batch = _evidence_batch(prior, spec, y1, y2, True)
-        scalar = [log_evidence(prior, spec, DataSet(y1[r], y2[r])) for r in range(6)]
-        np.testing.assert_allclose(batch, scalar, atol=1e-12)
+        for degree in range(5):
+            prior, spec, _ = _random_case(20 + degree, degree=degree, n=2)
+            y1 = rng.uniform(-1, 1, size=(6, 4))
+            y2 = rng.normal(0.0, 1.0, size=(6, 4))
+            batch = _evidence_batch(prior, spec, y1, y2, True)
+            assert batch.shape == (6,)
+            for r in range(6):
+                assert batch[r] == pytest.approx(_mvt_logpdf(prior, spec, y1[r], y2[r]), abs=1e-10)

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from rpps import harness
 from rpps.datagen import GeneratorSpec
 from rpps.harness import (
     EstimatorRequest,
@@ -81,6 +82,10 @@ class TestConfig:
                     EstimatorRequest(kind="delta"),
                 )
             )
+        raw = _config().to_json_dict()
+        raw["estimators"] = [{"kind": "jackknife", "k_folds": 0}]  # was a ZeroDivisionError
+        with pytest.raises(ValueError):
+            ExperimentConfig.from_json_dict(raw)
 
     def test_estimator_request_validation(self):
         with pytest.raises(ValueError):
@@ -89,6 +94,16 @@ class TestConfig:
             EstimatorRequest(kind="holdout", n_train=6)
         with pytest.raises(ValueError):
             EstimatorRequest.from_json_dict({"kind": "delta", "bogus": 1})
+        for fields in (
+            {"kind": "jackknife", "k_folds": 0},
+            {"kind": "jackknife", "k_folds": -6},
+            {"kind": "jackknife", "k_folds": "6"},
+            {"kind": "bootstrap", "b_resamples": 0},
+            {"kind": "holdout", "n_train": 0, "n_valid": 12},
+            {"kind": "holdout", "n_train": 12, "n_valid": 0},
+        ):
+            with pytest.raises(ValueError):
+                EstimatorRequest.from_json_dict(fields)
 
 
 class TestRunExperiment:
@@ -145,6 +160,16 @@ class TestRunExperiment:
         summary = {s.estimator: s for s in result.summary}
         assert summary["holdout"].n_failed == 4
         assert any("all 4 replications failed" in w for w in result.warnings)
+
+    def test_unexpected_estimator_error_propagates(self, monkeypatch):
+        # only the typed domain failures become failed rows; any other
+        # ValueError (LinAlgError included) is a bug and must surface
+        def broken(predictive, measurement):
+            raise ValueError("not a domain failure")
+
+        monkeypatch.setattr(harness, "delta_estimator", broken)
+        with pytest.raises(ValueError, match="not a domain failure"):
+            run_experiment(_config(replications=2))
 
     def test_all_rows_failing_raises(self):
         config = _config(

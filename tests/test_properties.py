@@ -1,0 +1,71 @@
+"""Property tests: the partition estimators equal explicit splits written
+out by hand, over random data, degrees 0-2 and every inference kind."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rpps.conjugate import default_prior, log_evidence
+from rpps.datagen import GeneratorSpec, sample_dataset
+from rpps.linmodel import ModelSpec, fit_mle, plugin_log_predictive
+from rpps.scores import (
+    HoldOut,
+    InferenceKind,
+    Jackknife,
+    PredictiveBuilder,
+    holdout_estimator,
+    jackknife_estimator,
+)
+
+PROPERTY = settings(max_examples=40, deadline=None, database=None)
+CASES = given(
+    seed=st.integers(0, 2**32 - 1),
+    degree=st.integers(0, 2),
+    kind=st.sampled_from(list(InferenceKind)),
+)
+
+
+def _case(seed, degree):
+    rng = np.random.default_rng(seed)
+    truth = GeneratorSpec(degree, tuple(rng.normal(size=degree + 1)), float(rng.uniform(0.3, 1.0)))
+    n = int(rng.integers(degree + 3, 11))
+    return rng, ModelSpec(degree), sample_dataset(truth, n=n, seed=seed)
+
+
+def _held_out_log_density(kind, spec, data, train, valid):
+    """Log density of data[valid] given data[train], without the builder:
+    the posterior predictive goes through the evidence chain rule."""
+    if kind == InferenceKind.MLE:
+        return plugin_log_predictive(fit_mle(spec, data.subset(train)), data.subset(valid))
+    prior = default_prior(spec)
+    if kind == InferenceKind.PRIOR_PREDICTIVE:
+        return log_evidence(prior, spec, data.subset(valid))
+    both = data.subset(np.concatenate([train, valid]))
+    return log_evidence(prior, spec, both) - log_evidence(prior, spec, data.subset(train))
+
+
+@PROPERTY
+@CASES
+def test_full_jackknife_is_explicit_leave_one_out(seed, degree, kind):
+    _, spec, data = _case(seed, degree)
+    n = len(data)
+    est = jackknife_estimator(PredictiveBuilder(kind, spec), data, Jackknife(k_folds=n, seed=seed))
+    explicit = -sum(
+        _held_out_log_density(kind, spec, data, np.delete(np.arange(n), i), np.array([i])) for i in range(n)
+    )
+    assert est.n_effective == n and est.floor_engaged == 0
+    assert est.value == pytest.approx(explicit, rel=1e-9, abs=1e-9)
+
+
+@PROPERTY
+@CASES
+def test_holdout_is_explicit_split(seed, degree, kind):
+    rng, spec, data = _case(seed, degree)
+    n = len(data)
+    build = PredictiveBuilder(kind, spec)
+    n_train = int(rng.integers(max(build.min_train_size, 1), n))
+    est = holdout_estimator(build, data, HoldOut(n_train, n - n_train, seed=seed))
+    idx = np.random.default_rng(seed).permutation(n)
+    explicit = -(n / (n - n_train)) * _held_out_log_density(kind, spec, data, idx[:n_train], idx[n_train:])
+    assert est.value == pytest.approx(explicit, rel=1e-9, abs=1e-9)

@@ -21,11 +21,10 @@ from rpps.scores import (
     DegeneratePosterior,
     EstimatorKind,
     HoldOut,
+    InferenceKind,
     Jackknife,
-    MlePluginAdapter,
-    ModelAdapter,
     NotFactorizing,
-    PosteriorPredictiveAdapter,
+    PredictiveBuilder,
     aic,
     bootstrap_estimator,
     delta_estimator,
@@ -41,6 +40,10 @@ from rpps.scores import (
 
 QUARTIC = GeneratorSpec(degree=4, coeffs=(0.5, -3.0, -4.0, 3.0, 6.0), sigma=0.5)
 CONSTANT = GeneratorSpec(degree=0, coeffs=(0.5,), sigma=0.5)
+
+
+def _mle(degree, include_y1_factor=True):
+    return PredictiveBuilder(InferenceKind.MLE, ModelSpec(degree), include_y1_factor)
 
 
 def _plugin(coeffs, sigma2, degree=None):
@@ -146,21 +149,21 @@ class TestDeltaEstimator:
 class TestHoldout:
     def test_six_six_split_on_twelve_points(self):
         data = sample_dataset(QUARTIC, n=12, seed=10)
-        est = holdout_estimator(MlePluginAdapter(ModelSpec(0)), data, HoldOut(6, 6, seed=1))
+        est = holdout_estimator(_mle(0), data, HoldOut(6, 6, seed=1))
         assert np.isfinite(est.value)
         assert est.estimator == EstimatorKind.HOLD_OUT and est.n_effective == 1
 
     def test_partition_must_cover_measurement(self):
         data = sample_dataset(QUARTIC, n=12, seed=10)
         with pytest.raises(ValueError):
-            holdout_estimator(MlePluginAdapter(ModelSpec(0)), data, HoldOut(5, 6, seed=1))
+            holdout_estimator(_mle(0), data, HoldOut(5, 6, seed=1))
         with pytest.raises(ValueError):
-            holdout_estimator(MlePluginAdapter(ModelSpec(0)), data, HoldOut(12, 0, seed=1))
+            holdout_estimator(_mle(0), data, HoldOut(12, 0, seed=1))
 
     def test_training_below_model_minimum(self):
         data = sample_dataset(QUARTIC, n=12, seed=10)
         with pytest.raises(TooFewPoints):
-            holdout_estimator(MlePluginAdapter(ModelSpec(4)), data, HoldOut(5, 7, seed=1))
+            holdout_estimator(_mle(4), data, HoldOut(5, 7, seed=1))
 
     def test_degenerate_fit_engages_floor(self):
         # exact polynomial data: the training fit interpolates, sigma2 -> 0,
@@ -168,16 +171,16 @@ class TestHoldout:
         y1 = np.linspace(-0.9, 0.9, 12)
         y2 = np.polynomial.polynomial.polyval(y1, [0.3, -1.0, 0.5, 0.2, -0.4])
         data = DataSet(y1, y2)
-        est = holdout_estimator(MlePluginAdapter(ModelSpec(4)), data, HoldOut(6, 6, seed=0))
+        est = holdout_estimator(_mle(4), data, HoldOut(6, 6, seed=0))
         assert np.isfinite(est.value)
         assert est.floor_engaged >= 1
 
     def test_deterministic_under_seed(self):
         data = sample_dataset(QUARTIC, n=12, seed=10)
-        adapter = MlePluginAdapter(ModelSpec(0))
-        a = holdout_estimator(adapter, data, HoldOut(6, 6, seed=4))
-        b = holdout_estimator(adapter, data, HoldOut(6, 6, seed=4))
-        c = holdout_estimator(adapter, data, HoldOut(6, 6, seed=5))
+        build = _mle(0)
+        a = holdout_estimator(build, data, HoldOut(6, 6, seed=4))
+        b = holdout_estimator(build, data, HoldOut(6, 6, seed=4))
+        c = holdout_estimator(build, data, HoldOut(6, 6, seed=5))
         assert a.value == b.value
         assert a.value != c.value
 
@@ -186,7 +189,7 @@ class TestJackknife:
     def test_loo_identity_on_plugin(self):
         truth = GeneratorSpec(degree=1, coeffs=(0.1, 0.9), sigma=0.5)
         data = sample_dataset(truth, n=9, seed=4)
-        est = jackknife_estimator(MlePluginAdapter(ModelSpec(1)), data, Jackknife(k_folds=9, seed=3))
+        est = jackknife_estimator(_mle(1), data, Jackknife(k_folds=9, seed=3))
         explicit = 0.0
         for i in range(9):
             rest = [j for j in range(9) if j != i]
@@ -196,50 +199,50 @@ class TestJackknife:
 
     def test_six_folds_of_two_on_twelve_points(self):
         data = sample_dataset(QUARTIC, n=12, seed=12)
-        est = jackknife_estimator(MlePluginAdapter(ModelSpec(0)), data, Jackknife(k_folds=6, seed=0))
+        est = jackknife_estimator(_mle(0), data, Jackknife(k_folds=6, seed=0))
         assert est.n_effective == 6
         assert np.isfinite(est.value)
 
     def test_fold_count_must_divide(self):
         data = sample_dataset(QUARTIC, n=12, seed=12)
         with pytest.raises(ValueError):
-            jackknife_estimator(MlePluginAdapter(ModelSpec(0)), data, Jackknife(k_folds=5, seed=0))
+            jackknife_estimator(_mle(0), data, Jackknife(k_folds=5, seed=0))
 
     def test_complement_below_minimum(self):
         data = sample_dataset(QUARTIC, n=8, seed=12)
         with pytest.raises(TooFewPoints):
-            jackknife_estimator(MlePluginAdapter(ModelSpec(4)), data, Jackknife(k_folds=2, seed=0))
+            jackknife_estimator(_mle(4), data, Jackknife(k_folds=2, seed=0))
 
     def test_order_and_seed_determinism(self):
         data = sample_dataset(QUARTIC, n=12, seed=12)
-        adapter = MlePluginAdapter(ModelSpec(0))
+        build = _mle(0)
         scheme = Jackknife(k_folds=6, seed=9)
-        a = jackknife_estimator(adapter, data, scheme)
-        b = jackknife_estimator(adapter, data, scheme)
+        a = jackknife_estimator(build, data, scheme)
+        b = jackknife_estimator(build, data, scheme)
         assert a.value == b.value
         shuffled = data.subset(np.random.default_rng(1).permutation(12))
-        c = jackknife_estimator(adapter, shuffled, scheme)
+        c = jackknife_estimator(build, shuffled, scheme)
         assert c.value != a.value  # fold membership changed
 
 
-class _ConstantPerPointAdapter(ModelAdapter):
-    """log density is -1 per point: isolates the estimators' scaling."""
+class _ConstantPerPointBuilder:
+    """Builds itself: a predictive whose log density is -1 per point,
+    isolating the estimators' scaling."""
 
-    def fit(self, train):
-        return None
+    min_train_size = 0
 
-    def log_joint_predictive(self, state, data):
+    def __call__(self, train):
+        return self
+
+    def log_density(self, data):
         return -float(len(data))
-
-    def min_train_size(self):
-        return 0
 
 
 class TestBootstrap:
     def test_empty_oob_only_resample_degenerates(self):
         data = DataSet([0.1], [1.0])
         with pytest.raises(AllResamplesDegenerate):
-            bootstrap_estimator(_ConstantPerPointAdapter(), data, Bootstrap(b_resamples=1, seed=0))
+            bootstrap_estimator(_ConstantPerPointBuilder(), data, Bootstrap(b_resamples=1, seed=0))
 
     def test_oob_fraction_matches_combinatorics(self):
         # enumeration oracle: P(point out of bag) = (1 - 1/N)^N; for N = 12
@@ -257,28 +260,26 @@ class TestBootstrap:
     def test_scaling_across_resamples(self):
         # with a constant per-point density the rescaled value is exactly N
         data = sample_dataset(CONSTANT, n=12, seed=0)
-        est = bootstrap_estimator(_ConstantPerPointAdapter(), data, Bootstrap(b_resamples=50, seed=1))
+        est = bootstrap_estimator(_ConstantPerPointBuilder(), data, Bootstrap(b_resamples=50, seed=1))
         assert est.value == pytest.approx(12.0, abs=1e-12)
         assert est.n_effective == 50
 
     def test_se_scales_with_sqrt_b(self):
         data = sample_dataset(QUARTIC, n=12, seed=5)
-        adapter = MlePluginAdapter(ModelSpec(0))
+        build = _mle(0)
         ses_b = [
-            bootstrap_estimator(adapter, data, Bootstrap(100, seed)).std_error for seed in range(6)
+            bootstrap_estimator(build, data, Bootstrap(100, seed)).std_error for seed in range(6)
         ]
         ses_4b = [
-            bootstrap_estimator(adapter, data, Bootstrap(400, seed)).std_error for seed in range(6)
+            bootstrap_estimator(build, data, Bootstrap(400, seed)).std_error for seed in range(6)
         ]
         ratio = np.mean(ses_b) / np.mean(ses_4b)
         assert abs(ratio - 2.0) < 0.4
 
     def test_bayesian_adapter_runs(self):
         data = sample_dataset(CONSTANT, n=12, seed=8)
-        prior = default_prior(ModelSpec(0))
-        est = bootstrap_estimator(
-            PosteriorPredictiveAdapter(prior, ModelSpec(0)), data, Bootstrap(25, seed=2)
-        )
+        build = PredictiveBuilder(InferenceKind.POSTERIOR_PREDICTIVE, ModelSpec(0))
+        est = bootstrap_estimator(build, data, Bootstrap(25, seed=2))
         assert np.isfinite(est.value) and est.n_effective == 25
 
 
@@ -409,18 +410,18 @@ class TestScoreDifferenceInvariance:
     def test_holdout_and_jackknife_shift_by_n_log2(self):
         data = sample_dataset(QUARTIC, n=12, seed=19)
         n_log2 = 12 * math.log(2.0)
-        h_with = holdout_estimator(MlePluginAdapter(ModelSpec(0), True), data, HoldOut(6, 6, seed=2))
-        h_without = holdout_estimator(MlePluginAdapter(ModelSpec(0), False), data, HoldOut(6, 6, seed=2))
+        h_with = holdout_estimator(_mle(0, True), data, HoldOut(6, 6, seed=2))
+        h_without = holdout_estimator(_mle(0, False), data, HoldOut(6, 6, seed=2))
         assert h_with.value - h_without.value == pytest.approx(n_log2, rel=1e-12)
-        j_with = jackknife_estimator(MlePluginAdapter(ModelSpec(0), True), data, Jackknife(6, seed=2))
-        j_without = jackknife_estimator(MlePluginAdapter(ModelSpec(0), False), data, Jackknife(6, seed=2))
+        j_with = jackknife_estimator(_mle(0, True), data, Jackknife(6, seed=2))
+        j_without = jackknife_estimator(_mle(0, False), data, Jackknife(6, seed=2))
         assert j_with.value - j_without.value == pytest.approx(n_log2, rel=1e-12)
 
 
 class TestSerialization:
     def test_score_estimate_record(self):
         data = sample_dataset(CONSTANT, n=12, seed=3)
-        est = bootstrap_estimator(MlePluginAdapter(ModelSpec(0)), data, Bootstrap(20, seed=0))
+        est = bootstrap_estimator(_mle(0), data, Bootstrap(20, seed=0))
         record = est.to_json_dict()
         assert set(record) == {"estimator", "value", "std_error", "n_effective", "floor_engaged"}
         assert record["estimator"] == "bootstrap"
