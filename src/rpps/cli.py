@@ -162,7 +162,8 @@ def _parse_request(raw, model: ModelSpec, data: DataSet):
     build = PredictiveBuilder(fields.pop("inference", "mle"), model)
     request = EstimatorRequest.from_json_dict(fields)
     request.check_partition(len(data))
-    return lambda: run_estimator(request, build(data), build, data, seed).to_json_dict()
+    delta = kind == "delta"  # only delta scores the predictive of the whole dataset
+    return lambda: run_estimator(request, build(data) if delta else None, build, data, seed).to_json_dict()
 
 
 def cmd_score(args: argparse.Namespace) -> int:

@@ -103,34 +103,37 @@ def default_prior(spec: ModelSpec) -> NormalGammaParams:
 
 
 def _update(
-    params: NormalGammaParams, spec: ModelSpec, y1: np.ndarray, y2: np.ndarray
+    params: NormalGammaParams, spec: ModelSpec, y1: np.ndarray, y2: np.ndarray, weights: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The conjugate update of `params` by each of R datasets of n points,
     given as (R, n) arrays; returns the stacked (lam', chol(lam'), mu', beta').
 
-    lam' = lam + Phi^T Phi, mu' = lam'^-1 (lam mu + Phi^T t),
-    alpha' = alpha + n/2 (left to callers), and beta' grows by half the
-    fitted residual sum of squares plus a prior-shrinkage term, a
-    rearrangement of (t^T t + mu^T lam mu - mu'^T lam' mu')/2 that is
-    positive by construction.
+    lam' = lam + Phi^T W Phi, mu' = lam'^-1 (lam mu + Phi^T W t),
+    alpha' = alpha + sum(W)/2 (left to callers), and beta' grows by half the
+    fitted weighted residual sum of squares plus a prior-shrinkage term, a
+    rearrangement of (t^T W t + mu^T lam mu - mu'^T lam' mu')/2 that is
+    positive by construction.  W holds the optional (R, n) per-point
+    `weights` (point multiplicities; None means one each).
     """
     y1 = np.asarray(y1, dtype=float)
     y2 = np.asarray(y2, dtype=float)
-    if y1.ndim != 2 or y1.shape != y2.shape:
+    if y1.ndim != 2 or y1.shape != y2.shape or (weights is not None and np.shape(weights) != y1.shape):
         raise ValueError("expected matching (R, n) arrays")
     if params.p != spec.n_coeffs:
         raise ValueError("prior dimension does not match model degree")
     phi = y1[..., None] ** np.arange(spec.n_coeffs)
-    lam_n = params.lam + np.einsum("rni,rnj->rij", phi, phi)
+    wphi = phi if weights is None else phi * weights[..., None]
+    lam_n = params.lam + np.einsum("rni,rnj->rij", wphi, phi)
     lam_n = 0.5 * (lam_n + np.transpose(lam_n, (0, 2, 1)))
-    rhs = params.lam @ params.mu + np.einsum("rni,rn->ri", phi, y2)
+    rhs = params.lam @ params.mu + np.einsum("rni,rn->ri", wphi, y2)
     chol = np.linalg.cholesky(lam_n)
     mu_n = np.linalg.solve(lam_n, rhs[..., None])[..., 0]
     resid = y2 - np.einsum("rni,ri->rn", phi, mu_n)
+    wresid = resid if weights is None else resid * weights
     shift = mu_n - params.mu
     beta_n = (
         params.beta
-        + 0.5 * np.einsum("rn,rn->r", resid, resid)
+        + 0.5 * np.einsum("rn,rn->r", wresid, resid)
         + 0.5 * np.einsum("ri,ij,rj->r", shift, params.lam, shift)
     )
     return lam_n, chol, mu_n, beta_n
@@ -156,12 +159,14 @@ def _evidence_batch(
     y1: np.ndarray,
     y2: np.ndarray,
     include_y1_factor: bool,
+    weights: np.ndarray | None = None,
 ) -> np.ndarray:
     """Log evidence of each of R datasets of n points, given as (R, n)
     arrays: the ratio of Normal-Gamma normalizing constants before and after
-    the conjugate update, through stacked Cholesky factorizations."""
-    _, chol, _, beta_n = _update(params, spec, y1, y2)
-    n = np.shape(y1)[1]
+    the conjugate update, through stacked Cholesky factorizations; with
+    `weights`, of row r's points repeated weights[r] times."""
+    _, chol, _, beta_n = _update(params, spec, y1, y2, weights)
+    n = np.shape(y1)[1] if weights is None else np.sum(weights, axis=1)
     alpha_n = params.alpha + 0.5 * n
     logdet_n = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
     out = (
@@ -169,7 +174,7 @@ def _evidence_batch(
         + 0.5 * (_logdet_spd(params.lam) - logdet_n)
         + params.alpha * math.log(params.beta)
         - alpha_n * np.log(beta_n)
-        + float(gammaln(alpha_n) - gammaln(params.alpha))
+        + (gammaln(alpha_n) - gammaln(params.alpha))
     )
     if include_y1_factor:
         out = out + n * LOG_HALF

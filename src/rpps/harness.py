@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +46,13 @@ def require_count(name: str, value, minimum: int = 1) -> None:
     """Raise ValueError unless `value` is an integer (not a bool) >= `minimum`."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def _reject_unknown_keys(what: str, d: dict, cls) -> None:
+    """JSON objects name the fields of `cls`; anything else is a typo."""
+    extra = set(d) - {f.name for f in fields(cls)}
+    if extra:
+        raise ValueError(f"unknown {what} keys: {sorted(extra)}")
 
 
 @dataclass(frozen=True)
@@ -95,11 +102,8 @@ class EstimatorRequest:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "EstimatorRequest":
-        known = {k: d[k] for k in ("kind", "n_train", "n_valid", "k_folds", "b_resamples", "label") if k in d}
-        extra = set(d) - set(known)
-        if extra:
-            raise ValueError(f"unknown estimator keys: {sorted(extra)}")
-        return cls(**known)
+        _reject_unknown_keys("estimator", d, cls)
+        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -110,12 +114,18 @@ class OracleConfig:
     mc_datasets: int = 20000
     quadrature: bool = True
 
+    def __post_init__(self):
+        require_count("mc_datasets", self.mc_datasets, minimum=2)
+        if not isinstance(self.quadrature, bool):
+            raise ValueError(f"quadrature must be true or false, got {self.quadrature!r}")
+
     def to_json_dict(self) -> dict:
         return {"mc_datasets": self.mc_datasets, "quadrature": self.quadrature}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "OracleConfig":
-        return cls(mc_datasets=int(d.get("mc_datasets", 20000)), quadrature=bool(d.get("quadrature", True)))
+        _reject_unknown_keys("oracle", d, cls)
+        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -164,6 +174,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ExperimentConfig":
+        _reject_unknown_keys("config", d, cls)
         return cls(
             truth=GeneratorSpec.from_json_dict(d["truth"]),
             model=ModelSpec.from_json_dict(d["model"]),
@@ -237,14 +248,15 @@ def _exact_score(config: ExperimentConfig, predictive: Predictive, oracle_seed: 
 
 def run_estimator(
     request: EstimatorRequest,
-    predictive: Predictive,
+    predictive: Predictive | None,
     build: PredictiveBuilder,
     measurement: DataSet,
     seed: int,
 ) -> ScoreEstimate:
     """Run one estimator request on a measurement: delta scores `predictive`,
-    which `build` made from the whole measurement; the partition estimators
-    call `build` on each training set, with partitions drawn from `seed`."""
+    which `build` made from the whole measurement (the other kinds ignore
+    it, so they may pass None); the partition estimators score their folds
+    through `build.score_folds`, with partitions drawn from `seed`."""
     if request.kind == "delta":
         return delta_estimator(predictive, measurement)
     if request.kind == "holdout":

@@ -85,14 +85,20 @@ def fit_mle(spec: ModelSpec, data: DataSet) -> FitResult:
     p = spec.n_coeffs
     if n < spec.min_fit_size:
         raise TooFewPoints(f"need at least {spec.min_fit_size} points for degree {spec.degree}, got {n}")
-    phi = spec.design_matrix(data.y1)
-    rcond = np.finfo(float).eps * max(n, p)
-    coeffs, _, rank, _ = np.linalg.lstsq(phi, data.y2, rcond=rcond)
+    coeffs, sigma2, rank = _least_squares(spec.design_matrix(data.y1), data.y2)
     if rank < p:
         raise RankDeficient(f"design matrix rank {rank} < {p}")
-    resid = data.y2 - phi @ coeffs
-    sigma2 = float(np.mean(resid**2))
     return FitResult(spec=spec, coeffs=coeffs, sigma2=sigma2, n_fit=n)
+
+
+def _least_squares(phi: np.ndarray, y2: np.ndarray) -> tuple[np.ndarray, float, int]:
+    """SVD least squares of y2 on the (n, p) design rows `phi` with rank
+    tolerance eps * max(n, p) * s_max: (coefficients, mean squared residual,
+    numerical rank).  The one fit behind `fit_mle` and the fold kernel."""
+    rcond = np.finfo(float).eps * max(phi.shape)
+    coeffs, _, rank, _ = np.linalg.lstsq(phi, y2, rcond=rcond)
+    resid = y2 - phi @ coeffs
+    return coeffs, float(np.mean(resid**2)), int(rank)
 
 
 def plugin_log_predictive(fit: FitResult, new_data: DataSet | None, include_y1_factor: bool = True) -> float:

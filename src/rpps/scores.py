@@ -13,6 +13,7 @@ orientation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -27,16 +28,18 @@ from .conjugate import (
     PosteriorSample,
     Predictive,
     PriorPredictive,
+    _evidence_batch,
     default_prior,
     log_evidence,
     posterior_update,
 )
-from .datagen import LOG_HALF, DataSet, GeneratorSpec
+from .datagen import LOG_HALF, DataSet, GeneratorSpec, normal_logpdf
 from .linmodel import (
     FitResult,
     ModelSpec,
     RankDeficient,
     TooFewPoints,
+    _least_squares,
     fit_mle,
     plugin_log_predictive,
 )
@@ -175,7 +178,7 @@ class PredictiveBuilder:
     ignores the training set (a delta estimate through it is exactly the
     negated log evidence); the posterior predictive conditions the default
     conjugate prior on the training set.  `min_train_size` is the smallest
-    usable training set.
+    usable training set; `score_folds` scores many splits in one call.
     """
 
     inference: InferenceKind
@@ -198,6 +201,46 @@ class PredictiveBuilder:
             return PriorPredictive(self.prior, self.spec, self.include_y1_factor)
         posterior = posterior_update(self.prior, self.spec, train)
         return PosteriorPredictive(posterior, self.spec, self.include_y1_factor)
+
+    def score_folds(self, data: DataSet, train, valid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The fold kernel: fold r trains on the points `train[r]` of an (R, m)
+        index array (a repeated index counts its point again) and scores the
+        points that the (R, n) boolean mask `valid[r]` selects.  Returns per
+        fold the log density of those points, whether the MLE variance floor
+        engaged, and whether the fold is usable: at least `min_train_size`
+        distinct training points and, for the MLE, a full-rank fit (the other
+        entries of an unusable fold mean nothing).  The MLE refits each fold
+        as `fit_mle` does; the Bayes kinds use the evidence chain rule
+        log p(V | W) = log Z(W + V) - log Z(W) under the one prior, with the
+        training counts W (zero for the prior predictive) and V as weights.
+        """
+        train = np.asarray(train, dtype=int)
+        valid = np.asarray(valid, dtype=bool)
+        r, n = valid.shape
+        counts = np.bincount((train + n * np.arange(r)[:, None]).ravel(), minlength=r * n).reshape(r, n)
+        usable = (counts > 0).sum(axis=1) >= self.min_train_size
+        if self.inference != InferenceKind.MLE:
+            if self.inference == InferenceKind.PRIOR_PREDICTIVE:
+                counts = np.zeros_like(counts)
+            y1, y2 = (np.broadcast_to(y, (2 * r, n)) for y in (data.y1, data.y2))
+            weights = np.concatenate([counts + valid, counts]).astype(float)
+            evidence = _evidence_batch(self.prior, self.spec, y1, y2, self.include_y1_factor, weights)
+            return evidence[:r] - evidence[r:], np.zeros(r, dtype=bool), usable
+        p = self.spec.n_coeffs
+        phi = self.spec.design_matrix(data.y1)
+        coeffs, sigma2 = np.zeros((r, p)), np.ones(r)
+        for j in usable.nonzero()[0]:
+            coeffs[j], sigma2[j], rank = _least_squares(phi[train[j]], data.y2[train[j]])
+            usable[j] = rank == p
+        floored = usable & (sigma2 < SIGMA2_FLOOR)
+        sigma2[floored] = SIGMA2_FLOOR
+        mean = coeffs[:, -1:] + data.y1 * 0  # Horner over the stacked coefficients, as polyval
+        for k in range(p - 2, -1, -1):
+            mean = coeffs[:, k : k + 1] + mean * data.y1
+        log_density = np.sum(np.where(valid, normal_logpdf(data.y2, mean, sigma2[:, None]), 0.0), axis=1)
+        if self.include_y1_factor:
+            log_density += valid.sum(axis=1) * LOG_HALF
+        return log_density, floored, usable
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +281,15 @@ def exact_score_mc(
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights, computed once per count."""
+    nodes_weights = np.polynomial.legendre.leggauss(n_nodes)
+    for a in nodes_weights:
+        a.setflags(write=False)
+    return nodes_weights
+
+
 def exact_score_quadrature(
     spec_true: GeneratorSpec,
     predictive: PluginGaussian,
@@ -258,7 +310,7 @@ def exact_score_quadrature(
         raise ValueError("use at least 64 quadrature nodes")
     predictive, floored = _floored_predictive(predictive)
     fit = predictive.fit
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+    nodes, weights = _gauss_legendre(n_nodes)
     gap = spec_true.mean_at(nodes) - fit.mean_at(nodes)
     cross_entropy = 0.5 * np.log(2.0 * math.pi * fit.sigma2) + (spec_true.sigma**2 + gap**2) / (
         2.0 * fit.sigma2
@@ -297,17 +349,6 @@ def delta_estimator(predictive: Predictive, data: DataSet) -> ScoreEstimate:
     )
 
 
-def _shuffled_indices(n: int, seed: int) -> np.ndarray:
-    return np.random.default_rng(seed).permutation(n)
-
-
-def _fit_and_score(build: PredictiveBuilder, data: DataSet, train, valid) -> tuple[float, int]:
-    """Log density of the `valid` points under the (floored) predictive
-    built from the `train` points, and the floor engagement count."""
-    predictive, floored = _floored_predictive(build(data.subset(train)))
-    return predictive.log_density(data.subset(valid)), floored
-
-
 def holdout_estimator(build: PredictiveBuilder, data: DataSet, scheme: HoldOut) -> ScoreEstimate:
     """Fit on a seeded training partition, score the held-out partition,
     and rescale by N / n_valid to the full measurement size."""
@@ -318,14 +359,19 @@ def holdout_estimator(build: PredictiveBuilder, data: DataSet, scheme: HoldOut) 
         raise ValueError("both partitions need at least one point")
     if scheme.n_train < build.min_train_size:
         raise TooFewPoints(f"training partition of {scheme.n_train} below model minimum {build.min_train_size}")
-    idx = _shuffled_indices(n, scheme.seed)
-    log_density, floored = _fit_and_score(build, data, idx[: scheme.n_train], idx[scheme.n_train :])
+    # the head of the shuffled measurement trains, its tail validates
+    idx = np.random.default_rng(scheme.seed).permutation(n)
+    shuffled = DataSet(data.y1[idx], data.y2[idx])
+    valid = np.arange(n)[None] >= scheme.n_train
+    log_density, floored, usable = build.score_folds(shuffled, np.arange(scheme.n_train)[None], valid)
+    if not usable[0]:
+        raise RankDeficient("the training partition has a rank-deficient design matrix")
     return ScoreEstimate(
-        value=-(n / scheme.n_valid) * log_density,
+        value=-(n / scheme.n_valid) * float(log_density[0]),
         std_error=None,
         estimator=EstimatorKind.HOLD_OUT,
         n_effective=1,
-        floor_engaged=floored,
+        floor_engaged=int(floored[0]),
     )
 
 
@@ -342,21 +388,20 @@ def jackknife_estimator(build: PredictiveBuilder, data: DataSet, scheme: Jackkni
     fold_size = n // k
     if n - fold_size < build.min_train_size:
         raise TooFewPoints(f"fold complements of {n - fold_size} below model minimum {build.min_train_size}")
-    idx = _shuffled_indices(n, scheme.seed)
-    value = 0.0
-    floored = 0
-    for j in range(k):
-        fold = idx[j * fold_size : (j + 1) * fold_size]
-        rest = np.concatenate([idx[: j * fold_size], idx[(j + 1) * fold_size :]])
-        log_density, engaged = _fit_and_score(build, data, rest, fold)
-        value -= log_density
-        floored += engaged
+    idx = np.random.default_rng(scheme.seed).permutation(n)
+    in_fold = np.eye(k, dtype=bool).repeat(fold_size, axis=1)  # over positions of idx
+    train = np.broadcast_to(idx, (k, n))[~in_fold].reshape(k, n - fold_size)
+    valid = np.zeros((k, n), dtype=bool)
+    valid[np.arange(k)[:, None], idx.reshape(k, fold_size)] = True
+    log_density, floored, usable = build.score_folds(data, train, valid)
+    if not usable.all():
+        raise RankDeficient(f"fold complement {np.argmin(usable)} has a rank-deficient design matrix")
     return ScoreEstimate(
-        value=value,
+        value=-float(np.sum(log_density)),
         std_error=None,
         estimator=EstimatorKind.JACKKNIFE,
         n_effective=k,
-        floor_engaged=floored,
+        floor_engaged=int(np.count_nonzero(floored)),
     )
 
 
@@ -368,33 +413,26 @@ def bootstrap_estimator(build: PredictiveBuilder, data: DataSet, scheme: Bootstr
     out-of-bag set, too little distinct training support, or a singular fit
     are skipped; if none survive, AllResamplesDegenerate is raised.
     """
-    if scheme.b_resamples < 1:
+    b = scheme.b_resamples
+    if b < 1:
         raise ValueError("b_resamples must be >= 1")
     n = len(data)
-    rng = np.random.default_rng(scheme.seed)
-    values = []
-    floored = 0
-    for _ in range(scheme.b_resamples):
-        draw = rng.integers(0, n, size=n)
-        oob = np.setdiff1d(np.arange(n), draw)
-        if oob.size == 0 or np.unique(draw).size < build.min_train_size:
-            continue
-        try:
-            log_density, engaged = _fit_and_score(build, data, draw, oob)
-        except (TooFewPoints, RankDeficient):
-            continue
-        values.append(-(n / oob.size) * log_density)
-        floored += engaged
-    if not values:
-        raise AllResamplesDegenerate(f"no usable resample among {scheme.b_resamples}")
-    values = np.asarray(values)
+    draws = np.random.default_rng(scheme.seed).integers(0, n, size=(b, n))
+    oob = np.ones((b, n), dtype=bool)
+    oob[np.arange(b)[:, None], draws] = False
+    log_density, floored, usable = build.score_folds(data, draws, oob)
+    n_oob = oob.sum(axis=1)
+    keep = usable & (n_oob > 0)
+    if not keep.any():
+        raise AllResamplesDegenerate(f"no usable resample among {b}")
+    values = -(n / n_oob[keep]) * log_density[keep]
     std_error = float(np.std(values, ddof=1) / math.sqrt(values.size)) if values.size > 1 else None
     return ScoreEstimate(
         value=float(np.mean(values)),
         std_error=std_error,
         estimator=EstimatorKind.BOOTSTRAP,
         n_effective=int(values.size),
-        floor_engaged=floored,
+        floor_engaged=int(np.count_nonzero(floored[keep])),
     )
 
 

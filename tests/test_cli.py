@@ -152,7 +152,7 @@ class TestScore:
 
 
 class TestExperiment:
-    def _write_config(self, tmp_path, replications=4, seed=5):
+    def _write_config(self, tmp_path, replications=4, seed=5, **changes):
         config = {
             "truth": {"degree": 4, "coeffs": [0.5, -3.0, -4.0, 3.0, 6.0], "sigma": 0.5},
             "model": {"degree": 0},
@@ -167,6 +167,7 @@ class TestExperiment:
             "oracle": {"mc_datasets": 300, "quadrature": True},
             "seed": seed,
         }
+        config.update(changes)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         return path
@@ -177,6 +178,22 @@ class TestExperiment:
         out = capsys.readouterr().out
         assert out.startswith("config OK")
         assert not (tmp_path / "rows.csv").exists()
+
+    @pytest.mark.parametrize(
+        ("changes", "complaint"),
+        [
+            ({"replicatons": 3}, "unknown config keys: ['replicatons']"),
+            ({"oracle": {"mc_dataset": 50}}, "unknown oracle keys: ['mc_dataset']"),
+            ({"oracle": {"mc_datasets": 1}}, "mc_datasets must be an integer >= 2"),
+            ({"oracle": {"quadrature": "false"}}, "quadrature must be true or false"),
+        ],
+        ids=["misspelt-key", "misspelt-oracle-key", "one-mc-dataset", "string-quadrature"],
+    )
+    def test_dry_run_rejects_bad_config(self, tmp_path, changes, complaint):
+        path = self._write_config(tmp_path, **changes)
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "--config", str(path), "--dry-run"])
+        assert "bad experiment config" in str(exc.value.code) and complaint in str(exc.value.code)
 
     def test_run_writes_outputs_and_prints_summary(self, tmp_path, capsys):
         path = self._write_config(tmp_path)

@@ -1,19 +1,24 @@
 """Property tests: the partition estimators equal explicit splits written
 out by hand, over random data, degrees 0-2 and every inference kind."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rpps.conjugate import default_prior, log_evidence
 from rpps.datagen import GeneratorSpec, sample_dataset
-from rpps.linmodel import ModelSpec, fit_mle, plugin_log_predictive
+from rpps.linmodel import ModelSpec, RankDeficient, TooFewPoints, fit_mle, plugin_log_predictive
 from rpps.scores import (
+    AllResamplesDegenerate,
+    Bootstrap,
     HoldOut,
     InferenceKind,
     Jackknife,
     PredictiveBuilder,
+    bootstrap_estimator,
     holdout_estimator,
     jackknife_estimator,
 )
@@ -26,10 +31,10 @@ CASES = given(
 )
 
 
-def _case(seed, degree):
+def _case(seed, degree, n_min=None):
     rng = np.random.default_rng(seed)
     truth = GeneratorSpec(degree, tuple(rng.normal(size=degree + 1)), float(rng.uniform(0.3, 1.0)))
-    n = int(rng.integers(degree + 3, 11))
+    n = int(rng.integers(degree + 3 if n_min is None else n_min, 11))
     return rng, ModelSpec(degree), sample_dataset(truth, n=n, seed=seed)
 
 
@@ -56,6 +61,58 @@ def test_full_jackknife_is_explicit_leave_one_out(seed, degree, kind):
     )
     assert est.n_effective == n and est.floor_engaged == 0
     assert est.value == pytest.approx(explicit, rel=1e-9, abs=1e-9)
+
+
+@PROPERTY
+@CASES
+def test_jackknife_is_explicit_folds(seed, degree, kind):
+    rng, spec, data = _case(seed, degree)
+    n = len(data)
+    build = PredictiveBuilder(kind, spec)
+    ks = [k for k in range(2, n) if n % k == 0 and n - n // k >= build.min_train_size]
+    assume(ks)
+    k = ks[int(rng.integers(len(ks)))]
+    est = jackknife_estimator(build, data, Jackknife(k_folds=k, seed=seed))
+    folds = np.random.default_rng(seed).permutation(n).reshape(k, n // k)
+    explicit = -sum(
+        _held_out_log_density(kind, spec, data, np.setdiff1d(np.arange(n), fold), fold) for fold in folds
+    )
+    assert est.n_effective == k and est.floor_engaged == 0
+    assert est.value == pytest.approx(explicit, rel=1e-9, abs=1e-9)
+
+
+@PROPERTY
+@CASES
+def test_bootstrap_is_explicit_resample_loop(seed, degree, kind):
+    # measurements down to two points, so that resamples get skipped for
+    # an empty out-of-bag set or too few distinct training points
+    rng, spec, data = _case(seed, degree, n_min=2)
+    n = len(data)
+    build = PredictiveBuilder(kind, spec)
+    b = int(rng.integers(1, 40))
+    draws = np.random.default_rng(seed)
+    values = []
+    for _ in range(b):
+        draw = draws.integers(0, n, size=n)
+        oob = np.setdiff1d(np.arange(n), draw)
+        if oob.size == 0 or np.unique(draw).size < build.min_train_size:
+            continue
+        try:
+            values.append(-(n / oob.size) * _held_out_log_density(kind, spec, data, draw, oob))
+        except (TooFewPoints, RankDeficient):
+            continue
+    if not values:
+        with pytest.raises(AllResamplesDegenerate):
+            bootstrap_estimator(build, data, Bootstrap(b, seed=seed))
+        return
+    est = bootstrap_estimator(build, data, Bootstrap(b, seed=seed))
+    assert est.n_effective == len(values) and est.floor_engaged == 0
+    assert est.value == pytest.approx(np.mean(values), rel=1e-9, abs=1e-9)
+    if len(values) == 1:
+        assert est.std_error is None
+    else:
+        se = np.std(values, ddof=1) / math.sqrt(len(values))
+        assert est.std_error == pytest.approx(se, rel=1e-9, abs=1e-9)
 
 
 @PROPERTY

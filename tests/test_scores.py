@@ -14,7 +14,7 @@ from rpps.conjugate import (
     sample_posterior,
 )
 from rpps.datagen import DataSet, GeneratorSpec, sample_dataset
-from rpps.linmodel import FitResult, ModelSpec, TooFewPoints, fit_mle, plugin_log_predictive
+from rpps.linmodel import FitResult, ModelSpec, RankDeficient, TooFewPoints, fit_mle, plugin_log_predictive
 from rpps.scores import (
     AllResamplesDegenerate,
     Bootstrap,
@@ -226,16 +226,14 @@ class TestJackknife:
 
 
 class _ConstantPerPointBuilder:
-    """Builds itself: a predictive whose log density is -1 per point,
-    isolating the estimators' scaling."""
+    """A fold kernel whose log density is -1 per validation point and whose
+    folds are all usable, isolating the estimators' scaling."""
 
     min_train_size = 0
 
-    def __call__(self, train):
-        return self
-
-    def log_density(self, data):
-        return -float(len(data))
+    def score_folds(self, data, train, valid):
+        r = len(valid)
+        return -np.count_nonzero(valid, axis=1).astype(float), np.zeros(r, bool), np.ones(r, bool)
 
 
 class TestBootstrap:
@@ -276,11 +274,35 @@ class TestBootstrap:
         ratio = np.mean(ses_b) / np.mean(ses_4b)
         assert abs(ratio - 2.0) < 0.4
 
+    def test_floor_counts_kept_resamples_only(self):
+        # constant y2: every fit interpolates and engages the floor, but
+        # resamples with an empty out-of-bag set are dropped and not counted
+        data = DataSet([-0.5, 0.1, 0.7], [0.3, 0.3, 0.3])
+        est = bootstrap_estimator(_mle(0), data, Bootstrap(b_resamples=60, seed=4))
+        assert 0 < est.n_effective < 60
+        assert est.floor_engaged == est.n_effective
+
     def test_bayesian_adapter_runs(self):
         data = sample_dataset(CONSTANT, n=12, seed=8)
         build = PredictiveBuilder(InferenceKind.POSTERIOR_PREDICTIVE, ModelSpec(0))
         est = bootstrap_estimator(build, data, Bootstrap(25, seed=2))
         assert np.isfinite(est.value) and est.n_effective == 25
+
+
+class TestUnusableFold:
+    # three points share y1 = 0.5, so a line fit on them alone is rank-deficient
+    DATA = DataSet([0.5, 0.5, 0.5, -0.2], [1.0, 1.3, 0.8, 0.1])
+
+    def test_jackknife_raises(self):
+        with pytest.raises(RankDeficient):
+            jackknife_estimator(_mle(1), self.DATA, Jackknife(k_folds=4, seed=0))
+
+    def test_bootstrap_skips_the_resample(self):
+        est = bootstrap_estimator(_mle(1), self.DATA, Bootstrap(b_resamples=100, seed=0))
+        # usable resamples leave one point out of bag and keep the last point
+        draws = [set(d) for d in np.random.default_rng(0).integers(0, 4, size=(100, 4))]
+        assert any(len(d) == 3 and 3 not in d for d in draws)
+        assert est.n_effective == sum(len(d) == 3 and 3 in d for d in draws)
 
 
 class TestAic:
