@@ -17,7 +17,7 @@ exercised only by tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
@@ -32,12 +32,14 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 @dataclass(frozen=True)
 class NormalGammaParams:
-    """Prior or posterior hyperparameters over (coefficients, precision)."""
+    """Prior or posterior hyperparameters over (coefficients, precision);
+    `logdet_lam` is log det(lam), kept from the validating Cholesky."""
 
     mu: np.ndarray
     lam: np.ndarray
     alpha: float
     beta: float
+    logdet_lam: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mu = np.ascontiguousarray(self.mu, dtype=float)
@@ -49,12 +51,13 @@ class NormalGammaParams:
         p = mu.shape[0]
         if mu.ndim != 1 or lam.shape != (p, p):
             raise ValueError("mu must be a p-vector and lam a p x p matrix")
-        if not np.allclose(lam, lam.T, rtol=0.0, atol=1e-10 * max(1.0, float(np.abs(lam).max()))):
+        if not np.abs(lam - lam.T).max() <= 1e-10 * max(1.0, float(np.abs(lam).max())):
             raise ValueError("lam must be symmetric")
         try:
-            np.linalg.cholesky(lam)
+            chol = np.linalg.cholesky(lam)
         except np.linalg.LinAlgError as exc:
             raise ValueError("lam must be positive definite") from exc
+        object.__setattr__(self, "logdet_lam", 2.0 * float(np.log(chol.diagonal()).sum()))
         if not self.alpha > 0 or not self.beta > 0:
             raise ValueError("alpha and beta must be > 0")
 
@@ -102,6 +105,22 @@ def default_prior(spec: ModelSpec) -> NormalGammaParams:
     return NormalGammaParams(mu=np.zeros(p), lam=0.001 * np.eye(p), alpha=0.5, beta=0.5)
 
 
+def _cho_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve (L L^T) x = b for stacked lower Cholesky factors L (R, p, p) and
+    right-hand sides b (R, p): forward then back substitution, one column
+    at a time across the stack, on L with its rows scaled to a unit
+    diagonal (L = D U, so L^T = U^T D)."""
+    d = chol.diagonal(axis1=1, axis2=2)
+    unit = chol / d[..., None]
+    x = b / d
+    p = b.shape[1]
+    for i in range(p - 1):  # U z = D^-1 b, so z = L^-1 b
+        x[:, i + 1 :] -= unit[:, i + 1 :, i] * x[:, i, None]
+    for i in range(p - 1, 0, -1):  # U^T w = z, then x = D^-1 w
+        x[:, :i] -= unit[:, i, :i] * x[:, i, None]
+    return x / d
+
+
 def _update(
     params: NormalGammaParams, spec: ModelSpec, y1: np.ndarray, y2: np.ndarray, weights: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -113,7 +132,9 @@ def _update(
     fitted weighted residual sum of squares plus a prior-shrinkage term, a
     rearrangement of (t^T W t + mu^T lam mu - mu'^T lam' mu')/2 that is
     positive by construction.  W holds the optional (R, n) per-point
-    `weights` (point multiplicities; None means one each).
+    `weights` (point multiplicities; None means one each).  The Gram
+    matrices and right-hand sides are stacked matmuls and mu' comes from
+    substitution on the Cholesky factor.
     """
     y1 = np.asarray(y1, dtype=float)
     y2 = np.asarray(y2, dtype=float)
@@ -121,20 +142,20 @@ def _update(
         raise ValueError("expected matching (R, n) arrays")
     if params.p != spec.n_coeffs:
         raise ValueError("prior dimension does not match model degree")
-    phi = y1[..., None] ** np.arange(spec.n_coeffs)
-    wphi = phi if weights is None else phi * weights[..., None]
-    lam_n = params.lam + np.einsum("rni,rnj->rij", wphi, phi)
-    lam_n = 0.5 * (lam_n + np.transpose(lam_n, (0, 2, 1)))
-    rhs = params.lam @ params.mu + np.einsum("rni,rn->ri", wphi, y2)
+    phi = spec.design_matrix(y1)
+    wphi_t = np.swapaxes(phi if weights is None else phi * weights[..., None], 1, 2)
+    lam_n = params.lam + wphi_t @ phi
+    lam_n = 0.5 * (lam_n + np.swapaxes(lam_n, 1, 2))
+    rhs = params.lam @ params.mu + (wphi_t @ y2[..., None])[..., 0]
     chol = np.linalg.cholesky(lam_n)
-    mu_n = np.linalg.solve(lam_n, rhs[..., None])[..., 0]
-    resid = y2 - np.einsum("rni,ri->rn", phi, mu_n)
+    mu_n = _cho_solve(chol, rhs)
+    resid = y2 - (phi @ mu_n[..., None])[..., 0]
     wresid = resid if weights is None else resid * weights
     shift = mu_n - params.mu
     beta_n = (
         params.beta
         + 0.5 * np.einsum("rn,rn->r", wresid, resid)
-        + 0.5 * np.einsum("ri,ij,rj->r", shift, params.lam, shift)
+        + 0.5 * ((shift @ params.lam) * shift).sum(axis=1)
     )
     return lam_n, chol, mu_n, beta_n
 
@@ -146,11 +167,6 @@ def posterior_update(prior: NormalGammaParams, spec: ModelSpec, data: DataSet | 
         return prior
     lam_n, _, mu_n, beta_n = _update(prior, spec, data.y1[None], data.y2[None])
     return NormalGammaParams(mu=mu_n[0], lam=lam_n[0], alpha=prior.alpha + 0.5 * len(data), beta=float(beta_n[0]))
-
-
-def _logdet_spd(a: np.ndarray) -> float:
-    chol = np.linalg.cholesky(a)
-    return 2.0 * float(np.sum(np.log(np.diagonal(chol))))
 
 
 def _evidence_batch(
@@ -168,10 +184,10 @@ def _evidence_batch(
     _, chol, _, beta_n = _update(params, spec, y1, y2, weights)
     n = np.shape(y1)[1] if weights is None else np.sum(weights, axis=1)
     alpha_n = params.alpha + 0.5 * n
-    logdet_n = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
+    logdet_n = 2.0 * np.log(chol.diagonal(axis1=1, axis2=2)).sum(axis=1)
     out = (
         -0.5 * n * _LOG_2PI
-        + 0.5 * (_logdet_spd(params.lam) - logdet_n)
+        + 0.5 * (params.logdet_lam - logdet_n)
         + params.alpha * math.log(params.beta)
         - alpha_n * np.log(beta_n)
         + (gammaln(alpha_n) - gammaln(params.alpha))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,6 +23,12 @@ _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 class OutsideSupport(ValueError):
     """A y1 value lies outside [-1, 1], where the generating density is zero."""
+
+
+def require_count(name: str, value, minimum: int = 1) -> None:
+    """Raise ValueError unless `value` is an integer (not a bool) >= `minimum`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def normal_logpdf(x, mean, var):
@@ -45,8 +52,7 @@ class GeneratorSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
-        if self.degree < 0:
-            raise ValueError("degree must be >= 0")
+        require_count("degree", self.degree, minimum=0)
         if len(self.coeffs) != self.degree + 1:
             raise ValueError(
                 f"expected {self.degree + 1} coefficients, got {len(self.coeffs)}"
@@ -63,7 +69,7 @@ class GeneratorSpec:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "GeneratorSpec":
-        return cls(degree=int(d["degree"]), coeffs=tuple(d["coeffs"]), sigma=float(d["sigma"]))
+        return cls(degree=d["degree"], coeffs=tuple(d["coeffs"]), sigma=float(d["sigma"]))
 
 
 @dataclass(frozen=True)

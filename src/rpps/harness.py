@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import json
 import logging
-import numbers
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .conjugate import PluginGaussian, Predictive
-from .datagen import DataSet, GeneratorSpec, sample_dataset
+from .datagen import DataSet, GeneratorSpec, require_count, sample_dataset
 from .linmodel import ModelSpec, RankDeficient, TooFewPoints
 from .scores import (
     AllResamplesDegenerate,
@@ -40,12 +39,6 @@ logger = logging.getLogger(__name__)
 ROWS_HEADER = ["replication_id", "estimator", "estimate", "std_error", "exact", "error", "floor_engaged"]
 SUMMARY_HEADER = ["estimator", "q20", "q50", "q80"]
 SUMMARY_PROBS = (0.2, 0.5, 0.8)
-
-
-def require_count(name: str, value, minimum: int = 1) -> None:
-    """Raise ValueError unless `value` is an integer (not a bool) >= `minimum`."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def _reject_unknown_keys(what: str, d: dict, cls) -> None:
@@ -143,10 +136,9 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "estimators", tuple(self.estimators))
         object.__setattr__(self, "inference", InferenceKind(self.inference))
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
-        if self.n_points < 1:
-            raise ValueError("n_points must be >= 1")
+        require_count("replications", self.replications)
+        require_count("n_points", self.n_points)
+        require_count("seed", self.seed, minimum=0)
         if self.inference == InferenceKind.MLE and self.n_points < self.model.min_fit_size:
             raise ValueError(
                 f"n_points {self.n_points} below the degree-{self.model.degree} MLE minimum {self.model.min_fit_size}"
@@ -179,11 +171,11 @@ class ExperimentConfig:
             truth=GeneratorSpec.from_json_dict(d["truth"]),
             model=ModelSpec.from_json_dict(d["model"]),
             inference=InferenceKind(d["inference"]),
-            n_points=int(d.get("n_points", 12)),
-            replications=int(d.get("replications", 500)),
+            n_points=d.get("n_points", 12),
+            replications=d.get("replications", 500),
             estimators=tuple(EstimatorRequest.from_json_dict(e) for e in d["estimators"]),
             oracle=OracleConfig.from_json_dict(d.get("oracle", {})),
-            seed=int(d["seed"]),
+            seed=d["seed"],
             output_dir=d.get("output_dir"),
         )
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import LOG_HALF, DataSet, normal_logpdf
+from .datagen import LOG_HALF, DataSet, normal_logpdf, require_count
 
 
 class TooFewPoints(ValueError):
@@ -24,8 +24,7 @@ class ModelSpec:
     degree: int
 
     def __post_init__(self):
-        if self.degree < 0:
-            raise ValueError("degree must be >= 0")
+        require_count("degree", self.degree, minimum=0)
 
     @property
     def n_coeffs(self) -> int:
@@ -37,15 +36,23 @@ class ModelSpec:
         return self.degree + 2
 
     def design_matrix(self, y1) -> np.ndarray:
-        """Monomial basis rows [1, y1, ..., y1^degree]."""
-        return np.vander(np.asarray(y1, dtype=float), self.n_coeffs, increasing=True)
+        """Monomial basis rows [1, y1, ..., y1^degree] for y1 of any shape,
+        stacked on a new last axis.  Built by running products, the way
+        `np.vander` builds them, so a 1-D input gives its result bit for bit;
+        each column is a contiguous block of the returned view."""
+        y1 = np.asarray(y1, dtype=float)
+        phi = np.empty((self.n_coeffs,) + y1.shape)
+        phi[0] = 1.0
+        for k in range(1, self.n_coeffs):
+            np.multiply(phi[k - 1, ...], y1, out=phi[k, ...])
+        return phi.transpose((*range(1, phi.ndim), 0))
 
     def to_json_dict(self) -> dict:
         return {"degree": self.degree}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ModelSpec":
-        return cls(degree=int(d["degree"]))
+        return cls(degree=d["degree"])
 
 
 @dataclass(frozen=True)
@@ -85,20 +92,27 @@ def fit_mle(spec: ModelSpec, data: DataSet) -> FitResult:
     p = spec.n_coeffs
     if n < spec.min_fit_size:
         raise TooFewPoints(f"need at least {spec.min_fit_size} points for degree {spec.degree}, got {n}")
-    coeffs, sigma2, rank = _least_squares(spec.design_matrix(data.y1), data.y2)
-    if rank < p:
-        raise RankDeficient(f"design matrix rank {rank} < {p}")
-    return FitResult(spec=spec, coeffs=coeffs, sigma2=sigma2, n_fit=n)
+    coeffs, sigma2, rank = _least_squares(spec.design_matrix(data.y1)[None], data.y2[None])
+    if rank[0] < p:
+        raise RankDeficient(f"design matrix rank {rank[0]} < {p}")
+    return FitResult(spec=spec, coeffs=coeffs[0], sigma2=float(sigma2[0]), n_fit=n)
 
 
-def _least_squares(phi: np.ndarray, y2: np.ndarray) -> tuple[np.ndarray, float, int]:
-    """SVD least squares of y2 on the (n, p) design rows `phi` with rank
-    tolerance eps * max(n, p) * s_max: (coefficients, mean squared residual,
-    numerical rank).  The one fit behind `fit_mle` and the fold kernel."""
-    rcond = np.finfo(float).eps * max(phi.shape)
-    coeffs, _, rank, _ = np.linalg.lstsq(phi, y2, rcond=rcond)
-    resid = y2 - phi @ coeffs
-    return coeffs, float(np.mean(resid**2)), int(rank)
+def _least_squares(phi: np.ndarray, y2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """SVD least squares of each row of y2 (R, m) on its (m, p) design rows
+    in the stack `phi` (R, m, p), through one stacked SVD.  Singular values
+    at or below eps * max(m, p) * s_max count as zero, as `np.linalg.lstsq`
+    counts them at that rcond, so a rank-deficient row gets the minimum-norm
+    solution.  Returns per row the coefficients, the mean squared residual
+    and the numerical rank.  The one fit behind `fit_mle` and the fold
+    kernel."""
+    u, s, vt = np.linalg.svd(phi, full_matrices=False)
+    keep = s > np.finfo(float).eps * max(phi.shape[1:]) * s[:, :1]
+    inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+    proj = inv_s * (y2[:, None, :] @ u)[:, 0]
+    coeffs = (proj[:, None, :] @ vt)[:, 0]
+    resid = y2 - (phi @ coeffs[..., None])[..., 0]
+    return coeffs, np.mean(resid**2, axis=1), keep.sum(axis=1)
 
 
 def plugin_log_predictive(fit: FitResult, new_data: DataSet | None, include_y1_factor: bool = True) -> float:

@@ -209,10 +209,11 @@ class PredictiveBuilder:
         fold the log density of those points, whether the MLE variance floor
         engaged, and whether the fold is usable: at least `min_train_size`
         distinct training points and, for the MLE, a full-rank fit (the other
-        entries of an unusable fold mean nothing).  The MLE refits each fold
-        as `fit_mle` does; the Bayes kinds use the evidence chain rule
-        log p(V | W) = log Z(W + V) - log Z(W) under the one prior, with the
-        training counts W (zero for the prior predictive) and V as weights.
+        entries of an unusable fold mean nothing).  The MLE refits all folds
+        in one stacked least-squares solve, the one `fit_mle` runs; the Bayes
+        kinds use the evidence chain rule log p(V | W) = log Z(W + V) - log Z(W)
+        under the one prior, with the training counts W (zero for the prior
+        predictive) and V as weights.
         """
         train = np.asarray(train, dtype=int)
         valid = np.asarray(valid, dtype=bool)
@@ -226,16 +227,12 @@ class PredictiveBuilder:
             weights = np.concatenate([counts + valid, counts]).astype(float)
             evidence = _evidence_batch(self.prior, self.spec, y1, y2, self.include_y1_factor, weights)
             return evidence[:r] - evidence[r:], np.zeros(r, dtype=bool), usable
-        p = self.spec.n_coeffs
-        phi = self.spec.design_matrix(data.y1)
-        coeffs, sigma2 = np.zeros((r, p)), np.ones(r)
-        for j in usable.nonzero()[0]:
-            coeffs[j], sigma2[j], rank = _least_squares(phi[train[j]], data.y2[train[j]])
-            usable[j] = rank == p
+        coeffs, sigma2, rank = _least_squares(self.spec.design_matrix(data.y1)[train], data.y2[train])
+        usable &= rank == self.spec.n_coeffs
         floored = usable & (sigma2 < SIGMA2_FLOOR)
-        sigma2[floored] = SIGMA2_FLOOR
+        sigma2 = np.maximum(sigma2, SIGMA2_FLOOR)  # unusable folds may interpolate
         mean = coeffs[:, -1:] + data.y1 * 0  # Horner over the stacked coefficients, as polyval
-        for k in range(p - 2, -1, -1):
+        for k in range(coeffs.shape[1] - 2, -1, -1):
             mean = coeffs[:, k : k + 1] + mean * data.y1
         log_density = np.sum(np.where(valid, normal_logpdf(data.y2, mean, sigma2[:, None]), 0.0), axis=1)
         if self.include_y1_factor:

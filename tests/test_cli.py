@@ -186,8 +186,28 @@ class TestExperiment:
             ({"oracle": {"mc_dataset": 50}}, "unknown oracle keys: ['mc_dataset']"),
             ({"oracle": {"mc_datasets": 1}}, "mc_datasets must be an integer >= 2"),
             ({"oracle": {"quadrature": "false"}}, "quadrature must be true or false"),
+            ({"replications": 2.7}, "replications must be an integer >= 1, got 2.7"),
+            ({"seed": 3.9}, "seed must be an integer >= 0, got 3.9"),
+            ({"seed": -1}, "seed must be an integer >= 0, got -1"),
+            ({"n_points": "12"}, "n_points must be an integer >= 1, got '12'"),
+            ({"model": {"degree": 0.5}}, "degree must be an integer >= 0, got 0.5"),
+            (
+                {"truth": {"degree": 0.5, "coeffs": [0.5], "sigma": 0.5}},
+                "degree must be an integer >= 0, got 0.5",
+            ),
         ],
-        ids=["misspelt-key", "misspelt-oracle-key", "one-mc-dataset", "string-quadrature"],
+        ids=[
+            "misspelt-key",
+            "misspelt-oracle-key",
+            "one-mc-dataset",
+            "string-quadrature",
+            "fractional-replications",
+            "fractional-seed",
+            "negative-seed",
+            "string-n-points",
+            "fractional-model-degree",
+            "fractional-truth-degree",
+        ],
     )
     def test_dry_run_rejects_bad_config(self, tmp_path, changes, complaint):
         path = self._write_config(tmp_path, **changes)

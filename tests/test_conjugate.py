@@ -10,6 +10,7 @@ from rpps.conjugate import (
     PosteriorPredictive,
     PriorPredictive,
     _evidence_batch,
+    _update,
     default_prior,
     log_evidence,
     posterior_mean,
@@ -81,8 +82,14 @@ class TestParamsValidation:
             NormalGammaParams(mu=np.zeros(2), lam=np.array([[1.0, 2.0], [2.0, 1.0]]), alpha=1.0, beta=1.0)
 
     def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="symmetric"):
             NormalGammaParams(mu=np.zeros(2), lam=np.array([[1.0, 0.5], [0.0, 1.0]]), alpha=1.0, beta=1.0)
+        with pytest.raises(ValueError, match="symmetric"):
+            NormalGammaParams(mu=np.zeros(2), lam=np.array([[1.0, np.nan], [np.nan, 1.0]]), alpha=1.0, beta=1.0)
+
+    def test_keeps_log_determinant(self):
+        prior, _, _ = _random_case(4, degree=3)
+        assert prior.logdet_lam == pytest.approx(np.linalg.slogdet(prior.lam)[1], rel=1e-13)
 
     def test_json_round_trip(self):
         prior = default_prior(ModelSpec(2))
@@ -287,3 +294,25 @@ class TestBatchEvidence:
             assert batch.shape == (6,)
             for r in range(6):
                 assert batch[r] == pytest.approx(_mvt_logpdf(prior, spec, y1[r], y2[r]), abs=1e-10)
+
+    def test_nearly_interpolating_data_keeps_beta_positive(self):
+        # degree-4 data with sigma = 1e-8 around the prior mean, under a prior
+        # with almost no rate: beta' is about 1e-16 while t^T t is about 100,
+        # so only a form that is positive by construction can resolve it
+        rng = np.random.default_rng(5)
+        spec = ModelSpec(4)
+        truth = np.array([0.5, -3.0, -4.0, 3.0, 6.0])
+        prior = NormalGammaParams(mu=truth, lam=0.001 * np.eye(5), alpha=0.5, beta=1e-300)
+        y1 = rng.uniform(-1, 1, size=(8, 12))
+        y2 = np.polynomial.polynomial.polyval(y1, truth) + 1e-8 * rng.standard_normal((8, 12))
+        _, _, _, beta_n = _update(prior, spec, y1, y2)
+        # beta' - beta is half the minimum over c of the residual sum of
+        # squares plus (c - mu)^T lam (c - mu): at least half the least-squares
+        # minimum, at most half the sum at c = mu
+        phi = spec.design_matrix(y1)
+        rss_min = np.array([np.linalg.lstsq(phi[r], y2[r], rcond=None)[1][0] for r in range(8)])
+        rss_mu = np.sum((y2 - phi @ truth) ** 2, axis=1)
+        assert np.all(rss_min > 0)
+        assert np.all(0.5 * rss_min * (1 - 1e-4) <= beta_n) and np.all(beta_n <= 0.5 * rss_mu * (1 + 1e-4))
+        evidence = _evidence_batch(prior, spec, y1, y2, True)
+        assert np.all(np.isfinite(evidence))

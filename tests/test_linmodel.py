@@ -9,6 +9,7 @@ from rpps.linmodel import (
     ModelSpec,
     RankDeficient,
     TooFewPoints,
+    _least_squares,
     fit_mle,
     plugin_log_predictive,
 )
@@ -17,6 +18,10 @@ from rpps.linmodel import (
 def test_model_spec_validation_and_json():
     with pytest.raises(ValueError):
         ModelSpec(degree=-1)
+    for bad in (0.5, 2.0, "2", True):
+        with pytest.raises(ValueError, match="degree must be an integer"):
+            ModelSpec.from_json_dict({"degree": bad})
+    assert ModelSpec(np.int64(2)).n_coeffs == 3
     spec = ModelSpec(degree=4)
     assert spec.min_fit_size == 6
     assert ModelSpec.from_json_dict(spec.to_json_dict()) == spec
@@ -79,6 +84,44 @@ class TestFitMle:
         loss_refit = float(np.sum((union.y2 - phi @ refit.coeffs) ** 2))
         loss_base = float(np.sum((union.y2 - phi @ base.coeffs) ** 2))
         assert loss_refit <= loss_base + 1e-12
+
+
+class TestDesignMatrix:
+    @pytest.mark.parametrize("degree", range(6))
+    def test_stacked_rows_are_vander_bit_for_bit(self, degree):
+        y1 = np.random.default_rng(degree).uniform(-1, 1, size=(7, 12))
+        spec = ModelSpec(degree)
+        stacked = spec.design_matrix(y1)
+        assert stacked.shape == (7, 12, degree + 1)
+        for row, phi in zip(y1, stacked):
+            np.testing.assert_array_equal(phi, np.vander(row, degree + 1, increasing=True))
+            np.testing.assert_array_equal(spec.design_matrix(row), phi)
+        np.testing.assert_array_equal(spec.design_matrix(y1.reshape(7, 3, 4)), stacked.reshape(7, 3, 4, -1))
+
+    def test_list_and_scalar_input(self):
+        spec = ModelSpec(2)
+        np.testing.assert_array_equal(spec.design_matrix([0.5, -2.0]), [[1.0, 0.5, 0.25], [1.0, -2.0, 4.0]])
+        np.testing.assert_array_equal(spec.design_matrix(3.0), [1.0, 3.0, 9.0])
+
+
+class TestStackedLeastSquares:
+    def test_rank_rule_at_the_threshold(self):
+        # diagonal 6 x 2 designs with singular values 1 and t: the second
+        # counts only above eps * max(m, p) = 6 eps, as it does for lstsq
+        eps = np.finfo(float).eps
+        small = [0.5 * eps, 3.0 * eps, 12.0 * eps]
+        phi = np.zeros((3, 6, 2))
+        phi[:, 0, 0] = 1.0
+        phi[:, 1, 1] = small
+        y2 = np.zeros((3, 6))
+        y2[:, :2] = 1.0
+        coeffs, sigma2, rank = _least_squares(phi, y2)
+        assert rank.tolist() == [1, 1, 2]
+        for j in range(3):
+            assert rank[j] == np.linalg.lstsq(phi[j], y2[j], rcond=6 * eps)[2]
+        # minimum norm where the small direction is dropped, exact otherwise
+        np.testing.assert_allclose(coeffs, [[1.0, 0.0], [1.0, 0.0], [1.0, 1.0 / small[2]]], rtol=1e-15)
+        np.testing.assert_allclose(sigma2, [1 / 6, 1 / 6, 0.0], rtol=1e-15, atol=1e-30)
 
 
 class TestPluginLogPredictive:

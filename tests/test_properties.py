@@ -1,5 +1,6 @@
 """Property tests: the partition estimators equal explicit splits written
-out by hand, over random data, degrees 0-2 and every inference kind."""
+out by hand, over random data, degrees 0-2 and every inference kind; the
+stacked kernels under them equal numpy's per-row routines."""
 
 import math
 
@@ -8,9 +9,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rpps.conjugate import default_prior, log_evidence
+from rpps.conjugate import _cho_solve, default_prior, log_evidence
 from rpps.datagen import GeneratorSpec, sample_dataset
-from rpps.linmodel import ModelSpec, RankDeficient, TooFewPoints, fit_mle, plugin_log_predictive
+from rpps.linmodel import ModelSpec, RankDeficient, TooFewPoints, _least_squares, fit_mle, plugin_log_predictive
 from rpps.scores import (
     AllResamplesDegenerate,
     Bootstrap,
@@ -126,3 +127,45 @@ def test_holdout_is_explicit_split(seed, degree, kind):
     idx = np.random.default_rng(seed).permutation(n)
     explicit = -(n / (n - n_train)) * _held_out_log_density(kind, spec, data, idx[:n_train], idx[n_train:])
     assert est.value == pytest.approx(explicit, rel=1e-9, abs=1e-9)
+
+
+KERNEL_CASES = given(seed=st.integers(0, 2**32 - 1), degree=st.integers(0, 4))
+
+
+@PROPERTY
+@KERNEL_CASES
+def test_cholesky_substitution_is_solve(seed, degree):
+    rng = np.random.default_rng(seed)
+    p = degree + 1
+    r = int(rng.integers(1, 8))
+    a = rng.normal(size=(r, p + 3, p))
+    lam = np.swapaxes(a, 1, 2) @ a + rng.uniform(0.5, 2.0) * np.eye(p)  # condition number below ~100
+    b = rng.normal(scale=rng.uniform(0.1, 10.0), size=(r, p))
+    expected = np.linalg.solve(lam, b[..., None])[..., 0]
+    x = _cho_solve(np.linalg.cholesky(lam), b)
+    assert x.shape == (r, p)
+    np.testing.assert_allclose(x, expected, rtol=0, atol=1e-12 * max(1.0, float(np.abs(expected).max())))
+
+
+@PROPERTY
+@KERNEL_CASES
+def test_stacked_least_squares_is_lstsq(seed, degree):
+    # rows draw y1 from a pool of few distinct values, so some are rank-deficient
+    rng = np.random.default_rng(seed)
+    p = degree + 1
+    r, m = int(rng.integers(1, 7)), int(rng.integers(1, 11))
+    pool = rng.uniform(-1, 1, size=(r, int(rng.integers(1, m + 1))))
+    y1 = np.take_along_axis(pool, rng.integers(0, pool.shape[1], size=(r, m)), axis=1)
+    y2 = rng.normal(size=(r, m))
+    phi = ModelSpec(degree).design_matrix(y1)
+    coeffs, sigma2, rank = _least_squares(phi, y2)
+    assert coeffs.shape == (r, p) and sigma2.shape == rank.shape == (r,)
+    eps = np.finfo(float).eps
+    for j in range(r):
+        expected, _, expected_rank, s = np.linalg.lstsq(phi[j], y2[j], rcond=eps * max(m, p))
+        assert rank[j] == expected_rank
+        if expected_rank == p:
+            # 1e-12 unless the fold's own conditioning allows more
+            tol = max(1e-12, 10 * eps * s[0] / s[-1]) * max(1.0, float(np.abs(expected).max()))
+            np.testing.assert_allclose(coeffs[j], expected, rtol=0, atol=tol)
+            assert sigma2[j] == pytest.approx(np.mean((y2[j] - phi[j] @ expected) ** 2), rel=1e-9, abs=1e-12)
