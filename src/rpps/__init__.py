@@ -17,10 +17,8 @@ from .conjugate import (
 )
 from .datagen import (
     DataSet,
-    Datum,
     GeneratorSpec,
     OutsideSupport,
-    Provenance,
     read_dataset_csv,
     sample_dataset,
     true_log_density,
@@ -55,7 +53,6 @@ from .scores import (
     HoldOut,
     Jackknife,
     NotFactorizing,
-    PartitionScheme,
     PredictiveBuilder,
     ScoreEstimate,
     SIGMA2_FLOOR,

@@ -85,17 +85,26 @@ class NormalGammaParams:
 
 @dataclass(frozen=True)
 class PosteriorSample:
-    """One draw (coefficients, precision) from a Normal-Gamma distribution."""
+    """S draws (coefficients, precision) from a Normal-Gamma distribution:
+    read-only (S, p) `coeffs` and (S,) `precision`, row s being draw s."""
 
     coeffs: np.ndarray
-    precision: float
+    precision: np.ndarray
 
     def __post_init__(self):
         coeffs = np.ascontiguousarray(self.coeffs, dtype=float)
+        precision = np.ascontiguousarray(self.precision, dtype=float)
+        if coeffs.ndim != 2 or precision.shape != coeffs.shape[:1]:
+            raise ValueError("expected (S, p) coeffs and (S,) precision")
+        if not np.all(precision > 0):
+            raise ValueError("every precision must be > 0")
         coeffs.setflags(write=False)
+        precision.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
-        if not self.precision > 0:
-            raise ValueError("precision must be > 0")
+        object.__setattr__(self, "precision", precision)
+
+    def __len__(self) -> int:
+        return int(self.precision.size)
 
 
 def default_prior(spec: ModelSpec) -> NormalGammaParams:
@@ -134,7 +143,8 @@ def _update(
     positive by construction.  W holds the optional (R, n) per-point
     `weights` (point multiplicities; None means one each).  The Gram
     matrices and right-hand sides are stacked matmuls and mu' comes from
-    substitution on the Cholesky factor.
+    substitution on the Cholesky factor.  A weighted Gram matrix (W Phi)^T
+    Phi is symmetric only to rounding, so its two triangles are averaged.
     """
     y1 = np.asarray(y1, dtype=float)
     y2 = np.asarray(y2, dtype=float)
@@ -145,7 +155,8 @@ def _update(
     phi = spec.design_matrix(y1)
     wphi_t = np.swapaxes(phi if weights is None else phi * weights[..., None], 1, 2)
     lam_n = params.lam + wphi_t @ phi
-    lam_n = 0.5 * (lam_n + np.swapaxes(lam_n, 1, 2))
+    if weights is not None:
+        lam_n = 0.5 * (lam_n + np.swapaxes(lam_n, 1, 2))
     rhs = params.lam @ params.mu + (wphi_t @ y2[..., None])[..., 0]
     chol = np.linalg.cholesky(lam_n)
     mu_n = _cho_solve(chol, rhs)
@@ -218,8 +229,9 @@ def log_evidence(
     return float(_evidence_batch(prior, spec, data.y1[None], data.y2[None], include_y1_factor)[0])
 
 
-def sample_posterior(posterior: NormalGammaParams, count: int, seed: int) -> list[PosteriorSample]:
-    """Draw (coefficients, precision) pairs, deterministically per seed.
+def sample_posterior(posterior: NormalGammaParams, count: int, seed: int) -> PosteriorSample:
+    """Draw `count` (coefficients, precision) pairs as one batch,
+    deterministically per seed.
 
     tau ~ Gamma(alpha, rate=beta); coeffs | tau ~ Normal(mu, (tau lam)^-1).
     """
@@ -232,12 +244,12 @@ def sample_posterior(posterior: NormalGammaParams, count: int, seed: int) -> lis
     # x = L^-T z has covariance lam^-1
     x = solve_triangular(chol.T, z.T, lower=False).T
     coeffs = posterior.mu + x / np.sqrt(tau)[:, None]
-    return [PosteriorSample(coeffs=c, precision=float(t)) for c, t in zip(coeffs, tau)]
+    return PosteriorSample(coeffs=coeffs, precision=tau)
 
 
 def posterior_mean(params: NormalGammaParams) -> PosteriorSample:
-    """The point estimate (mu, alpha/beta): posterior means of (c, tau)."""
-    return PosteriorSample(coeffs=params.mu.copy(), precision=params.alpha / params.beta)
+    """The point estimate (mu, alpha/beta), the posterior means of (c, tau), as one draw."""
+    return PosteriorSample(coeffs=params.mu[None], precision=np.array([params.alpha / params.beta]))
 
 
 # ---------------------------------------------------------------------------

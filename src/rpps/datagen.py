@@ -72,22 +72,6 @@ class GeneratorSpec:
         return cls(degree=d["degree"], coeffs=tuple(d["coeffs"]), sigma=float(d["sigma"]))
 
 
-@dataclass(frozen=True)
-class Datum:
-    """A single (y1, y2) measurement point; y1 is meaningful on [-1, 1]."""
-
-    y1: float
-    y2: float
-
-
-@dataclass(frozen=True)
-class Provenance:
-    """How a dataset was produced, for reproducibility bookkeeping."""
-
-    spec: GeneratorSpec
-    seed: int
-
-
 class DataSet:
     """An ordered measurement y in (R x R)^N with index-based partitioning.
 
@@ -95,9 +79,9 @@ class DataSet:
     of the value (partitions are index-based), and equality is bitwise.
     """
 
-    __slots__ = ("y1", "y2", "provenance")
+    __slots__ = ("y1", "y2")
 
-    def __init__(self, y1, y2, provenance: Provenance | None = None):
+    def __init__(self, y1, y2):
         y1 = np.ascontiguousarray(y1, dtype=float)
         y2 = np.ascontiguousarray(y2, dtype=float)
         if y1.ndim != 1 or y2.ndim != 1 or y1.shape != y2.shape:
@@ -110,16 +94,6 @@ class DataSet:
         y2.setflags(write=False)
         self.y1 = y1
         self.y2 = y2
-        self.provenance = provenance
-
-    @classmethod
-    def from_points(cls, points, provenance: Provenance | None = None) -> "DataSet":
-        pts = list(points)
-        return cls([p.y1 for p in pts], [p.y2 for p in pts], provenance)
-
-    @property
-    def points(self) -> list[Datum]:
-        return [Datum(float(a), float(b)) for a, b in zip(self.y1, self.y2)]
 
     def __len__(self) -> int:
         return int(self.y1.size)
@@ -137,9 +111,6 @@ class DataSet:
         idx = np.asarray(indices, dtype=int)
         return DataSet(self.y1[idx], self.y2[idx])
 
-    def concat(self, other: "DataSet") -> "DataSet":
-        return DataSet(np.concatenate([self.y1, other.y1]), np.concatenate([self.y2, other.y2]))
-
 
 def sample_dataset(spec: GeneratorSpec, n: int, seed: int) -> DataSet:
     """Draw n points from the generating process, deterministically per seed.
@@ -152,7 +123,7 @@ def sample_dataset(spec: GeneratorSpec, n: int, seed: int) -> DataSet:
     rng = np.random.default_rng(seed)
     y1 = rng.uniform(-1.0, 1.0, size=n)
     y2 = rng.normal(spec.mean_at(y1), spec.sigma)
-    return DataSet(y1, y2, provenance=Provenance(spec=spec, seed=int(seed)))
+    return DataSet(y1, y2)
 
 
 def true_log_density(spec: GeneratorSpec, data: DataSet) -> float:
@@ -182,6 +153,7 @@ def write_dataset_csv(data: DataSet, path) -> None:
 
 
 def read_dataset_csv(path) -> DataSet:
+    """Read a y1,y2 CSV; a non-blank row without two fields is a ValueError."""
     path = Path(path)
     with path.open("r", encoding="utf-8", newline="") as f:
         r = csv.reader(f)
@@ -192,6 +164,8 @@ def read_dataset_csv(path) -> DataSet:
         for row in r:
             if not row:
                 continue
+            if len(row) != 2:
+                raise ValueError(f"{path}, line {r.line_num}: expected 2 fields, got {len(row)}")
             y1.append(float(row[0]))
             y2.append(float(row[1]))
     return DataSet(y1, y2)

@@ -107,9 +107,6 @@ class Bootstrap:
     seed: int = 0
 
 
-PartitionScheme = HoldOut | Jackknife | Bootstrap
-
-
 @dataclass(frozen=True)
 class ScoreEstimate:
     """An estimate of the relative predictive performance score.
@@ -231,9 +228,7 @@ class PredictiveBuilder:
         usable &= rank == self.spec.n_coeffs
         floored = usable & (sigma2 < SIGMA2_FLOOR)
         sigma2 = np.maximum(sigma2, SIGMA2_FLOOR)  # unusable folds may interpolate
-        mean = coeffs[:, -1:] + data.y1 * 0  # Horner over the stacked coefficients, as polyval
-        for k in range(coeffs.shape[1] - 2, -1, -1):
-            mean = coeffs[:, k : k + 1] + mean * data.y1
+        mean = np.polynomial.polynomial.polyval(data.y1, coeffs.T)  # (R, n)
         log_density = np.sum(np.where(valid, normal_logpdf(data.y2, mean, sigma2[:, None]), 0.0), axis=1)
         if self.include_y1_factor:
             log_density += valid.sum(axis=1) * LOG_HALF
@@ -446,17 +441,15 @@ def aic(fit: FitResult, data: DataSet, include_y1_factor: bool = True) -> Criter
 
 
 def _pointwise_loglik(
-    samples: list[PosteriorSample],
+    samples: PosteriorSample,
     spec: ModelSpec,
     data: DataSet,
     include_y1_factor: bool,
 ) -> np.ndarray:
-    """Matrix of log pi(y_n | x_s): rows are posterior samples, columns data
+    """Matrix of log pi(y_n | x_s): rows are posterior draws, columns data
     points; the conditional likelihood carries the uniform y1 factor."""
-    coeffs = np.stack([s.coeffs for s in samples])
-    tau = np.array([s.precision for s in samples])
-    phi = spec.design_matrix(data.y1)
-    mean = coeffs @ phi.T
+    tau = samples.precision
+    mean = samples.coeffs @ spec.design_matrix(data.y1).T
     loglik = -0.5 * _LOG_2PI + 0.5 * np.log(tau)[:, None] - 0.5 * tau[:, None] * (data.y2 - mean) ** 2
     if include_y1_factor:
         loglik = loglik + LOG_HALF
@@ -464,7 +457,7 @@ def _pointwise_loglik(
 
 
 def waic(
-    posterior_samples: list[PosteriorSample],
+    posterior_samples: PosteriorSample,
     spec: ModelSpec,
     data: DataSet,
     include_y1_factor: bool = True,
@@ -485,7 +478,7 @@ def waic(
 
 
 def dic(
-    posterior_samples: list[PosteriorSample],
+    posterior_samples: PosteriorSample,
     point_estimate: PosteriorSample,
     spec: ModelSpec,
     data: DataSet,
@@ -495,12 +488,15 @@ def dic(
     posterior mean), flipped to the lower-is-better orientation.
 
     value = -(sum_n log pi(y_n|x_hat)
-              - 2 sum_n (log pi(y_n|x_hat) - mean_s log pi(y_n|x_s))).
+              - 2 sum_n (log pi(y_n|x_hat) - mean_s log pi(y_n|x_s))),
+    with `point_estimate` a batch of one draw.
     """
     if len(posterior_samples) < 2:
         raise DegeneratePosterior("DIC needs at least 2 posterior samples")
+    if len(point_estimate) != 1:
+        raise ValueError(f"the point estimate must be one draw, got {len(point_estimate)}")
     loglik = _pointwise_loglik(posterior_samples, spec, data, include_y1_factor)
-    at_hat = _pointwise_loglik([point_estimate], spec, data, include_y1_factor)[0]
+    at_hat = _pointwise_loglik(point_estimate, spec, data, include_y1_factor)[0]
     penalty = 2.0 * float(np.sum(at_hat - np.mean(loglik, axis=0)))
     return Criterion(kind=CriterionKind.DIC, value=-(float(np.sum(at_hat)) - penalty))
 

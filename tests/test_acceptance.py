@@ -18,6 +18,7 @@ from rpps.conjugate import (
     NormalGammaParams,
     PluginGaussian,
     PosteriorPredictive,
+    PosteriorSample,
     PriorPredictive,
     default_prior,
     log_evidence,
@@ -154,13 +155,13 @@ def test_criterion_4_waic_reduces_to_dic():
     spec = ModelSpec(1)
     posterior = posterior_update(default_prior(spec), spec, data)
     point = posterior_mean(posterior)
-    samples = [point] * 8
+    samples = PosteriorSample(np.repeat(point.coeffs, 8, axis=0), np.repeat(point.precision, 8))
     w = waic(samples, spec, data)
     d = dic(samples, point, spec, data)
     direct = -sum(
         math.log(0.5)
         + float(
-            stats.norm.logpdf(y2, float(point.coeffs @ [1.0, y1]), 1.0 / math.sqrt(point.precision))
+            stats.norm.logpdf(y2, float(point.coeffs[0] @ [1.0, y1]), 1.0 / math.sqrt(point.precision[0]))
         )
         for y1, y2 in zip(data.y1, data.y2)
     )

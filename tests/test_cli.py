@@ -75,6 +75,14 @@ class TestFit:
         )
         assert out == expected
 
+    def test_malformed_row_is_a_read_error(self, tmp_path, model_file):
+        bad = tmp_path / "short.csv"
+        bad.write_text("y1,y2\n0.1,0.2\n0.3\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--data", str(bad), "--model", str(model_file)])
+        assert str(exc.value.code).startswith("error: cannot read dataset")
+        assert "line 3: expected 2 fields, got 1" in str(exc.value.code)
+
 
 class TestScore:
     def _run(self, data_file, model_file, tmp_path, requests, capsys):

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate, stats
+from scipy.linalg import solve_triangular
 
 from gridref import posterior_grid_summary
 from rpps.conjugate import (
     NormalGammaParams,
     PosteriorPredictive,
+    PosteriorSample,
     PriorPredictive,
     _evidence_batch,
     _update,
@@ -256,8 +258,7 @@ class TestSamplePosterior:
         prior, spec, data = _random_case(2, degree=1, n=10)
         post = posterior_update(prior, spec, data)
         draws = sample_posterior(post, count=100_000, seed=5)
-        coeffs = np.stack([d.coeffs for d in draws])
-        tau = np.array([d.precision for d in draws])
+        coeffs, tau = draws.coeffs, draws.precision
         # coefficient means within 4 standard errors of mu
         marg_var = post.beta / (post.alpha - 1.0) * np.diag(np.linalg.inv(post.lam))
         se = np.sqrt(marg_var / len(draws))
@@ -270,15 +271,45 @@ class TestSamplePosterior:
         post = posterior_update(*(_random_case(3, degree=0, n=5)))
         a = sample_posterior(post, count=10, seed=1)
         b = sample_posterior(post, count=10, seed=1)
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x.coeffs, y.coeffs)
-            assert x.precision == y.precision
+        np.testing.assert_array_equal(a.coeffs, b.coeffs)
+        np.testing.assert_array_equal(a.precision, b.precision)
 
     def test_posterior_mean_point(self):
         post = posterior_update(*(_random_case(6, degree=1, n=6)))
         point = posterior_mean(post)
-        np.testing.assert_array_equal(point.coeffs, post.mu)
-        assert point.precision == post.alpha / post.beta
+        np.testing.assert_array_equal(point.coeffs, post.mu[None])
+        np.testing.assert_array_equal(point.precision, [post.alpha / post.beta])
+
+    def test_batch_is_the_scaled_whitened_normal_bit_for_bit(self):
+        # mu + L^-T z / sqrt(tau) from the same generator, L = chol(lam)
+        post = posterior_update(*(_random_case(8, degree=3, n=9)))
+        draws = sample_posterior(post, count=50, seed=12)
+        rng = np.random.default_rng(12)
+        tau = rng.gamma(shape=post.alpha, scale=1.0 / post.beta, size=50)
+        z = rng.standard_normal(size=(50, post.p))
+        x = solve_triangular(np.linalg.cholesky(post.lam).T, z.T, lower=False).T
+        assert draws.coeffs.shape == (50, post.p) and len(draws) == 50
+        np.testing.assert_array_equal(draws.coeffs, post.mu + x / np.sqrt(tau)[:, None])
+        np.testing.assert_array_equal(draws.precision, tau)
+        assert not draws.coeffs.flags.writeable and not draws.precision.flags.writeable
+
+
+class TestPosteriorSampleValidation:
+    @pytest.mark.parametrize(
+        ("coeffs", "precision"),
+        [
+            (np.zeros(3), np.ones(1)),  # 1-D coefficients
+            (np.zeros((3, 2)), np.ones(2)),  # lengths differ
+            (np.zeros((2, 2)), np.ones((2, 1))),  # 2-D precision
+            (np.zeros((2, 2)), np.array([1.0, 0.0])),
+            (np.zeros((2, 2)), np.array([1.0, -1.0])),
+            (np.zeros((2, 2)), np.array([np.nan, 1.0])),
+        ],
+        ids=["1d-coeffs", "length-mismatch", "2d-precision", "zero-precision", "negative-precision", "nan-precision"],
+    )
+    def test_rejects(self, coeffs, precision):
+        with pytest.raises(ValueError):
+            PosteriorSample(coeffs=coeffs, precision=precision)
 
 
 class TestBatchEvidence:
@@ -294,6 +325,17 @@ class TestBatchEvidence:
             assert batch.shape == (6,)
             for r in range(6):
                 assert batch[r] == pytest.approx(_mvt_logpdf(prior, spec, y1[r], y2[r]), abs=1e-10)
+
+    @pytest.mark.parametrize("degree", range(6))
+    def test_updated_precision_is_exactly_symmetric(self, degree):
+        # unweighted and with bootstrap-like multiplicities 0-3
+        rng = np.random.default_rng(degree)
+        spec = ModelSpec(degree)
+        y1 = rng.uniform(-1, 1, size=(50, 12))
+        y2 = rng.normal(size=(50, 12))
+        for weights in (None, rng.integers(0, 4, size=(50, 12)).astype(float)):
+            lam_n = _update(default_prior(spec), spec, y1, y2, weights)[0]
+            np.testing.assert_array_equal(lam_n, np.swapaxes(lam_n, 1, 2))
 
     def test_nearly_interpolating_data_keeps_beta_positive(self):
         # degree-4 data with sigma = 1e-8 around the prior mean, under a prior

@@ -5,7 +5,6 @@ import pytest
 
 from rpps.datagen import (
     DataSet,
-    Datum,
     GeneratorSpec,
     OutsideSupport,
     read_dataset_csv,
@@ -41,7 +40,6 @@ class TestSampleDataset:
         data = sample_dataset(QUARTIC, n=12, seed=123)
         assert len(data) == 12
         assert np.all(data.y1 >= -1.0) and np.all(data.y1 <= 1.0)
-        assert data.provenance.seed == 123
 
     def test_determinism_bitwise(self):
         a = sample_dataset(QUARTIC, n=50, seed=7)
@@ -113,7 +111,6 @@ class TestTrueLogDensity:
 class TestDataSet:
     def test_points_and_subset(self):
         data = DataSet([0.1, -0.2, 0.5], [1.0, 2.0, 3.0])
-        assert data.points[1] == Datum(-0.2, 2.0)
         sub = data.subset([2, 0])
         np.testing.assert_array_equal(sub.y1, [0.5, 0.1])
         np.testing.assert_array_equal(sub.y2, [3.0, 1.0])
@@ -148,3 +145,19 @@ class TestCsvRoundTrip:
         path.write_text("a,b\n0.0,0.0\n")
         with pytest.raises(ValueError):
             read_dataset_csv(path)
+
+    @pytest.mark.parametrize(
+        ("text", "line", "fields"),
+        [("y1,y2\n0.1,0.2\n0.3\n", 3, 1), ("y1,y2\n0.1,0.2,0.7\n0.3,0.4\n", 2, 3)],
+        ids=["one-field", "three-fields"],
+    )
+    def test_rejects_rows_without_two_fields(self, tmp_path, text, line, fields):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"line {line}: expected 2 fields, got {fields}"):
+            read_dataset_csv(path)
+
+    def test_skips_blank_lines(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("y1,y2\n0.1,0.2\n\n0.3,0.4\n\n")
+        assert read_dataset_csv(path) == DataSet([0.1, 0.3], [0.2, 0.4])

@@ -77,7 +77,7 @@ class TestFitMle:
     def test_refit_on_duplicated_point_is_optimal(self):
         truth = GeneratorSpec(degree=1, coeffs=(0.2, 1.0), sigma=0.6)
         data = sample_dataset(truth, n=10, seed=3)
-        union = data.concat(data.subset([4]))
+        union = data.subset([*range(10), 4])
         base = fit_mle(ModelSpec(1), data)
         refit = fit_mle(ModelSpec(1), union)
         phi = ModelSpec(1).design_matrix(union.y1)

@@ -6,6 +6,7 @@ from scipy import stats
 
 from rpps.conjugate import (
     PluginGaussian,
+    PosteriorSample,
     PriorPredictive,
     default_prior,
     log_evidence,
@@ -343,12 +344,12 @@ class TestWaicDic:
     def test_degenerate_posterior_reduces_waic_to_dic(self):
         spec, posterior, data = self._posterior_and_data()
         point = posterior_mean(posterior)
-        samples = [point] * 10
+        samples = PosteriorSample(np.repeat(point.coeffs, 10, axis=0), np.repeat(point.precision, 10))
         w = waic(samples, spec, data)
         d = dic(samples, point, spec, data)
         direct = -sum(
             math.log(0.5)
-            + float(stats.norm.logpdf(y2, float(point.coeffs @ [1.0, y1]), 1 / math.sqrt(point.precision)))
+            + float(stats.norm.logpdf(y2, float(point.coeffs[0] @ [1.0, y1]), 1 / math.sqrt(point.precision[0])))
             for y1, y2 in zip(data.y1, data.y2)
         )
         assert abs(w.value - d.value) < 1e-10
@@ -357,8 +358,7 @@ class TestWaicDic:
     def test_waic_log_mean_term_matches_analytic_posterior_predictive(self):
         spec, posterior, data = self._posterior_and_data(seed=3, n=8)
         samples = sample_posterior(posterior, count=100_000, seed=4)
-        coeffs = np.stack([s.coeffs for s in samples])
-        tau = np.array([s.precision for s in samples])
+        coeffs, tau = samples.coeffs, samples.precision
         phi = spec.design_matrix(data.y1)
         lik = 0.5 * np.exp(
             -0.5 * np.log(2 * np.pi) + 0.5 * np.log(tau)[:, None]
@@ -375,7 +375,8 @@ class TestWaicDic:
     def test_sample_permutation_invariance(self):
         spec, posterior, data = self._posterior_and_data(seed=5)
         samples = sample_posterior(posterior, count=64, seed=6)
-        perm = [samples[i] for i in np.random.default_rng(0).permutation(64)]
+        order = np.random.default_rng(0).permutation(64)
+        perm = PosteriorSample(samples.coeffs[order], samples.precision[order])
         assert waic(samples, spec, data).value == pytest.approx(
             waic(perm, spec, data).value, abs=1e-12
         )
@@ -392,6 +393,32 @@ class TestWaicDic:
         with pytest.raises(DegeneratePosterior):
             dic(sample, posterior_mean(posterior), spec, data)
 
+    def test_dic_rejects_a_point_estimate_of_several_draws(self):
+        spec, posterior, data = self._posterior_and_data(seed=8)
+        samples = sample_posterior(posterior, count=5, seed=1)
+        with pytest.raises(ValueError, match="one draw"):
+            dic(samples, samples, spec, data)
+
+    def test_criteria_match_per_draw_loops(self):
+        # S = 5 draws, one scipy log density per (draw, point)
+        spec, posterior, data = self._posterior_and_data(seed=9, degree=2)
+        samples = sample_posterior(posterior, count=5, seed=2)
+        point = posterior_mean(posterior)
+
+        def loglik(coeffs, tau):
+            return [
+                math.log(0.5) + float(stats.norm.logpdf(y2, np.polyval(coeffs[::-1], y1), 1 / math.sqrt(tau)))
+                for y1, y2 in zip(data.y1, data.y2)
+            ]
+
+        per_draw = np.array([loglik(c, t) for c, t in zip(samples.coeffs, samples.precision)])
+        at_hat = np.array(loglik(point.coeffs[0], point.precision[0]))
+        lppd = sum(math.log(sum(math.exp(v) for v in column) / 5) for column in per_draw.T)
+        p_waic = sum(float(np.var(column, ddof=1)) for column in per_draw.T)
+        p_dic = 2 * sum(at_hat[j] - sum(per_draw[:, j]) / 5 for j in range(len(data)))
+        assert waic(samples, spec, data).value == pytest.approx(-(lppd - p_waic), abs=1e-12)
+        assert dic(samples, point, spec, data).value == pytest.approx(-(sum(at_hat) - p_dic), abs=1e-12)
+
     def test_dic_penalty_nonnegative_in_expectation(self):
         # reported, not asserted: the penalty at the posterior mean
         penalties = []
@@ -403,7 +430,7 @@ class TestWaicDic:
                 math.log(0.5)
                 + float(
                     stats.norm.logpdf(
-                        y2, float(point.coeffs @ [1.0, y1]), 1 / math.sqrt(point.precision)
+                        y2, float(point.coeffs[0] @ [1.0, y1]), 1 / math.sqrt(point.precision[0])
                     )
                 )
                 for y1, y2 in zip(data.y1, data.y2)
