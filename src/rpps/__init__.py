@@ -50,8 +50,6 @@ from .scores import (
     CriterionKind,
     DegeneratePosterior,
     EstimatorKind,
-    HoldOut,
-    Jackknife,
     NotFactorizing,
     PredictiveBuilder,
     ScoreEstimate,

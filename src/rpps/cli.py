@@ -13,9 +13,9 @@ import os
 import sys
 from pathlib import Path
 
-from .conjugate import default_prior, posterior_mean, posterior_update, sample_posterior
 from .datagen import DataSet, GeneratorSpec, read_dataset_csv, sample_dataset, write_dataset_csv
 from .harness import (
+    CRITERION_INFERENCE,
     EstimatorRequest,
     ExperimentConfig,
     emit_outputs,
@@ -24,11 +24,9 @@ from .harness import (
     run_experiment,
 )
 from .linmodel import ModelSpec, fit_mle
-from .scores import PredictiveBuilder, aic, dic, evidence_criterion, waic
+from .scores import PredictiveBuilder
 
 ENV_PREFIX = "RPPS_"
-
-_CRITERION_KINDS = ("evidence", "aic", "waic", "dic")
 
 
 def _env(name: str) -> str | None:
@@ -119,51 +117,23 @@ def _usage_error(message: str) -> SystemExit:
     return SystemExit(2)
 
 
-def _criterion(kind: str, model: ModelSpec, data: DataSet, seed: int, n_samples: int) -> dict:
-    if kind == "evidence":
-        return evidence_criterion(default_prior(model), model, data).to_json_dict()
-    if kind == "aic":
-        return aic(fit_mle(model, data), data).to_json_dict()
-    # waic / dic draw from the conjugate posterior
-    posterior = posterior_update(default_prior(model), model, data)
-    samples = sample_posterior(posterior, n_samples, seed)
-    if kind == "waic":
-        record = waic(samples, model, data).to_json_dict()
-    else:
-        record = dic(samples, posterior_mean(posterior), model, data).to_json_dict()
-    record["n_samples"] = n_samples
-    return record
-
-
 def _parse_request(raw, model: ModelSpec, data: DataSet):
     """Validate one score request; return a function of no arguments that
-    computes its record.
-
-    Estimator requests follow the experiment schema (EstimatorRequest) plus
-    the score-only `seed` and `inference` keys; criterion requests take
-    `kind`, `seed` and `n_samples`.
-    """
+    computes its record.  A request is an EstimatorRequest plus the
+    score-only `seed` and `inference` keys; a criterion's inference
+    defaults to the one it approximates, any other kind's to `mle`."""
     if not isinstance(raw, dict):
         raise ValueError(f"a request must be a JSON object, got {raw!r}")
     fields = dict(raw)
     seed = fields.pop("seed", 0)
     require_count("seed", seed, minimum=0)
-    kind = fields.get("kind")
-    if kind in _CRITERION_KINDS:
-        extra = set(fields) - {"kind", "n_samples"}
-        if extra:
-            raise ValueError(f"unknown {kind} keys: {sorted(extra)}")
-        n_samples = fields.get("n_samples", 1000)
-        require_count("n_samples", n_samples, minimum=2)
-        return lambda: _criterion(kind, model, data, seed, n_samples)
-    if kind not in EstimatorRequest.KINDS:
-        kinds = EstimatorRequest.KINDS + _CRITERION_KINDS
-        raise ValueError(f"unknown estimator {kind!r}; expected one of {kinds}")
-    build = PredictiveBuilder(fields.pop("inference", "mle"), model)
+    inference = fields.pop("inference", None)
     request = EstimatorRequest.from_json_dict(fields)
-    request.check_partition(len(data))
-    delta = kind == "delta"  # only delta scores the predictive of the whole dataset
-    return lambda: run_estimator(request, build(data) if delta else None, build, data, seed).to_json_dict()
+    if inference is None:
+        inference = CRITERION_INFERENCE.get(request.kind, "mle")
+    build = PredictiveBuilder(inference, model)
+    request.check(build.inference, len(data))
+    return lambda: run_estimator(request, None, build, data, seed).to_json_dict()
 
 
 def cmd_score(args: argparse.Namespace) -> int:

@@ -153,7 +153,9 @@ def write_dataset_csv(data: DataSet, path) -> None:
 
 
 def read_dataset_csv(path) -> DataSet:
-    """Read a y1,y2 CSV; a non-blank row without two fields is a ValueError."""
+    """Read a y1,y2 CSV.  A non-blank row without two numeric fields is a
+    ValueError, and a y1 outside [-1, 1] is OutsideSupport; both name the
+    line."""
     path = Path(path)
     with path.open("r", encoding="utf-8", newline="") as f:
         r = csv.reader(f)
@@ -164,8 +166,15 @@ def read_dataset_csv(path) -> DataSet:
         for row in r:
             if not row:
                 continue
+            where = f"{path}, line {r.line_num}"
             if len(row) != 2:
-                raise ValueError(f"{path}, line {r.line_num}: expected 2 fields, got {len(row)}")
-            y1.append(float(row[0]))
-            y2.append(float(row[1]))
+                raise ValueError(f"{where}: expected 2 fields, got {len(row)}")
+            try:
+                a, b = float(row[0]), float(row[1])
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+            if not -1.0 <= a <= 1.0:
+                raise OutsideSupport(f"{where}: y1 = {a!r} lies outside [-1, 1]")
+            y1.append(a)
+            y2.append(b)
     return DataSet(y1, y2)

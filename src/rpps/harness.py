@@ -10,28 +10,31 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .conjugate import PluginGaussian, Predictive
+from .conjugate import PluginGaussian, Predictive, posterior_mean, sample_posterior
 from .datagen import DataSet, GeneratorSpec, require_count, sample_dataset
 from .linmodel import ModelSpec, RankDeficient, TooFewPoints
 from .scores import (
     AllResamplesDegenerate,
     Bootstrap,
-    HoldOut,
+    Criterion,
     InferenceKind,
-    Jackknife,
     PredictiveBuilder,
     ScoreEstimate,
+    aic,
     bootstrap_estimator,
     delta_estimator,
+    dic,
+    evidence_criterion,
     exact_score_mc,
     exact_score_quadrature,
     holdout_estimator,
     jackknife_estimator,
+    waic,
 )
 
 logger = logging.getLogger(__name__)
@@ -48,34 +51,68 @@ def _reject_unknown_keys(what: str, d: dict, cls) -> None:
         raise ValueError(f"unknown {what} keys: {sorted(extra)}")
 
 
+# The count fields each request kind uses.  A kind needs every field it
+# uses (n_samples defaults to 1000) and must leave the others unset.
+KIND_FIELDS = {
+    "delta": (),
+    "holdout": ("n_train", "n_valid"),
+    "jackknife": ("k_folds",),
+    "bootstrap": ("b_resamples",),
+    "evidence": (),
+    "aic": (),
+    "waic": ("n_samples",),
+    "dic": ("n_samples",),
+}
+COUNT_FIELDS = ("n_train", "n_valid", "k_folds", "b_resamples", "n_samples")
+
+# A criterion approximates the score of one inference only; the other kinds
+# run under any inference.
+CRITERION_INFERENCE = {
+    "evidence": InferenceKind.PRIOR_PREDICTIVE,
+    "aic": InferenceKind.MLE,
+    "waic": InferenceKind.POSTERIOR_PREDICTIVE,
+    "dic": InferenceKind.POSTERIOR_PREDICTIVE,
+}
+
+
 @dataclass(frozen=True)
 class EstimatorRequest:
-    """One estimator selection; `label` names its rows in the outputs."""
+    """One estimator or criterion selection; `label` names its rows in the
+    outputs."""
 
-    kind: str  # delta | holdout | jackknife | bootstrap
+    kind: str  # a key of KIND_FIELDS
     n_train: int | None = None
     n_valid: int | None = None
     k_folds: int | None = None
     b_resamples: int | None = None
+    n_samples: int | None = None
     label: str | None = None
 
-    KINDS = ("delta", "holdout", "jackknife", "bootstrap")
+    KINDS = tuple(KIND_FIELDS)
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown estimator kind {self.kind!r}; expected one of {self.KINDS}")
-        if self.kind == "holdout" and (self.n_train is None or self.n_valid is None):
-            raise ValueError("holdout needs n_train and n_valid")
-        if self.kind == "jackknife" and self.k_folds is None:
-            raise ValueError("jackknife needs k_folds")
-        if self.kind == "bootstrap" and self.b_resamples is None:
-            raise ValueError("bootstrap needs b_resamples")
-        for key in ("n_train", "n_valid", "k_folds", "b_resamples"):
-            if getattr(self, key) is not None:
-                require_count(key, getattr(self, key))
+        uses = KIND_FIELDS[self.kind]
+        if "n_samples" in uses and self.n_samples is None:
+            object.__setattr__(self, "n_samples", 1000)
+        for key in COUNT_FIELDS:
+            value = getattr(self, key)
+            if key not in uses:
+                if value is not None:
+                    raise ValueError(f"{self.kind} takes no {key}")
+            elif value is None:
+                raise ValueError(f"{self.kind} needs {key}")
+            else:
+                require_count(key, value, minimum=2 if key == "n_samples" else 1)
 
-    def check_partition(self, n_points: int) -> None:
-        """Raise ValueError if the request cannot partition n_points."""
+    def check(self, inference: InferenceKind, n_points: int) -> None:
+        """Raise ValueError unless the request runs under `inference` on
+        n_points: a criterion needs its own inference, and a hold-out or
+        jackknife partition must fit."""
+        fixed, inference = CRITERION_INFERENCE.get(self.kind), InferenceKind(inference)
+        if fixed is not None and inference != fixed:
+            raise ValueError(f"{self.kind} needs inference {fixed.value!r}, got {inference.value!r}")
         if self.kind == "holdout" and self.n_train + self.n_valid != n_points:
             raise ValueError(f"holdout partitions must cover all {n_points} points")
         if self.kind == "jackknife" and n_points % self.k_folds != 0:
@@ -86,16 +123,13 @@ class EstimatorRequest:
         return self.label if self.label is not None else self.kind
 
     def to_json_dict(self) -> dict:
-        d: dict = {"kind": self.kind}
-        for key in ("n_train", "n_valid", "k_folds", "b_resamples", "label"):
-            value = getattr(self, key)
-            if value is not None:
-                d[key] = value
-        return d
+        return {key: value for key, value in asdict(self).items() if value is not None}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "EstimatorRequest":
         _reject_unknown_keys("estimator", d, cls)
+        if "kind" not in d:
+            raise ValueError("an estimator request needs a kind")
         return cls(**d)
 
 
@@ -149,7 +183,12 @@ class ExperimentConfig:
         if len(set(names)) != len(names):
             raise ValueError(f"estimator labels must be unique, got {names}")
         for request in self.estimators:
-            request.check_partition(self.n_points)
+            if request.kind == "evidence":
+                raise ValueError(
+                    "evidence keeps its classical sign and is no score; request delta under "
+                    "prior_predictive, whose value is exactly the negated log evidence"
+                )
+            request.check(self.inference, self.n_points)
 
     def to_json_dict(self) -> dict:
         return {
@@ -244,19 +283,35 @@ def run_estimator(
     build: PredictiveBuilder,
     measurement: DataSet,
     seed: int,
-) -> ScoreEstimate:
-    """Run one estimator request on a measurement: delta scores `predictive`,
-    which `build` made from the whole measurement (the other kinds ignore
-    it, so they may pass None); the partition estimators score their folds
-    through `build.score_folds`, with partitions drawn from `seed`."""
-    if request.kind == "delta":
+) -> ScoreEstimate | Criterion:
+    """Run one request on a measurement under the inference of `build`.
+
+    `predictive` is the one `build` made from the whole measurement, or None
+    to build it here when the kind needs it: delta scores it, AIC reads its
+    fit, and WAIC and DIC draw from its posterior.  The partition estimators
+    score their folds through `build.score_folds`.  `seed` draws the
+    partitions and the posterior samples.
+    """
+    request.check(build.inference, len(measurement))
+    kind = request.kind
+    if kind == "holdout":
+        return holdout_estimator(build, measurement, request.n_train, request.n_valid, seed)
+    if kind == "jackknife":
+        return jackknife_estimator(build, measurement, request.k_folds, seed)
+    if kind == "bootstrap":
+        return bootstrap_estimator(build, measurement, Bootstrap(b_resamples=request.b_resamples, seed=seed))
+    if kind == "evidence":
+        return evidence_criterion(build.prior, build.spec, measurement, build.include_y1_factor)
+    if predictive is None:
+        predictive = build(measurement)
+    if kind == "delta":
         return delta_estimator(predictive, measurement)
-    if request.kind == "holdout":
-        scheme = HoldOut(n_train=request.n_train, n_valid=request.n_valid, seed=seed)
-        return holdout_estimator(build, measurement, scheme)
-    if request.kind == "jackknife":
-        return jackknife_estimator(build, measurement, Jackknife(k_folds=request.k_folds, seed=seed))
-    return bootstrap_estimator(build, measurement, Bootstrap(b_resamples=request.b_resamples, seed=seed))
+    if kind == "aic":
+        return aic(predictive.fit, measurement, build.include_y1_factor)
+    samples = sample_posterior(predictive.params, request.n_samples, seed)
+    if kind == "waic":
+        return waic(samples, build.spec, measurement, build.include_y1_factor)
+    return dic(samples, posterior_mean(predictive.params), build.spec, measurement, build.include_y1_factor)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -281,9 +336,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             exact = _exact_score(config, predictive, oracle_seed)
         except (TooFewPoints, RankDeficient) as exc:
             for request in config.estimators:
-                rows.append(
-                    ReplicationRow(r, request.name, None, None, None, None, 0, failed=True, message=str(exc))
-                )
+                rows.append(ReplicationRow(r, request.name, None, None, None, None, 0, failed=True, message=str(exc)))
             continue
         if exact.std_error is not None:
             oracle_ses.append(exact.std_error)
@@ -291,23 +344,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             try:
                 est = run_estimator(request, predictive, build, measurement, int(sub[2 + j]))
             except (TooFewPoints, RankDeficient, AllResamplesDegenerate) as exc:
-                rows.append(
-                    ReplicationRow(
-                        r, request.name, None, None, exact.value, None, 0, failed=True, message=str(exc)
-                    )
-                )
-                continue
-            rows.append(
-                ReplicationRow(
-                    replication_id=r,
-                    estimator=request.name,
-                    estimate=est.value,
-                    std_error=est.std_error,
-                    exact=exact.value,
-                    error=est.value - exact.value,
-                    floor_engaged=est.floor_engaged + exact.floor_engaged,
-                )
-            )
+                row = ReplicationRow(r, request.name, None, None, exact.value, None, 0, failed=True, message=str(exc))
+            else:
+                error, floored = est.value - exact.value, est.floor_engaged + exact.floor_engaged
+                row = ReplicationRow(r, request.name, est.value, est.std_error, exact.value, error, floored)
+            rows.append(row)
     if all(row.failed for row in rows):
         raise RuntimeError("every estimator row failed; see row messages")
 
@@ -348,20 +389,8 @@ def emit_outputs(result: ExperimentResult, out_dir) -> None:
         with rows_path.open("w", encoding="utf-8", newline="") as f:
             f.write(",".join(ROWS_HEADER) + "\n")
             for row in result.rows:
-                f.write(
-                    ",".join(
-                        [
-                            str(row.replication_id),
-                            row.estimator,
-                            _fmt(row.estimate),
-                            _fmt(row.std_error),
-                            _fmt(row.exact),
-                            _fmt(row.error),
-                            str(row.floor_engaged),
-                        ]
-                    )
-                    + "\n"
-                )
+                numbers = map(_fmt, (row.estimate, row.std_error, row.exact, row.error))
+                f.write(",".join([str(row.replication_id), row.estimator, *numbers, str(row.floor_engaged)]) + "\n")
         with (out / "summary.csv").open("w", encoding="utf-8", newline="") as f:
             f.write(",".join(SUMMARY_HEADER) + "\n")
             for s in result.summary:

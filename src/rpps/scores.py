@@ -81,25 +81,6 @@ class CriterionKind(str, Enum):
 
 
 @dataclass(frozen=True)
-class HoldOut:
-    """Split into n_train training and n_valid validation points by a seeded
-    shuffle; sizes must add up to the measurement size."""
-
-    n_train: int
-    n_valid: int
-    seed: int = 0
-
-
-@dataclass(frozen=True)
-class Jackknife:
-    """K disjoint folds (contiguous blocks after one seeded shuffle); K must
-    divide the measurement size."""
-
-    k_folds: int
-    seed: int = 0
-
-
-@dataclass(frozen=True)
 class Bootstrap:
     """B resamples with replacement, validated on the out-of-bag points."""
 
@@ -142,13 +123,22 @@ class ScoreEstimate:
 @dataclass(frozen=True)
 class Criterion:
     """An information criterion value on the lower-is-better orientation
-    (log evidence and log odds keep their classical sign)."""
+    (log evidence and log odds keep their classical sign); `n_samples`
+    counts the posterior draws behind WAIC and DIC.  Like a delta estimate
+    it has no spread and engages no variance floor."""
 
     kind: CriterionKind
     value: float
+    n_samples: int | None = None
+
+    std_error = None
+    floor_engaged = 0
 
     def to_json_dict(self) -> dict:
-        return {"criterion": self.kind.value, "value": self.value}
+        record = {"criterion": self.kind.value, "value": self.value}
+        if self.n_samples is not None:
+            record["n_samples"] = self.n_samples
+        return record
 
 
 def _floored_predictive(predictive: Predictive) -> tuple[Predictive, int]:
@@ -341,25 +331,28 @@ def delta_estimator(predictive: Predictive, data: DataSet) -> ScoreEstimate:
     )
 
 
-def holdout_estimator(build: PredictiveBuilder, data: DataSet, scheme: HoldOut) -> ScoreEstimate:
-    """Fit on a seeded training partition, score the held-out partition,
-    and rescale by N / n_valid to the full measurement size."""
+def holdout_estimator(
+    build: PredictiveBuilder, data: DataSet, n_train: int, n_valid: int, seed: int = 0
+) -> ScoreEstimate:
+    """Fit on a seeded training partition of n_train points, score the
+    n_valid held-out points, and rescale by N / n_valid to the full
+    measurement size."""
     n = len(data)
-    if scheme.n_train + scheme.n_valid != n:
+    if n_train + n_valid != n:
         raise ValueError(f"n_train + n_valid must equal {n}")
-    if scheme.n_train < 1 or scheme.n_valid < 1:
+    if n_train < 1 or n_valid < 1:
         raise ValueError("both partitions need at least one point")
-    if scheme.n_train < build.min_train_size:
-        raise TooFewPoints(f"training partition of {scheme.n_train} below model minimum {build.min_train_size}")
+    if n_train < build.min_train_size:
+        raise TooFewPoints(f"training partition of {n_train} below model minimum {build.min_train_size}")
     # the head of the shuffled measurement trains, its tail validates
-    idx = np.random.default_rng(scheme.seed).permutation(n)
+    idx = np.random.default_rng(seed).permutation(n)
     shuffled = DataSet(data.y1[idx], data.y2[idx])
-    valid = np.arange(n)[None] >= scheme.n_train
-    log_density, floored, usable = build.score_folds(shuffled, np.arange(scheme.n_train)[None], valid)
+    valid = np.arange(n)[None] >= n_train
+    log_density, floored, usable = build.score_folds(shuffled, np.arange(n_train)[None], valid)
     if not usable[0]:
         raise RankDeficient("the training partition has a rank-deficient design matrix")
     return ScoreEstimate(
-        value=-(n / scheme.n_valid) * float(log_density[0]),
+        value=-(n / n_valid) * float(log_density[0]),
         std_error=None,
         estimator=EstimatorKind.HOLD_OUT,
         n_effective=1,
@@ -367,24 +360,23 @@ def holdout_estimator(build: PredictiveBuilder, data: DataSet, scheme: HoldOut) 
     )
 
 
-def jackknife_estimator(build: PredictiveBuilder, data: DataSet, scheme: Jackknife) -> ScoreEstimate:
-    """Sum the held-out log densities over K disjoint folds.
+def jackknife_estimator(build: PredictiveBuilder, data: DataSet, k_folds: int, seed: int = 0) -> ScoreEstimate:
+    """Sum the held-out log densities over k_folds disjoint folds.
 
     Folds are contiguous blocks after one seeded shuffle; no extra scaling
     is applied because the K folds cover every point exactly once.
     """
     n = len(data)
-    k = scheme.k_folds
-    if k < 1 or n % k != 0:
+    if k_folds < 1 or n % k_folds != 0:
         raise ValueError(f"k_folds must divide the measurement size {n}")
-    fold_size = n // k
+    fold_size = n // k_folds
     if n - fold_size < build.min_train_size:
         raise TooFewPoints(f"fold complements of {n - fold_size} below model minimum {build.min_train_size}")
-    idx = np.random.default_rng(scheme.seed).permutation(n)
-    in_fold = np.eye(k, dtype=bool).repeat(fold_size, axis=1)  # over positions of idx
-    train = np.broadcast_to(idx, (k, n))[~in_fold].reshape(k, n - fold_size)
-    valid = np.zeros((k, n), dtype=bool)
-    valid[np.arange(k)[:, None], idx.reshape(k, fold_size)] = True
+    idx = np.random.default_rng(seed).permutation(n)
+    in_fold = np.eye(k_folds, dtype=bool).repeat(fold_size, axis=1)  # over positions of idx
+    train = np.broadcast_to(idx, (k_folds, n))[~in_fold].reshape(k_folds, n - fold_size)
+    valid = np.zeros((k_folds, n), dtype=bool)
+    valid[np.arange(k_folds)[:, None], idx.reshape(k_folds, fold_size)] = True
     log_density, floored, usable = build.score_folds(data, train, valid)
     if not usable.all():
         raise RankDeficient(f"fold complement {np.argmin(usable)} has a rank-deficient design matrix")
@@ -392,7 +384,7 @@ def jackknife_estimator(build: PredictiveBuilder, data: DataSet, scheme: Jackkni
         value=-float(np.sum(log_density)),
         std_error=None,
         estimator=EstimatorKind.JACKKNIFE,
-        n_effective=k,
+        n_effective=k_folds,
         floor_engaged=int(np.count_nonzero(floored)),
     )
 
@@ -474,7 +466,7 @@ def waic(
     s_count = loglik.shape[0]
     lppd = float(np.sum(logsumexp(loglik, axis=0) - math.log(s_count)))
     penalty = float(np.sum(np.var(loglik, axis=0, ddof=1)))
-    return Criterion(kind=CriterionKind.WAIC, value=-(lppd - penalty))
+    return Criterion(kind=CriterionKind.WAIC, value=-(lppd - penalty), n_samples=s_count)
 
 
 def dic(
@@ -498,7 +490,8 @@ def dic(
     loglik = _pointwise_loglik(posterior_samples, spec, data, include_y1_factor)
     at_hat = _pointwise_loglik(point_estimate, spec, data, include_y1_factor)[0]
     penalty = 2.0 * float(np.sum(at_hat - np.mean(loglik, axis=0)))
-    return Criterion(kind=CriterionKind.DIC, value=-(float(np.sum(at_hat)) - penalty))
+    value = -(float(np.sum(at_hat)) - penalty)
+    return Criterion(kind=CriterionKind.DIC, value=value, n_samples=len(posterior_samples))
 
 
 def log_odds(evidence_a: Criterion, evidence_b: Criterion) -> Criterion:

@@ -29,9 +29,7 @@ from rpps.datagen import DataSet, GeneratorSpec, sample_dataset
 from rpps.harness import ExperimentConfig, run_experiment
 from rpps.linmodel import FitResult, ModelSpec, fit_mle, plugin_log_predictive
 from rpps.scores import (
-    HoldOut,
     InferenceKind,
-    Jackknife,
     PredictiveBuilder,
     delta_estimator,
     dic,
@@ -177,7 +175,7 @@ def test_criterion_5_jackknife_loo_identity():
     truth = GeneratorSpec(1, (0.1, 0.9), 0.5)
     data = sample_dataset(truth, n=12, seed=13)
     build = PredictiveBuilder(InferenceKind.MLE, ModelSpec(1))
-    est = jackknife_estimator(build, data, Jackknife(k_folds=12, seed=3))
+    est = jackknife_estimator(build, data, k_folds=12, seed=3)
     explicit = 0.0
     for i in range(12):
         rest = [j for j in range(12) if j != i]
@@ -281,8 +279,8 @@ def test_criterion_9_score_difference_invariance():
         return {
             "delta_plugin": delta_estimator(plugin, data).value,
             "delta_prior": delta_estimator(prior_pred, data).value,
-            "holdout": holdout_estimator(build, data, HoldOut(6, 6, seed=2)).value,
-            "jackknife": jackknife_estimator(build, data, Jackknife(6, seed=2)).value,
+            "holdout": holdout_estimator(build, data, 6, 6, seed=2).value,
+            "jackknife": jackknife_estimator(build, data, 6, seed=2).value,
             "exact_quadrature": exact_score_quadrature(truth, plugin, n_points=n).value,
         }
 

@@ -1,6 +1,9 @@
+import csv
 import json
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rpps.cli import main
@@ -82,6 +85,19 @@ class TestFit:
             main(["fit", "--data", str(bad), "--model", str(model_file)])
         assert str(exc.value.code).startswith("error: cannot read dataset")
         assert "line 3: expected 2 fields, got 1" in str(exc.value.code)
+        bad.write_text("y1,y2\n0.1,abc\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--data", str(bad), "--model", str(model_file)])
+        assert str(exc.value.code).startswith("error: cannot read dataset")
+        assert "line 2: could not convert string to float: 'abc'" in str(exc.value.code)
+
+    def test_y1_outside_support_is_a_read_error(self, tmp_path, model_file):
+        bad = tmp_path / "outside.csv"
+        bad.write_text("y1,y2\n2.0,0.2\n0.3,0.1\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--data", str(bad), "--model", str(model_file)])
+        assert str(exc.value.code).startswith("error: cannot read dataset")
+        assert "line 2: y1 = 2.0 lies outside [-1, 1]" in str(exc.value.code)
 
 
 class TestScore:
@@ -106,6 +122,9 @@ class TestScore:
         assert ev["value"] == -delta["value"]
         direct = evidence_criterion(default_prior(ModelSpec(0)), ModelSpec(0), read_dataset_csv(data_file))
         assert ev["value"] == direct.value
+        # the evidence's own inference may be named; it is the default
+        named = {"kind": "evidence", "inference": "prior_predictive"}
+        assert self._run(data_file, model_file, tmp_path, [named], capsys) == [ev]
 
     def test_full_request_set(self, data_file, model_file, tmp_path, capsys):
         records = self._run(
@@ -147,8 +166,14 @@ class TestScore:
             {"kind": "holdout", "n_train": 6, "n_valid": 5},  # does not cover N
             {"kind": "delta", "inference": "maximum_likelihood"},
             {"kind": "delta", "seed": -1},
-            {"kind": "evidence", "inference": "mle"},  # criteria take no inference
+            {"kind": "evidence", "inference": "mle"},  # a criterion has one inference
+            {"kind": "aic", "inference": "posterior_predictive"},
+            {"kind": "waic", "inference": "mle"},
+            {"kind": "dic", "inference": "prior_predictive"},
             {"kind": "waic", "n_samples": 1},
+            {"kind": "aic", "k_folds": 6},  # a field the kind does not use
+            {"kind": "aic", "n_samples": 5},
+            {"kind": "delta", "k_folds": 5, "b_resamples": 3},
             {"k_folds": 6},
         ],
     )
@@ -157,6 +182,27 @@ class TestScore:
 
     def test_requests_validated_before_any_record(self, data_file, model_file, tmp_path, capsys):
         self._usage_error(data_file, model_file, tmp_path, [{"kind": "delta"}, {"kind": "bootstrap"}], capsys)
+
+    def test_y1_outside_support_is_a_read_error(self, tmp_path, model_file):
+        bad = tmp_path / "outside.csv"
+        bad.write_text("y1,y2\n2.0,0.2\n0.3,0.1\n")
+        est = tmp_path / "est.json"
+        est.write_text(json.dumps([{"kind": "evidence"}]))
+        with pytest.raises(SystemExit) as exc:
+            main(["score", "--data", str(bad), "--model", str(model_file), "--estimators", str(est)])
+        assert str(exc.value.code).startswith("error: cannot read dataset")
+        assert "line 2: y1 = 2.0 lies outside [-1, 1]" in str(exc.value.code)
+
+    def test_readme_example_requests_run(self, data_file, model_file, tmp_path, capsys):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"`requests\.json` holds [^\n]*\n\n```json\n(.*?)```", readme, re.DOTALL)
+        assert block is not None, "README.md lost its requests.json example"
+        requests = json.loads(block.group(1))
+        records = self._run(data_file, model_file, tmp_path, requests, capsys)
+        assert len(records) == len(requests)
+        for request, record in zip(requests, records):
+            name = record.get("estimator", record.get("criterion"))
+            assert name == {"evidence": "log_evidence"}.get(request["kind"], request["kind"])
 
 
 class TestExperiment:
@@ -222,6 +268,60 @@ class TestExperiment:
         with pytest.raises(SystemExit) as exc:
             main(["experiment", "--config", str(path), "--dry-run"])
         assert "bad experiment config" in str(exc.value.code) and complaint in str(exc.value.code)
+
+    @pytest.mark.parametrize(
+        ("inference", "kind"),
+        [
+            ("posterior_predictive", "aic"),
+            ("mle", "waic"),
+            ("prior_predictive", "waic"),
+            ("mle", "dic"),
+            ("prior_predictive", "dic"),
+            ("mle", "evidence"),
+            ("prior_predictive", "evidence"),
+            ("posterior_predictive", "evidence"),
+        ],
+    )
+    def test_dry_run_rejects_criterion_under_another_inference(self, tmp_path, inference, kind):
+        path = self._write_config(tmp_path, inference=inference, estimators=[{"kind": kind}])
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "--config", str(path), "--dry-run"])
+        message = str(exc.value.code)
+        assert "bad experiment config" in message
+        if kind == "evidence":
+            assert "request delta under prior_predictive" in message
+        else:
+            assert f"{kind} needs inference" in message
+
+    @pytest.mark.parametrize(
+        ("inference", "estimators"),
+        [
+            ("mle", [{"kind": "aic"}]),
+            ("posterior_predictive", [{"kind": "waic", "n_samples": 200}, {"kind": "dic", "n_samples": 200}]),
+        ],
+    )
+    def test_criterion_row_equals_score_record(self, tmp_path, model_file, capsys, inference, estimators):
+        path = self._write_config(tmp_path, replications=2, inference=inference, estimators=estimators)
+        out_dir = tmp_path / "out"
+        assert main(["experiment", "--config", str(path), "--out", str(out_dir)]) == 0
+        with (out_dir / "rows.csv").open() as f:
+            rows = {(row["replication_id"], row["estimator"]): row for row in csv.DictReader(f)}
+        config = ExperimentConfig.from_json_file(path)
+        for r, child in enumerate(np.random.SeedSequence(config.seed).spawn(config.replications)):
+            # the harness's seeds: data, oracle, then one per request
+            seeds = [int(s) for s in child.generate_state(2 + len(estimators), dtype=np.uint64)]
+            data = tmp_path / f"rep{r}.csv"
+            write_dataset_csv(sample_dataset(config.truth, config.n_points, seeds[0]), data)
+            requests = tmp_path / f"rep{r}.json"
+            requests.write_text(json.dumps([dict(e, seed=seeds[2 + j]) for j, e in enumerate(estimators)]))
+            capsys.readouterr()
+            args = ["score", "--data", str(data), "--model", str(model_file), "--estimators", str(requests)]
+            assert main(args) == 0
+            records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+            for request, record in zip(estimators, records, strict=True):
+                row = rows[(str(r), request["kind"])]
+                assert float(row["estimate"]) == record["value"]
+                assert row["std_error"] == "" and row["floor_engaged"] == "0"
 
     def test_run_writes_outputs_and_prints_summary(self, tmp_path, capsys):
         path = self._write_config(tmp_path)

@@ -161,3 +161,21 @@ class TestCsvRoundTrip:
         path = tmp_path / "blank.csv"
         path.write_text("y1,y2\n0.1,0.2\n\n0.3,0.4\n\n")
         assert read_dataset_csv(path) == DataSet([0.1, 0.3], [0.2, 0.4])
+
+    def test_names_the_line_of_a_non_numeric_field(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("y1,y2\n0.1,0.2\n0.3,abc\n")
+        with pytest.raises(ValueError, match="line 3: could not convert string to float: 'abc'"):
+            read_dataset_csv(path)
+
+    @pytest.mark.parametrize("y1", ["2.0", "-1.0000001", "nan", "inf"])
+    def test_rejects_y1_outside_support(self, tmp_path, y1):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"y1,y2\n0.3,0.1\n{y1},0.2\n")
+        with pytest.raises(OutsideSupport, match="line 3: y1 = .* lies outside"):
+            read_dataset_csv(path)
+
+    def test_support_bounds_are_inside(self, tmp_path):
+        path = tmp_path / "edge.csv"
+        path.write_text("y1,y2\n-1.0,0.2\n1.0,0.4\n")
+        assert read_dataset_csv(path) == DataSet([-1.0, 1.0], [0.2, 0.4])

@@ -1,11 +1,13 @@
 import csv
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rpps import harness
-from rpps.datagen import GeneratorSpec
+from rpps.datagen import GeneratorSpec, sample_dataset
 from rpps.harness import (
     EstimatorRequest,
     ExperimentConfig,
@@ -15,10 +17,13 @@ from rpps.harness import (
     SUMMARY_HEADER,
     emit_outputs,
     quantiles,
+    run_estimator,
     run_experiment,
 )
 from rpps.linmodel import ModelSpec
+from rpps.scores import PredictiveBuilder
 
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 MISFIT_TRUTH = GeneratorSpec(degree=4, coeffs=(0.5, -3.0, -4.0, 3.0, 6.0), sigma=0.5)
 
 
@@ -101,9 +106,56 @@ class TestConfig:
             {"kind": "bootstrap", "b_resamples": 0},
             {"kind": "holdout", "n_train": 0, "n_valid": 12},
             {"kind": "holdout", "n_train": 12, "n_valid": 0},
+            {"kind": "waic", "n_samples": 1},
+            {"kind": "dic", "n_samples": 2.5},
+            {"k_folds": 6},
+            {"kind": ["delta"]},
         ):
             with pytest.raises(ValueError):
                 EstimatorRequest.from_json_dict(fields)
+        # a field of the schema that the kind does not use is an error
+        for fields, complaint in (
+            ({"kind": "delta", "k_folds": 5, "b_resamples": 3}, "delta takes no k_folds"),
+            ({"kind": "holdout", "n_train": 6, "n_valid": 6, "k_folds": 2}, "holdout takes no k_folds"),
+            ({"kind": "jackknife", "k_folds": 6, "n_samples": 10}, "jackknife takes no n_samples"),
+            ({"kind": "bootstrap", "b_resamples": 9, "n_valid": 3}, "bootstrap takes no n_valid"),
+            ({"kind": "aic", "k_folds": 6}, "aic takes no k_folds"),
+            ({"kind": "aic", "n_samples": 5}, "aic takes no n_samples"),
+            ({"kind": "evidence", "n_samples": 5}, "evidence takes no n_samples"),
+            ({"kind": "waic", "b_resamples": 5}, "waic takes no b_resamples"),
+            ({"kind": "jackknife"}, "jackknife needs k_folds"),
+            ({"kind": "bootstrap"}, "bootstrap needs b_resamples"),
+        ):
+            with pytest.raises(ValueError, match=complaint):
+                EstimatorRequest.from_json_dict(fields)
+
+    def test_n_samples_defaults_for_waic_and_dic_only(self):
+        for kind in ("waic", "dic"):
+            request = EstimatorRequest(kind=kind)
+            assert request.n_samples == 1000
+            assert request.to_json_dict() == {"kind": kind, "n_samples": 1000}
+            assert EstimatorRequest.from_json_dict(request.to_json_dict()) == request
+        assert EstimatorRequest(kind="aic").n_samples is None
+
+    @pytest.mark.parametrize(
+        ("inference", "kind"),
+        [
+            (InferenceKind.POSTERIOR_PREDICTIVE, "aic"),
+            (InferenceKind.PRIOR_PREDICTIVE, "aic"),
+            (InferenceKind.MLE, "waic"),
+            (InferenceKind.PRIOR_PREDICTIVE, "waic"),
+            (InferenceKind.MLE, "dic"),
+            (InferenceKind.PRIOR_PREDICTIVE, "dic"),
+        ],
+    )
+    def test_criterion_needs_its_inference(self, inference, kind):
+        with pytest.raises(ValueError, match=f"{kind} needs inference"):
+            _config(inference=inference, estimators=(EstimatorRequest(kind=kind),))
+
+    @pytest.mark.parametrize("inference", list(InferenceKind))
+    def test_evidence_is_no_experiment_estimator(self, inference):
+        with pytest.raises(ValueError, match="request delta under prior_predictive"):
+            _config(inference=inference, estimators=(EstimatorRequest(kind="evidence"),))
 
 
 class TestRunExperiment:
@@ -214,6 +266,43 @@ class TestRunExperiment:
         )
         result = run_experiment(config)
         assert all(not r.failed for r in result.rows)
+
+
+class TestCriterionRows:
+    def test_criterion_rows_have_value_and_no_spread(self):
+        config = _config(
+            inference=InferenceKind.POSTERIOR_PREDICTIVE,
+            estimators=(EstimatorRequest("waic", n_samples=50), EstimatorRequest("dic", n_samples=50)),
+            oracle=OracleConfig(mc_datasets=200, quadrature=True),
+            replications=3,
+        )
+        result = run_experiment(config)
+        assert len(result.rows) == 6
+        for row in result.rows:
+            assert not row.failed and np.isfinite(row.estimate)
+            assert row.std_error is None and row.floor_engaged == 0
+            assert row.error == row.estimate - row.exact
+
+    def test_run_estimator_rejects_a_criterion_of_another_inference(self):
+        config = _config()
+        build = PredictiveBuilder(InferenceKind.POSTERIOR_PREDICTIVE, config.model)
+        data = sample_dataset(config.truth, 12, 0)
+        with pytest.raises(ValueError, match="aic needs inference 'mle'"):
+            run_estimator(EstimatorRequest(kind="aic"), None, build, data, 0)
+
+    def test_appending_a_request_keeps_earlier_rows(self, tmp_path):
+        # replication r draws request j's seed from generate_state(2 + J)[2 + j];
+        # a longer state has the shorter one as its prefix
+        shipped = ExperimentConfig.from_json_file(CONFIG_DIR / "misfit.json")
+        assert shipped.inference == InferenceKind.MLE
+        extended = replace(shipped, estimators=shipped.estimators + (EstimatorRequest(kind="aic"),))
+        emit_outputs(run_experiment(shipped), tmp_path / "shipped")
+        emit_outputs(run_experiment(extended), tmp_path / "extended")
+        before = (tmp_path / "shipped" / "rows.csv").read_bytes().splitlines(keepends=True)
+        after = (tmp_path / "extended" / "rows.csv").read_bytes().splitlines(keepends=True)
+        kept = [line for line in after if line.split(b",")[1] != b"aic"]
+        assert b"".join(kept) == b"".join(before)
+        assert len(after) - len(kept) == shipped.replications
 
 
 class TestEmitOutputs:

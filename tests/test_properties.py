@@ -15,9 +15,7 @@ from rpps.linmodel import ModelSpec, RankDeficient, TooFewPoints, _least_squares
 from rpps.scores import (
     AllResamplesDegenerate,
     Bootstrap,
-    HoldOut,
     InferenceKind,
-    Jackknife,
     PredictiveBuilder,
     bootstrap_estimator,
     holdout_estimator,
@@ -56,7 +54,7 @@ def _held_out_log_density(kind, spec, data, train, valid):
 def test_full_jackknife_is_explicit_leave_one_out(seed, degree, kind):
     _, spec, data = _case(seed, degree)
     n = len(data)
-    est = jackknife_estimator(PredictiveBuilder(kind, spec), data, Jackknife(k_folds=n, seed=seed))
+    est = jackknife_estimator(PredictiveBuilder(kind, spec), data, k_folds=n, seed=seed)
     explicit = -sum(
         _held_out_log_density(kind, spec, data, np.delete(np.arange(n), i), np.array([i])) for i in range(n)
     )
@@ -73,7 +71,7 @@ def test_jackknife_is_explicit_folds(seed, degree, kind):
     ks = [k for k in range(2, n) if n % k == 0 and n - n // k >= build.min_train_size]
     assume(ks)
     k = ks[int(rng.integers(len(ks)))]
-    est = jackknife_estimator(build, data, Jackknife(k_folds=k, seed=seed))
+    est = jackknife_estimator(build, data, k_folds=k, seed=seed)
     folds = np.random.default_rng(seed).permutation(n).reshape(k, n // k)
     explicit = -sum(
         _held_out_log_density(kind, spec, data, np.setdiff1d(np.arange(n), fold), fold) for fold in folds
@@ -123,7 +121,7 @@ def test_holdout_is_explicit_split(seed, degree, kind):
     n = len(data)
     build = PredictiveBuilder(kind, spec)
     n_train = int(rng.integers(max(build.min_train_size, 1), n))
-    est = holdout_estimator(build, data, HoldOut(n_train, n - n_train, seed=seed))
+    est = holdout_estimator(build, data, n_train, n - n_train, seed=seed)
     idx = np.random.default_rng(seed).permutation(n)
     explicit = -(n / (n - n_train)) * _held_out_log_density(kind, spec, data, idx[:n_train], idx[n_train:])
     assert est.value == pytest.approx(explicit, rel=1e-9, abs=1e-9)

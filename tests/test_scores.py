@@ -21,9 +21,7 @@ from rpps.scores import (
     Bootstrap,
     DegeneratePosterior,
     EstimatorKind,
-    HoldOut,
     InferenceKind,
-    Jackknife,
     NotFactorizing,
     PredictiveBuilder,
     aic,
@@ -150,21 +148,21 @@ class TestDeltaEstimator:
 class TestHoldout:
     def test_six_six_split_on_twelve_points(self):
         data = sample_dataset(QUARTIC, n=12, seed=10)
-        est = holdout_estimator(_mle(0), data, HoldOut(6, 6, seed=1))
+        est = holdout_estimator(_mle(0), data, 6, 6, seed=1)
         assert np.isfinite(est.value)
         assert est.estimator == EstimatorKind.HOLD_OUT and est.n_effective == 1
 
     def test_partition_must_cover_measurement(self):
         data = sample_dataset(QUARTIC, n=12, seed=10)
         with pytest.raises(ValueError):
-            holdout_estimator(_mle(0), data, HoldOut(5, 6, seed=1))
+            holdout_estimator(_mle(0), data, 5, 6, seed=1)
         with pytest.raises(ValueError):
-            holdout_estimator(_mle(0), data, HoldOut(12, 0, seed=1))
+            holdout_estimator(_mle(0), data, 12, 0, seed=1)
 
     def test_training_below_model_minimum(self):
         data = sample_dataset(QUARTIC, n=12, seed=10)
         with pytest.raises(TooFewPoints):
-            holdout_estimator(_mle(4), data, HoldOut(5, 7, seed=1))
+            holdout_estimator(_mle(4), data, 5, 7, seed=1)
 
     def test_degenerate_fit_engages_floor(self):
         # exact polynomial data: the training fit interpolates, sigma2 -> 0,
@@ -172,16 +170,16 @@ class TestHoldout:
         y1 = np.linspace(-0.9, 0.9, 12)
         y2 = np.polynomial.polynomial.polyval(y1, [0.3, -1.0, 0.5, 0.2, -0.4])
         data = DataSet(y1, y2)
-        est = holdout_estimator(_mle(4), data, HoldOut(6, 6, seed=0))
+        est = holdout_estimator(_mle(4), data, 6, 6, seed=0)
         assert np.isfinite(est.value)
         assert est.floor_engaged >= 1
 
     def test_deterministic_under_seed(self):
         data = sample_dataset(QUARTIC, n=12, seed=10)
         build = _mle(0)
-        a = holdout_estimator(build, data, HoldOut(6, 6, seed=4))
-        b = holdout_estimator(build, data, HoldOut(6, 6, seed=4))
-        c = holdout_estimator(build, data, HoldOut(6, 6, seed=5))
+        a = holdout_estimator(build, data, 6, 6, seed=4)
+        b = holdout_estimator(build, data, 6, 6, seed=4)
+        c = holdout_estimator(build, data, 6, 6, seed=5)
         assert a.value == b.value
         assert a.value != c.value
 
@@ -190,7 +188,7 @@ class TestJackknife:
     def test_loo_identity_on_plugin(self):
         truth = GeneratorSpec(degree=1, coeffs=(0.1, 0.9), sigma=0.5)
         data = sample_dataset(truth, n=9, seed=4)
-        est = jackknife_estimator(_mle(1), data, Jackknife(k_folds=9, seed=3))
+        est = jackknife_estimator(_mle(1), data, k_folds=9, seed=3)
         explicit = 0.0
         for i in range(9):
             rest = [j for j in range(9) if j != i]
@@ -200,29 +198,28 @@ class TestJackknife:
 
     def test_six_folds_of_two_on_twelve_points(self):
         data = sample_dataset(QUARTIC, n=12, seed=12)
-        est = jackknife_estimator(_mle(0), data, Jackknife(k_folds=6, seed=0))
+        est = jackknife_estimator(_mle(0), data, k_folds=6, seed=0)
         assert est.n_effective == 6
         assert np.isfinite(est.value)
 
     def test_fold_count_must_divide(self):
         data = sample_dataset(QUARTIC, n=12, seed=12)
         with pytest.raises(ValueError):
-            jackknife_estimator(_mle(0), data, Jackknife(k_folds=5, seed=0))
+            jackknife_estimator(_mle(0), data, k_folds=5, seed=0)
 
     def test_complement_below_minimum(self):
         data = sample_dataset(QUARTIC, n=8, seed=12)
         with pytest.raises(TooFewPoints):
-            jackknife_estimator(_mle(4), data, Jackknife(k_folds=2, seed=0))
+            jackknife_estimator(_mle(4), data, k_folds=2, seed=0)
 
     def test_order_and_seed_determinism(self):
         data = sample_dataset(QUARTIC, n=12, seed=12)
         build = _mle(0)
-        scheme = Jackknife(k_folds=6, seed=9)
-        a = jackknife_estimator(build, data, scheme)
-        b = jackknife_estimator(build, data, scheme)
+        a = jackknife_estimator(build, data, k_folds=6, seed=9)
+        b = jackknife_estimator(build, data, k_folds=6, seed=9)
         assert a.value == b.value
         shuffled = data.subset(np.random.default_rng(1).permutation(12))
-        c = jackknife_estimator(build, shuffled, scheme)
+        c = jackknife_estimator(build, shuffled, k_folds=6, seed=9)
         assert c.value != a.value  # fold membership changed
 
 
@@ -296,7 +293,7 @@ class TestUnusableFold:
 
     def test_jackknife_raises(self):
         with pytest.raises(RankDeficient):
-            jackknife_estimator(_mle(1), self.DATA, Jackknife(k_folds=4, seed=0))
+            jackknife_estimator(_mle(1), self.DATA, k_folds=4, seed=0)
 
     def test_bootstrap_skips_the_resample(self):
         est = bootstrap_estimator(_mle(1), self.DATA, Bootstrap(b_resamples=100, seed=0))
@@ -459,11 +456,11 @@ class TestScoreDifferenceInvariance:
     def test_holdout_and_jackknife_shift_by_n_log2(self):
         data = sample_dataset(QUARTIC, n=12, seed=19)
         n_log2 = 12 * math.log(2.0)
-        h_with = holdout_estimator(_mle(0, True), data, HoldOut(6, 6, seed=2))
-        h_without = holdout_estimator(_mle(0, False), data, HoldOut(6, 6, seed=2))
+        h_with = holdout_estimator(_mle(0, True), data, 6, 6, seed=2)
+        h_without = holdout_estimator(_mle(0, False), data, 6, 6, seed=2)
         assert h_with.value - h_without.value == pytest.approx(n_log2, rel=1e-12)
-        j_with = jackknife_estimator(_mle(0, True), data, Jackknife(6, seed=2))
-        j_without = jackknife_estimator(_mle(0, False), data, Jackknife(6, seed=2))
+        j_with = jackknife_estimator(_mle(0, True), data, 6, seed=2)
+        j_without = jackknife_estimator(_mle(0, False), data, 6, seed=2)
         assert j_with.value - j_without.value == pytest.approx(n_log2, rel=1e-12)
 
 
