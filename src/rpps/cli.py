@@ -8,6 +8,7 @@ RPPS_SEED for --seed).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -16,6 +17,7 @@ from pathlib import Path
 from .datagen import DataSet, GeneratorSpec, read_dataset_csv, sample_dataset, write_dataset_csv
 from .harness import (
     CRITERION_INFERENCE,
+    WHOLE_MEASUREMENT_KINDS,
     EstimatorRequest,
     ExperimentConfig,
     emit_outputs,
@@ -24,7 +26,7 @@ from .harness import (
     run_experiment,
 )
 from .linmodel import ModelSpec, fit_mle
-from .scores import PredictiveBuilder
+from .scores import InferenceKind, PredictiveBuilder
 
 ENV_PREFIX = "RPPS_"
 
@@ -117,11 +119,14 @@ def _usage_error(message: str) -> SystemExit:
     return SystemExit(2)
 
 
-def _parse_request(raw, model: ModelSpec, data: DataSet):
+def _parse_request(raw, model: ModelSpec, data: DataSet, builders: dict):
     """Validate one score request; return a function of no arguments that
     computes its record.  A request is an EstimatorRequest plus the
     score-only `seed` and `inference` keys; a criterion's inference
-    defaults to the one it approximates, any other kind's to `mle`."""
+    defaults to the one it approximates, any other kind's to `mle`.
+    `builders` maps each inference to its builder and to the one predictive
+    it builds from the whole measurement, on first need, for every request
+    that reads it."""
     if not isinstance(raw, dict):
         raise ValueError(f"a request must be a JSON object, got {raw!r}")
     fields = dict(raw)
@@ -129,11 +134,18 @@ def _parse_request(raw, model: ModelSpec, data: DataSet):
     require_count("seed", seed, minimum=0)
     inference = fields.pop("inference", None)
     request = EstimatorRequest.from_json_dict(fields)
-    if inference is None:
-        inference = CRITERION_INFERENCE.get(request.kind, "mle")
-    build = PredictiveBuilder(inference, model)
+    inference = InferenceKind(CRITERION_INFERENCE.get(request.kind, "mle") if inference is None else inference)
+    if inference not in builders:
+        build = PredictiveBuilder(inference, model)
+        builders[inference] = build, functools.cache(lambda: build(data))
+    build, whole = builders[inference]
     request.check(build.inference, len(data))
-    return lambda: run_estimator(request, None, build, data, seed).to_json_dict()
+
+    def score() -> dict:
+        predictive = whole() if request.kind in WHOLE_MEASUREMENT_KINDS else None
+        return run_estimator(request, predictive, build, data, seed).to_json_dict()
+
+    return score
 
 
 def cmd_score(args: argparse.Namespace) -> int:
@@ -146,8 +158,9 @@ def cmd_score(args: argparse.Namespace) -> int:
     requests = raw.get("requests") if isinstance(raw, dict) else raw
     if not isinstance(requests, list) or not requests:
         raise SystemExit(f"error: estimator config {est_path!r} must hold a nonempty list of requests")
+    builders: dict = {}
     try:
-        scorers = [_parse_request(request, model, data) for request in requests]
+        scorers = [_parse_request(request, model, data, builders) for request in requests]
     except ValueError as exc:
         raise _usage_error(f"bad request in {est_path!r}: {exc}")
     for score in scorers:

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import gammaln
 
-from .datagen import LOG_HALF, DataSet
+from .datagen import LOG_HALF, DataSet, horner
 from .linmodel import FitResult, ModelSpec, plugin_log_predictive
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -114,37 +114,37 @@ def default_prior(spec: ModelSpec) -> NormalGammaParams:
     return NormalGammaParams(mu=np.zeros(p), lam=0.001 * np.eye(p), alpha=0.5, beta=0.5)
 
 
-def _cho_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve (L L^T) x = b for stacked lower Cholesky factors L (R, p, p) and
-    right-hand sides b (R, p): forward then back substitution, one column
-    at a time across the stack, on L with its rows scaled to a unit
-    diagonal (L = D U, so L^T = U^T D)."""
-    d = chol.diagonal(axis1=1, axis2=2)
-    unit = chol / d[..., None]
-    x = b / d
-    p = b.shape[1]
-    for i in range(p - 1):  # U z = D^-1 b, so z = L^-1 b
-        x[:, i + 1 :] -= unit[:, i + 1 :, i] * x[:, i, None]
-    for i in range(p - 1, 0, -1):  # U^T w = z, then x = D^-1 w
-        x[:, :i] -= unit[:, i, :i] * x[:, i, None]
-    return x / d
+# Datasets per block of each pass over the data: numpy's per-call cost is
+# spread over many rows while a block's powers (1.4 MB at degree 4 and 12
+# points) stay in cache.
+_BLOCK = 1024
 
 
-def _update(
+def _kernel(
     params: NormalGammaParams, spec: ModelSpec, y1: np.ndarray, y2: np.ndarray, weights: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The conjugate update of `params` by each of R datasets of n points,
-    given as (R, n) arrays; returns the stacked (lam', chol(lam'), mu', beta').
+    given as (R, n) arrays; returns the stacked (power sums, log det lam',
+    mu', beta').
 
     lam' = lam + Phi^T W Phi, mu' = lam'^-1 (lam mu + Phi^T W t),
     alpha' = alpha + sum(W)/2 (left to callers), and beta' grows by half the
     fitted weighted residual sum of squares plus a prior-shrinkage term, a
     rearrangement of (t^T W t + mu^T lam mu - mu'^T lam' mu')/2 that is
     positive by construction.  W holds the optional (R, n) per-point
-    `weights` (point multiplicities; None means one each).  The Gram
-    matrices and right-hand sides are stacked matmuls and mu' comes from
-    substitution on the Cholesky factor.  A weighted Gram matrix (W Phi)^T
-    Phi is symmetric only to rounding, so its two triangles are averaged.
+    `weights` (point multiplicities; None means one each).
+
+    On the monomial basis Phi^T W Phi is a Hankel matrix: entry (j, k) is
+    the power sum S[j + k] = sum(w y1^(j+k)), so the (2p - 1, R) power sums
+    describe it whole.  The powers w y1^m come from running products, the
+    right-hand sides sum(w t y1^k) reuse the first p of them, and one matvec
+    per block of `_BLOCK` datasets sums them all.  The p x p algebra runs
+    with the stack on the last axis: a column-by-column Cholesky of lam'
+    carries the right-hand side as an extra row, which so becomes L^-1 rhs;
+    back substitution gives mu', and the diagonal gives log det lam'.  A
+    second pass over the blocks sums the weighted squared residuals, the fit
+    evaluated by Horner's rule.  A pivot that is not positive (or is NaN)
+    raises LinAlgError.
     """
     y1 = np.asarray(y1, dtype=float)
     y2 = np.asarray(y2, dtype=float)
@@ -152,23 +152,64 @@ def _update(
         raise ValueError("expected matching (R, n) arrays")
     if params.p != spec.n_coeffs:
         raise ValueError("prior dimension does not match model degree")
-    phi = spec.design_matrix(y1)
-    wphi_t = np.swapaxes(phi if weights is None else phi * weights[..., None], 1, 2)
-    lam_n = params.lam + wphi_t @ phi
-    if weights is not None:
-        lam_n = 0.5 * (lam_n + np.swapaxes(lam_n, 1, 2))
-    rhs = params.lam @ params.mu + (wphi_t @ y2[..., None])[..., 0]
-    chol = np.linalg.cholesky(lam_n)
-    mu_n = _cho_solve(chol, rhs)
-    resid = y2 - (phi @ mu_n[..., None])[..., 0]
-    wresid = resid if weights is None else resid * weights
-    shift = mu_n - params.mu
-    beta_n = (
-        params.beta
-        + 0.5 * np.einsum("rn,rn->r", wresid, resid)
-        + 0.5 * ((shift @ params.lam) * shift).sum(axis=1)
-    )
-    return lam_n, chol, mu_n, beta_n
+    p, (r, n) = params.p, y1.shape
+    n_pow = 2 * p - 1
+    ones = np.ones(n)
+    buf = np.empty((n_pow + p) * min(r, _BLOCK) * n)
+    sums = np.empty((n_pow + p, r))  # the power sums, then the right-hand sides
+    for start in range(0, r, _BLOCK):
+        blk = slice(start, start + _BLOCK)
+        x = y1[blk]
+        powers = buf[: (n_pow + p) * x.size].reshape(n_pow + p, *x.shape)
+        powers[0] = 1.0 if weights is None else weights[blk]
+        for m in range(1, n_pow):
+            np.multiply(powers[m - 1], x, out=powers[m])
+        np.multiply(powers[:p], y2[blk], out=powers[n_pow:])
+        sums[:, blk] = (powers.reshape(-1, n) @ ones).reshape(n_pow + p, -1)
+
+    chol = np.empty((p + 1, p, r))  # L[i, j] at i >= j; row p ends as L^-1 rhs
+    np.add((params.lam @ params.mu)[:, None], sums[n_pow:], out=chol[p])
+    for j in range(p):
+        col = chol[j:, j]
+        np.add(params.lam[j:, j, None], sums[2 * j : j + p], out=col[:-1])
+        if j:
+            col -= np.einsum("ikr,kr->ir", chol[j:, :j], chol[j, :j])
+        pivot = col[0]
+        if not pivot.min() > 0:
+            raise np.linalg.LinAlgError("the updated precision is not positive definite")
+        np.sqrt(pivot, out=pivot)
+        col[1:] /= pivot
+    diag = chol[:p].diagonal(axis1=0, axis2=1).T
+    mu_n = chol[p].copy()
+    mu_n[p - 1] /= diag[p - 1]
+    for i in range(p - 1, 0, -1):  # L^T mu' = L^-1 rhs, from the last row up
+        mu_n[:i] -= chol[i, :i] * mu_n[i]
+        mu_n[i - 1] /= diag[i - 1]
+
+    rss = np.empty(r)
+    for start in range(0, r, _BLOCK):
+        blk = slice(start, start + _BLOCK)
+        x = y1[blk]
+        resid = horner(x, mu_n[:, blk, None], out=buf[: x.size].reshape(x.shape))
+        np.subtract(y2[blk], resid, out=resid)
+        np.square(resid, out=resid)
+        if weights is not None:
+            resid *= weights[blk]
+        rss[blk] = resid @ ones
+    shift = mu_n - params.mu[:, None]
+    beta_n = params.beta + 0.5 * rss + 0.5 * np.einsum("jr,jr->r", params.lam @ shift, shift)
+    return sums[:n_pow], 2.0 * np.log(diag).sum(axis=0), mu_n.T, beta_n
+
+
+def _update(
+    params: NormalGammaParams, spec: ModelSpec, y1: np.ndarray, y2: np.ndarray, weights: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """`_kernel` with the updated precisions: the stacked (lam', log det
+    lam', mu', beta'), lam' (R, p, p) being lam plus the Hankel matrices of
+    the power sums, so for any weights exactly as symmetric as lam."""
+    sums, logdet_n, mu_n, beta_n = _kernel(params, spec, y1, y2, weights)
+    j = np.arange(params.p)
+    return params.lam + sums[j[:, None] + j].transpose(2, 0, 1), logdet_n, mu_n, beta_n
 
 
 def posterior_update(prior: NormalGammaParams, spec: ModelSpec, data: DataSet | None) -> NormalGammaParams:
@@ -190,12 +231,11 @@ def _evidence_batch(
 ) -> np.ndarray:
     """Log evidence of each of R datasets of n points, given as (R, n)
     arrays: the ratio of Normal-Gamma normalizing constants before and after
-    the conjugate update, through stacked Cholesky factorizations; with
+    the conjugate update, through the stacked `_kernel`; with
     `weights`, of row r's points repeated weights[r] times."""
-    _, chol, _, beta_n = _update(params, spec, y1, y2, weights)
+    _, logdet_n, _, beta_n = _kernel(params, spec, y1, y2, weights)
     n = np.shape(y1)[1] if weights is None else np.sum(weights, axis=1)
     alpha_n = params.alpha + 0.5 * n
-    logdet_n = 2.0 * np.log(chol.diagonal(axis1=1, axis2=2)).sum(axis=1)
     out = (
         -0.5 * n * _LOG_2PI
         + 0.5 * (params.logdet_lam - logdet_n)

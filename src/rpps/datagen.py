@@ -37,6 +37,20 @@ def normal_logpdf(x, mean, var):
     return -_HALF_LOG_2PI - 0.5 * np.log(var) - 0.5 * (x - mean) ** 2 / var
 
 
+def horner(y1, coeffs, out=None):
+    """sum_k coeffs[k] * y1**k by Horner's rule, computed in place (into
+    `out` if given).  Bit for bit `np.polynomial.polynomial.polyval(y1,
+    coeffs)` for a 1-D `coeffs`; a coefficient may also be an array that
+    broadcasts against y1."""
+    y1 = np.asarray(y1, dtype=float)
+    out = np.multiply(y1, 0.0, out=out)
+    out += coeffs[-1]
+    for c in coeffs[-2::-1]:
+        out *= y1
+        out += c
+    return out
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     """A polynomial-mean Gaussian data generating process.
@@ -62,7 +76,7 @@ class GeneratorSpec:
 
     def mean_at(self, y1):
         """Polynomial mean of y2 at the given y1 value(s)."""
-        return np.polynomial.polynomial.polyval(np.asarray(y1, dtype=float), self.coeffs)
+        return horner(y1, self.coeffs)
 
     def to_json_dict(self) -> dict:
         return {"degree": self.degree, "coeffs": list(self.coeffs), "sigma": self.sigma}

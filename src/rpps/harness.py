@@ -65,6 +65,10 @@ KIND_FIELDS = {
 }
 COUNT_FIELDS = ("n_train", "n_valid", "k_folds", "b_resamples", "n_samples")
 
+# The kinds that read the predictive built from the whole measurement:
+# delta scores it, AIC reads its fit, WAIC and DIC draw from its posterior.
+WHOLE_MEASUREMENT_KINDS = ("delta", "aic", "waic", "dic")
+
 # A criterion approximates the score of one inference only; the other kinds
 # run under any inference.
 CRITERION_INFERENCE = {
@@ -105,6 +109,9 @@ class EstimatorRequest:
                 raise ValueError(f"{self.kind} needs {key}")
             else:
                 require_count(key, value, minimum=2 if key == "n_samples" else 1)
+        # a label is a rows.csv and summary.csv cell, written without quoting
+        if self.label is not None and (not isinstance(self.label, str) or any(c in self.label for c in ',"\r\n')):
+            raise ValueError(f"label must be a string without commas, quotes or line breaks, got {self.label!r}")
 
     def check(self, inference: InferenceKind, n_points: int) -> None:
         """Raise ValueError unless the request runs under `inference` on

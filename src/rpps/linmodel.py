@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import LOG_HALF, DataSet, normal_logpdf, require_count
+from .datagen import LOG_HALF, DataSet, horner, normal_logpdf, require_count
 
 
 class TooFewPoints(ValueError):
@@ -79,7 +79,7 @@ class FitResult:
             raise ValueError("sigma2 must be >= 0")
 
     def mean_at(self, y1):
-        return np.polynomial.polynomial.polyval(np.asarray(y1, dtype=float), self.coeffs)
+        return horner(y1, self.coeffs)
 
 
 def fit_mle(spec: ModelSpec, data: DataSet) -> FitResult:

@@ -250,7 +250,10 @@ def exact_score_mc(
     predictive, floored = _floored_predictive(predictive)
     rng = np.random.default_rng(seed)
     y1 = rng.uniform(-1.0, 1.0, size=(n_datasets, n_points))
-    y2 = rng.normal(spec_true.mean_at(y1), spec_true.sigma)
+    # mean + sigma * z, in place: bit for bit rng.normal(mean, sigma)
+    y2 = rng.standard_normal(y1.shape)
+    y2 *= spec_true.sigma
+    y2 += spec_true.mean_at(y1)
     scores = -predictive.log_density_batch(y1, y2)
     value = float(np.mean(scores))
     std_error = float(np.std(scores, ddof=1) / math.sqrt(n_datasets))

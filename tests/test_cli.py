@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rpps import scores
 from rpps.cli import main
 from rpps.conjugate import default_prior
 from rpps.datagen import GeneratorSpec, read_dataset_csv, sample_dataset, write_dataset_csv
@@ -147,6 +148,34 @@ class TestScore:
         assert waic_record["criterion"] == "waic"
         assert waic_record["n_samples"] == 200
 
+    def test_requests_share_the_whole_measurement_predictive(
+        self, data_file, model_file, tmp_path, capsys, monkeypatch
+    ):
+        # delta, WAIC and DIC under the posterior predictive condition on the
+        # measurement once; the evidence and the MLE kinds need no posterior
+        updates = []
+        original = scores.posterior_update
+
+        def counting(*args):
+            updates.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(scores, "posterior_update", counting)
+        requests = [
+            {"kind": "delta", "inference": "posterior_predictive"},
+            {"kind": "evidence"},
+            {"kind": "aic"},
+            {"kind": "delta"},
+            {"kind": "waic", "n_samples": 50, "seed": 2},
+            {"kind": "dic", "n_samples": 50, "seed": 2},
+        ]
+        records = self._run(data_file, model_file, tmp_path, requests, capsys)
+        assert len(updates) == 1
+        # each record is what the request gives alone
+        monkeypatch.setattr(scores, "posterior_update", original)
+        for request, record in zip(requests, records):
+            assert self._run(data_file, model_file, tmp_path, [request], capsys) == [record]
+
     def _usage_error(self, data_file, model_file, tmp_path, requests, capsys):
         est = tmp_path / "est.json"
         est.write_text(json.dumps(requests))
@@ -249,6 +278,8 @@ class TestExperiment:
                 {"truth": {"degree": 0.5, "coeffs": [0.5], "sigma": 0.5}},
                 "degree must be an integer >= 0, got 0.5",
             ),
+            ({"estimators": [{"kind": "delta", "label": 5}]}, "label must be a string"),
+            ({"estimators": [{"kind": "delta", "label": "a,b"}]}, "without commas"),
         ],
         ids=[
             "misspelt-key",
@@ -261,6 +292,8 @@ class TestExperiment:
             "string-n-points",
             "fractional-model-degree",
             "fractional-truth-degree",
+            "non-string-label",
+            "comma-label",
         ],
     )
     def test_dry_run_rejects_bad_config(self, tmp_path, changes, complaint):

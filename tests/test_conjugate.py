@@ -337,6 +337,19 @@ class TestBatchEvidence:
             lam_n = _update(default_prior(spec), spec, y1, y2, weights)[0]
             np.testing.assert_array_equal(lam_n, np.swapaxes(lam_n, 1, 2))
 
+    def test_a_pivot_that_is_not_positive_raises(self):
+        # a negative multiplicity makes lam' indefinite at the first or a
+        # later pivot; a NaN point makes every pivot NaN
+        spec = ModelSpec(2)
+        prior = default_prior(spec)
+        y1 = np.array([[-0.8, 0.1, 0.5, 0.9]])
+        y2 = np.ones((1, 4))
+        for weights in ([[1.0, -5.0, 1.0, 1.0]], [[1.0, 1.0, 1.0, -0.5]]):
+            with pytest.raises(np.linalg.LinAlgError):
+                _update(prior, spec, y1, y2, np.array(weights))
+        with pytest.raises(np.linalg.LinAlgError):
+            _evidence_batch(prior, spec, np.array([[-0.8, np.nan, 0.5, 0.9]]), y2, True)
+
     def test_nearly_interpolating_data_keeps_beta_positive(self):
         # degree-4 data with sigma = 1e-8 around the prior mean, under a prior
         # with almost no rate: beta' is about 1e-16 while t^T t is about 100,

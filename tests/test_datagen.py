@@ -34,6 +34,15 @@ class TestGeneratorSpec:
         expected = [sum(c * x**k for k, c in enumerate(QUARTIC.coeffs)) for x in y1]
         np.testing.assert_allclose(QUARTIC.mean_at(y1), expected, rtol=1e-14)
 
+    @pytest.mark.parametrize("degree", range(6))
+    def test_mean_is_polyval_bit_for_bit(self, degree):
+        rng = np.random.default_rng(degree)
+        spec = GeneratorSpec(degree, tuple(rng.normal(size=degree + 1)), 1.0)
+        for y1 in (0.3, rng.uniform(-1, 1, size=12), rng.uniform(-1, 1, size=(50, 12))):
+            mean = spec.mean_at(y1)
+            assert np.shape(mean) == np.shape(y1)
+            np.testing.assert_array_equal(mean, np.polynomial.polynomial.polyval(y1, spec.coeffs))
+
 
 class TestSampleDataset:
     def test_twelve_point_draw(self):

@@ -110,6 +110,10 @@ class TestConfig:
             {"kind": "dic", "n_samples": 2.5},
             {"k_folds": 6},
             {"kind": ["delta"]},
+            {"kind": "delta", "label": 5},
+            {"kind": "delta", "label": "a,b"},
+            {"kind": "delta", "label": 'say "delta"'},
+            {"kind": "delta", "label": "two\nlines"},
         ):
             with pytest.raises(ValueError):
                 EstimatorRequest.from_json_dict(fields)

@@ -86,6 +86,16 @@ class TestFitMle:
         assert loss_refit <= loss_base + 1e-12
 
 
+@pytest.mark.parametrize("degree", range(6))
+def test_fit_mean_is_polyval_bit_for_bit(degree):
+    rng = np.random.default_rng(degree)
+    fit = FitResult(spec=ModelSpec(degree), coeffs=rng.normal(size=degree + 1), sigma2=1.0, n_fit=12)
+    for y1 in (-0.7, rng.uniform(-1, 1, size=12), rng.uniform(-1, 1, size=(50, 12))):
+        mean = fit.mean_at(y1)
+        assert np.shape(mean) == np.shape(y1)
+        np.testing.assert_array_equal(mean, np.polynomial.polynomial.polyval(y1, fit.coeffs))
+
+
 class TestDesignMatrix:
     @pytest.mark.parametrize("degree", range(6))
     def test_stacked_rows_are_vander_bit_for_bit(self, degree):

@@ -1,6 +1,7 @@
 """Property tests: the partition estimators equal explicit splits written
 out by hand, over random data, degrees 0-2 and every inference kind; the
-stacked kernels under them equal numpy's per-row routines."""
+stacked kernels under them equal numpy's per-row routines and the explicit
+algebra."""
 
 import math
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rpps.conjugate import _cho_solve, default_prior, log_evidence
+from rpps.conjugate import _BLOCK, NormalGammaParams, _update, default_prior, log_evidence
 from rpps.datagen import GeneratorSpec, sample_dataset
 from rpps.linmodel import ModelSpec, RankDeficient, TooFewPoints, _least_squares, fit_mle, plugin_log_predictive
 from rpps.scores import (
@@ -130,19 +131,52 @@ def test_holdout_is_explicit_split(seed, degree, kind):
 KERNEL_CASES = given(seed=st.integers(0, 2**32 - 1), degree=st.integers(0, 4))
 
 
-@PROPERTY
-@KERNEL_CASES
-def test_cholesky_substitution_is_solve(seed, degree):
+@settings(max_examples=25, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    degree=st.integers(0, 4),
+    r=st.sampled_from([1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 5 * _BLOCK // 2]),
+)
+def test_conjugate_update_is_explicit_algebra(seed, degree, r):
+    # random SPD prior (condition number below ~1e3 after the update), data
+    # and point multiplicities 0-3, at stack sizes around the block size
     rng = np.random.default_rng(seed)
-    p = degree + 1
-    r = int(rng.integers(1, 8))
-    a = rng.normal(size=(r, p + 3, p))
-    lam = np.swapaxes(a, 1, 2) @ a + rng.uniform(0.5, 2.0) * np.eye(p)  # condition number below ~100
-    b = rng.normal(scale=rng.uniform(0.1, 10.0), size=(r, p))
-    expected = np.linalg.solve(lam, b[..., None])[..., 0]
-    x = _cho_solve(np.linalg.cholesky(lam), b)
-    assert x.shape == (r, p)
-    np.testing.assert_allclose(x, expected, rtol=0, atol=1e-12 * max(1.0, float(np.abs(expected).max())))
+    p, n = degree + 1, int(rng.integers(1, 13))
+    a = rng.normal(size=(p + 3, p))
+    lam = a.T @ a + rng.uniform(0.5, 2.0) * np.eye(p)
+    prior = NormalGammaParams(mu=rng.normal(size=p), lam=lam, alpha=1.0, beta=float(rng.uniform(0.1, 2.0)))
+    spec = ModelSpec(degree)
+    y1 = rng.uniform(-1, 1, size=(r, n))
+    y2 = rng.normal(scale=rng.uniform(0.1, 10.0), size=(r, n))
+    weights = None if rng.uniform() < 0.3 else rng.integers(0, 4, size=(r, n)).astype(float)
+    lam_n, logdet, mu_n, beta_n = _update(prior, spec, y1, y2, weights)
+    assert lam_n.shape == (r, p, p) and mu_n.shape == (r, p) and logdet.shape == beta_n.shape == (r,)
+
+    w = np.ones((r, n)) if weights is None else weights
+    phi = spec.design_matrix(y1)
+    wphi_t = np.swapaxes(phi * w[..., None], 1, 2)
+    expected_lam = prior.lam + wphi_t @ phi
+    rhs = prior.lam @ prior.mu + (wphi_t @ y2[..., None])[..., 0]
+    expected_mu = np.linalg.solve(expected_lam, rhs[..., None])[..., 0]
+    expected_logdet = 2.0 * np.log(np.linalg.cholesky(expected_lam).diagonal(axis1=1, axis2=2)).sum(axis=1)
+    resid = y2 - (phi @ expected_mu[..., None])[..., 0]
+    shift = expected_mu - prior.mu
+    expected_beta = prior.beta + 0.5 * np.sum(w * resid**2, axis=1) + 0.5 * np.sum((shift @ prior.lam) * shift, axis=1)
+
+    def close(actual, expected):
+        np.testing.assert_allclose(actual, expected, rtol=0, atol=1e-12 * max(1.0, float(np.abs(expected).max())))
+
+    close(lam_n, expected_lam)
+    close(logdet, expected_logdet)
+    close(mu_n, expected_mu)
+    close(beta_n, expected_beta)
+    # every row of the batch is the update by that dataset alone
+    rows = [
+        _update(prior, spec, y1[i : i + 1], y2[i : i + 1], None if weights is None else weights[i : i + 1])
+        for i in range(r)
+    ]
+    for batch, single in zip((lam_n, logdet, mu_n, beta_n), zip(*rows)):
+        close(batch, np.concatenate(single))
 
 
 @PROPERTY

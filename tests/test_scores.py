@@ -83,6 +83,23 @@ class TestExactScoreMc:
         with pytest.raises(ValueError):
             exact_score_mc(CONSTANT, _plugin([0.0], 1.0), n_datasets=1, n_points=3, seed=0)
 
+    def test_draws_the_generating_stream_bit_for_bit(self):
+        # the oracle's replicate measurements are the points y1 ~ U(-1, 1),
+        # then y2 ~ N(mean_at(y1), sigma^2) as rng.normal draws them
+        class Recorder:
+            def log_density_batch(self, y1, y2):
+                self.points = y1, y2
+                return np.zeros(len(y1))
+
+        for truth in (QUARTIC, CONSTANT):
+            recorder = Recorder()
+            exact_score_mc(truth, recorder, n_datasets=300, n_points=12, seed=11)
+            rng = np.random.default_rng(11)
+            y1 = rng.uniform(-1.0, 1.0, size=(300, 12))
+            y2 = rng.normal(np.polynomial.polynomial.polyval(y1, truth.coeffs), truth.sigma)
+            np.testing.assert_array_equal(recorder.points[0], y1)
+            np.testing.assert_array_equal(recorder.points[1], y2)
+
     def test_bayesian_predictive_supported(self):
         prior = default_prior(ModelSpec(0))
         predictive = PriorPredictive(prior, ModelSpec(0))
