@@ -24,8 +24,8 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import gammaln
 
-from .datagen import LOG_HALF, DataSet, horner
-from .linmodel import FitResult, ModelSpec, plugin_log_predictive
+from .datagen import LOG_HALF, DataSet, horner, normal_logpdf
+from .linmodel import FitResult, ModelSpec
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -64,23 +64,6 @@ class NormalGammaParams:
     @property
     def p(self) -> int:
         return int(self.mu.shape[0])
-
-    def to_json_dict(self) -> dict:
-        return {
-            "mu": self.mu.tolist(),
-            "lambda": self.lam.tolist(),
-            "alpha": self.alpha,
-            "beta": self.beta,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "NormalGammaParams":
-        return cls(
-            mu=np.asarray(d["mu"], dtype=float),
-            lam=np.asarray(d["lambda"], dtype=float),
-            alpha=float(d["alpha"]),
-            beta=float(d["beta"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -303,52 +286,33 @@ class PluginGaussian:
     fit: FitResult
     include_y1_factor: bool = True
 
-    def log_density(self, data: DataSet | None) -> float:
-        return plugin_log_predictive(self.fit, data, include_y1_factor=self.include_y1_factor)
-
     def log_density_batch(self, y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
-        """Joint log density per replicate for (R, n) arrays of points."""
+        """Joint log density per replicate for (R, n) arrays of points; a
+        row is bit for bit `plugin_log_predictive` of its points."""
         if not self.fit.sigma2 > 0:
             raise ValueError("plug-in predictive needs sigma2 > 0")
-        mean = self.fit.mean_at(y1)
-        n = y1.shape[1]
-        out = np.sum(
-            -0.5 * _LOG_2PI - 0.5 * math.log(self.fit.sigma2) - 0.5 * (y2 - mean) ** 2 / self.fit.sigma2,
-            axis=1,
-        )
+        out = np.sum(normal_logpdf(y2, self.fit.mean_at(y1), self.fit.sigma2), axis=1)
         if self.include_y1_factor:
-            out += n * LOG_HALF
+            out += y1.shape[1] * LOG_HALF
         return out
 
 
 @dataclass(frozen=True)
-class PriorPredictive:
-    """Small-world average weighted by the prior distribution."""
-
-    params: NormalGammaParams
-    spec: ModelSpec
-    include_y1_factor: bool = True
-
-    def log_density(self, data: DataSet | None) -> float:
-        return log_evidence(self.params, self.spec, data, include_y1_factor=self.include_y1_factor)
-
-    def log_density_batch(self, y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
-        return _evidence_batch(self.params, self.spec, y1, y2, self.include_y1_factor)
-
-
-@dataclass(frozen=True)
 class PosteriorPredictive:
-    """Small-world average weighted by the posterior distribution."""
+    """Small-world average weighted by the Normal-Gamma distribution
+    `params`: the posterior predictive, and at the prior's parameters
+    (a posterior given no data) the prior predictive."""
 
     params: NormalGammaParams
     spec: ModelSpec
     include_y1_factor: bool = True
 
-    def log_density(self, data: DataSet | None) -> float:
-        return log_evidence(self.params, self.spec, data, include_y1_factor=self.include_y1_factor)
-
     def log_density_batch(self, y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
+        """Joint log density per replicate for (R, n) arrays of points."""
         return _evidence_batch(self.params, self.spec, y1, y2, self.include_y1_factor)
 
 
-Predictive = Union[PluginGaussian, PriorPredictive, PosteriorPredictive]
+# the prior predictive is the one conjugate class at the prior's parameters
+PriorPredictive = PosteriorPredictive
+
+Predictive = Union[PluginGaussian, PosteriorPredictive]

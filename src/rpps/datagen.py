@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +29,13 @@ def require_count(name: str, value, minimum: int = 1) -> None:
     """Raise ValueError unless `value` is an integer (not a bool) >= `minimum`."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def reject_unknown_keys(what: str, d: dict, cls) -> None:
+    """JSON objects name the fields of `cls`; anything else is a typo."""
+    extra = set(d) - {f.name for f in fields(cls)}
+    if extra:
+        raise ValueError(f"unknown {what} keys: {sorted(extra)}")
 
 
 def normal_logpdf(x, mean, var):
@@ -83,6 +90,7 @@ class GeneratorSpec:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "GeneratorSpec":
+        reject_unknown_keys("generator spec", d, cls)
         return cls(degree=d["degree"], coeffs=tuple(d["coeffs"]), sigma=float(d["sigma"]))
 
 

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .conjugate import PluginGaussian, Predictive, posterior_mean, sample_posterior
-from .datagen import DataSet, GeneratorSpec, require_count, sample_dataset
+from .datagen import DataSet, GeneratorSpec, reject_unknown_keys, require_count, sample_dataset
 from .linmodel import ModelSpec, RankDeficient, TooFewPoints
 from .scores import (
     AllResamplesDegenerate,
@@ -42,13 +42,6 @@ logger = logging.getLogger(__name__)
 ROWS_HEADER = ["replication_id", "estimator", "estimate", "std_error", "exact", "error", "floor_engaged"]
 SUMMARY_HEADER = ["estimator", "q20", "q50", "q80"]
 SUMMARY_PROBS = (0.2, 0.5, 0.8)
-
-
-def _reject_unknown_keys(what: str, d: dict, cls) -> None:
-    """JSON objects name the fields of `cls`; anything else is a typo."""
-    extra = set(d) - {f.name for f in fields(cls)}
-    if extra:
-        raise ValueError(f"unknown {what} keys: {sorted(extra)}")
 
 
 # The count fields each request kind uses.  A kind needs every field it
@@ -134,7 +127,7 @@ class EstimatorRequest:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "EstimatorRequest":
-        _reject_unknown_keys("estimator", d, cls)
+        reject_unknown_keys("estimator", d, cls)
         if "kind" not in d:
             raise ValueError("an estimator request needs a kind")
         return cls(**d)
@@ -158,7 +151,7 @@ class OracleConfig:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "OracleConfig":
-        _reject_unknown_keys("oracle", d, cls)
+        reject_unknown_keys("oracle", d, cls)
         return cls(**d)
 
 
@@ -212,7 +205,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ExperimentConfig":
-        _reject_unknown_keys("config", d, cls)
+        reject_unknown_keys("config", d, cls)
         return cls(
             truth=GeneratorSpec.from_json_dict(d["truth"]),
             model=ModelSpec.from_json_dict(d["model"]),

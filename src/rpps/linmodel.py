@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import LOG_HALF, DataSet, horner, normal_logpdf, require_count
+from .datagen import LOG_HALF, DataSet, horner, normal_logpdf, reject_unknown_keys, require_count
 
 
 class TooFewPoints(ValueError):
@@ -52,6 +52,7 @@ class ModelSpec:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ModelSpec":
+        reject_unknown_keys("model", d, cls)
         return cls(degree=d["degree"])
 
 

@@ -27,7 +27,6 @@ from .conjugate import (
     PosteriorPredictive,
     PosteriorSample,
     Predictive,
-    PriorPredictive,
     _evidence_batch,
     default_prior,
     log_evidence,
@@ -185,7 +184,7 @@ class PredictiveBuilder:
         if self.inference == InferenceKind.MLE:
             return PluginGaussian(fit_mle(self.spec, train), self.include_y1_factor)
         if self.inference == InferenceKind.PRIOR_PREDICTIVE:
-            return PriorPredictive(self.prior, self.spec, self.include_y1_factor)
+            train = None  # the prior predictive is the posterior predictive given no data
         posterior = posterior_update(self.prior, self.spec, train)
         return PosteriorPredictive(posterior, self.spec, self.include_y1_factor)
 
@@ -322,11 +321,12 @@ def delta_estimator(predictive: Predictive, data: DataSet) -> ScoreEstimate:
 
     The caller is responsible for `data` being the measurement the
     predictive was built from; for a prior predictive the value is exactly
-    the negated log evidence.
+    the negated log evidence.  The measurement is scored as one dataset
+    through `log_density_batch`, the call the Monte Carlo oracle makes.
     """
     predictive, floored = _floored_predictive(predictive)
     return ScoreEstimate(
-        value=-predictive.log_density(data),
+        value=-float(predictive.log_density_batch(data.y1[None], data.y2[None])[0]),
         std_error=None,
         estimator=EstimatorKind.DELTA,
         n_effective=1,

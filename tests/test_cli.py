@@ -59,6 +59,16 @@ class TestSimulate:
             main(["simulate", "--spec", str(bad), "--out", str(tmp_path / "x.csv")])
         assert exc.value.code != 0
 
+    def test_unknown_spec_key_is_rejected(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"degree": 0, "coeffs": [0.5], "sigma": 0.5, "sigmaa": 2}))
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--spec", str(spec), "--out", str(out)])
+        assert "bad generator spec" in str(exc.value.code)
+        assert "unknown generator spec keys: ['sigmaa']" in str(exc.value.code)
+        assert not out.exists()
+
     def test_env_seed(self, tmp_path, spec_file, monkeypatch):
         out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
         monkeypatch.setenv("RPPS_SEED", "11")
@@ -78,6 +88,15 @@ class TestFit:
             sort_keys=True,
         )
         assert out == expected
+
+    def test_unknown_model_key_is_rejected(self, tmp_path, data_file, capsys):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"degree": 2, "prior_scale": 10}))
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--data", str(data_file), "--model", str(model)])
+        assert "bad model config" in str(exc.value.code)
+        assert "unknown model keys: ['prior_scale']" in str(exc.value.code)
+        assert capsys.readouterr().out == ""
 
     def test_malformed_row_is_a_read_error(self, tmp_path, model_file):
         bad = tmp_path / "short.csv"
@@ -267,6 +286,11 @@ class TestExperiment:
         [
             ({"replicatons": 3}, "unknown config keys: ['replicatons']"),
             ({"oracle": {"mc_dataset": 50}}, "unknown oracle keys: ['mc_dataset']"),
+            (
+                {"truth": {"degree": 0, "coeffs": [0.5], "sigma": 0.5, "noise": 3.0}},
+                "unknown generator spec keys: ['noise']",
+            ),
+            ({"model": {"degree": 0, "prior_scale": 10}}, "unknown model keys: ['prior_scale']"),
             ({"oracle": {"mc_datasets": 1}}, "mc_datasets must be an integer >= 2"),
             ({"oracle": {"quadrature": "false"}}, "quadrature must be true or false"),
             ({"replications": 2.7}, "replications must be an integer >= 1, got 2.7"),
@@ -284,6 +308,8 @@ class TestExperiment:
         ids=[
             "misspelt-key",
             "misspelt-oracle-key",
+            "unknown-truth-key",
+            "unknown-model-key",
             "one-mc-dataset",
             "string-quadrature",
             "fractional-replications",

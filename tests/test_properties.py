@@ -1,7 +1,7 @@
 """Property tests: the partition estimators equal explicit splits written
-out by hand, over random data, degrees 0-2 and every inference kind; the
-stacked kernels under them equal numpy's per-row routines and the explicit
-algebra."""
+out by hand, and delta equals the density functions it stands for, over
+random data, degrees 0-2 and every inference kind; the stacked kernels under
+them equal numpy's per-row routines and the explicit algebra."""
 
 import math
 
@@ -10,8 +10,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rpps.conjugate import _BLOCK, NormalGammaParams, _update, default_prior, log_evidence
-from rpps.datagen import GeneratorSpec, sample_dataset
+from rpps.conjugate import (
+    _BLOCK,
+    NormalGammaParams,
+    PluginGaussian,
+    PosteriorPredictive,
+    PriorPredictive,
+    _update,
+    default_prior,
+    log_evidence,
+    posterior_update,
+)
+from rpps.datagen import DataSet, GeneratorSpec, sample_dataset
 from rpps.linmodel import ModelSpec, RankDeficient, TooFewPoints, _least_squares, fit_mle, plugin_log_predictive
 from rpps.scores import (
     AllResamplesDegenerate,
@@ -19,6 +29,7 @@ from rpps.scores import (
     InferenceKind,
     PredictiveBuilder,
     bootstrap_estimator,
+    delta_estimator,
     holdout_estimator,
     jackknife_estimator,
 )
@@ -128,7 +139,41 @@ def test_holdout_is_explicit_split(seed, degree, kind):
     assert est.value == pytest.approx(explicit, rel=1e-9, abs=1e-9)
 
 
+@PROPERTY
+@CASES
+def test_delta_is_the_density_it_stands_for(seed, degree, kind):
+    # bit for bit: the plug-in density of the MLE fit, the evidence, and the
+    # evidence under the posterior of the measurement itself
+    _, spec, data = _case(seed, degree)
+    predictive = PredictiveBuilder(kind, spec)(data)
+    assert PriorPredictive is PosteriorPredictive
+    assert type(predictive) is (PluginGaussian if kind == InferenceKind.MLE else PosteriorPredictive)
+    prior = default_prior(spec)
+    if kind == InferenceKind.MLE:
+        expected = -plugin_log_predictive(fit_mle(spec, data), data)
+    elif kind == InferenceKind.PRIOR_PREDICTIVE:
+        expected = -log_evidence(prior, spec, data)
+    else:
+        expected = -log_evidence(posterior_update(prior, spec, data), spec, data)
+    assert delta_estimator(predictive, data).value == expected
+
+
 KERNEL_CASES = given(seed=st.integers(0, 2**32 - 1), degree=st.integers(0, 4))
+
+
+@PROPERTY
+@KERNEL_CASES
+def test_plugin_batch_is_plugin_log_predictive(seed, degree):
+    # each row of the batch, bit for bit, with and without the y1 factor
+    rng, spec, data = _case(seed, degree)
+    fit = fit_mle(spec, data)
+    r, n = int(rng.integers(1, 6)), int(rng.integers(1, 40))
+    y1 = rng.uniform(-1, 1, size=(r, n))
+    y2 = rng.normal(scale=rng.uniform(0.1, 10.0), size=(r, n))
+    for include in (True, False):
+        batch = PluginGaussian(fit, include).log_density_batch(y1, y2)
+        rows = [plugin_log_predictive(fit, DataSet(a, b), include) for a, b in zip(y1, y2)]
+        assert batch.tolist() == rows
 
 
 @settings(max_examples=25, deadline=None, database=None)
