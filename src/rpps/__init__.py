@@ -4,7 +4,6 @@ criteria, and desk-scale estimator-error experiments."""
 
 from .conjugate import (
     NormalGammaParams,
-    PluginGaussian,
     PosteriorPredictive,
     PosteriorSample,
     Predictive,
@@ -38,6 +37,7 @@ from .harness import (
 from .linmodel import (
     FitResult,
     ModelSpec,
+    PluginGaussian,
     RankDeficient,
     TooFewPoints,
     fit_mle,

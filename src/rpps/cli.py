@@ -8,7 +8,6 @@ RPPS_SEED for --seed).
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -17,7 +16,6 @@ from pathlib import Path
 from .datagen import DataSet, GeneratorSpec, read_dataset_csv, sample_dataset, write_dataset_csv
 from .harness import (
     CRITERION_INFERENCE,
-    WHOLE_MEASUREMENT_KINDS,
     EstimatorRequest,
     ExperimentConfig,
     emit_outputs,
@@ -120,13 +118,11 @@ def _usage_error(message: str) -> SystemExit:
 
 
 def _parse_request(raw, model: ModelSpec, data: DataSet, builders: dict):
-    """Validate one score request; return a function of no arguments that
-    computes its record.  A request is an EstimatorRequest plus the
-    score-only `seed` and `inference` keys; a criterion's inference
-    defaults to the one it approximates, any other kind's to `mle`.
-    `builders` maps each inference to its builder and to the one predictive
-    it builds from the whole measurement, on first need, for every request
-    that reads it."""
+    """Validate one score request; return it with its builder and seed.  A
+    request is an EstimatorRequest plus the score-only `seed` and
+    `inference` keys; a criterion's inference defaults to the one it
+    approximates, any other kind's to `mle`.  `builders` maps each
+    inference to its one builder."""
     if not isinstance(raw, dict):
         raise ValueError(f"a request must be a JSON object, got {raw!r}")
     fields = dict(raw)
@@ -136,16 +132,10 @@ def _parse_request(raw, model: ModelSpec, data: DataSet, builders: dict):
     request = EstimatorRequest.from_json_dict(fields)
     inference = InferenceKind(CRITERION_INFERENCE.get(request.kind, "mle") if inference is None else inference)
     if inference not in builders:
-        build = PredictiveBuilder(inference, model)
-        builders[inference] = build, functools.cache(lambda: build(data))
-    build, whole = builders[inference]
+        builders[inference] = PredictiveBuilder(inference, model)
+    build = builders[inference]
     request.check(build.inference, len(data))
-
-    def score() -> dict:
-        predictive = whole() if request.kind in WHOLE_MEASUREMENT_KINDS else None
-        return run_estimator(request, predictive, build, data, seed).to_json_dict()
-
-    return score
+    return request, build, seed
 
 
 def cmd_score(args: argparse.Namespace) -> int:
@@ -160,11 +150,15 @@ def cmd_score(args: argparse.Namespace) -> int:
         raise SystemExit(f"error: estimator config {est_path!r} must hold a nonempty list of requests")
     builders: dict = {}
     try:
-        scorers = [_parse_request(request, model, data, builders) for request in requests]
+        parsed = [_parse_request(request, model, data, builders) for request in requests]
     except ValueError as exc:
         raise _usage_error(f"bad request in {est_path!r}: {exc}")
-    for score in scorers:
-        _print_record(score())
+    # each inference's predictive of the whole dataset, built at its first request
+    predictives: dict = {}
+    for request, build, seed in parsed:
+        if build.inference not in predictives:
+            predictives[build.inference] = build(data)
+        _print_record(run_estimator(request, predictives[build.inference], build, data, seed).to_json_dict())
     return 0
 
 

@@ -24,8 +24,8 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import gammaln
 
-from .datagen import LOG_HALF, DataSet, horner, normal_logpdf
-from .linmodel import FitResult, ModelSpec
+from .datagen import LOG_HALF, DataSet, horner
+from .linmodel import ModelSpec, PluginGaussian
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -277,24 +277,6 @@ def posterior_mean(params: NormalGammaParams) -> PosteriorSample:
 
 # ---------------------------------------------------------------------------
 # Predictive distributions
-
-
-@dataclass(frozen=True)
-class PluginGaussian:
-    """Single-element (plug-in) predictive from an MLE fit."""
-
-    fit: FitResult
-    include_y1_factor: bool = True
-
-    def log_density_batch(self, y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
-        """Joint log density per replicate for (R, n) arrays of points; a
-        row is bit for bit `plugin_log_predictive` of its points."""
-        if not self.fit.sigma2 > 0:
-            raise ValueError("plug-in predictive needs sigma2 > 0")
-        out = np.sum(normal_logpdf(y2, self.fit.mean_at(y1), self.fit.sigma2), axis=1)
-        if self.include_y1_factor:
-            out += y1.shape[1] * LOG_HALF
-        return out
 
 
 @dataclass(frozen=True)

@@ -78,8 +78,10 @@ class GeneratorSpec:
             raise ValueError(
                 f"expected {self.degree + 1} coefficients, got {len(self.coeffs)}"
             )
-        if not self.sigma > 0:
-            raise ValueError("sigma must be > 0")
+        if not all(math.isfinite(c) for c in self.coeffs):
+            raise ValueError(f"coefficients must be finite, got {list(self.coeffs)}")
+        if not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise ValueError(f"sigma must be finite and > 0, got {self.sigma!r}")
 
     def mean_at(self, y1):
         """Polynomial mean of y2 at the given y1 value(s)."""

@@ -15,9 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .conjugate import PluginGaussian, Predictive, posterior_mean, sample_posterior
+from .conjugate import Predictive, posterior_mean, sample_posterior
 from .datagen import DataSet, GeneratorSpec, reject_unknown_keys, require_count, sample_dataset
-from .linmodel import ModelSpec, RankDeficient, TooFewPoints
+from .linmodel import ModelSpec, PluginGaussian, RankDeficient, TooFewPoints
 from .scores import (
     AllResamplesDegenerate,
     Bootstrap,
@@ -57,10 +57,6 @@ KIND_FIELDS = {
     "dic": ("n_samples",),
 }
 COUNT_FIELDS = ("n_train", "n_valid", "k_folds", "b_resamples", "n_samples")
-
-# The kinds that read the predictive built from the whole measurement:
-# delta scores it, AIC reads its fit, WAIC and DIC draw from its posterior.
-WHOLE_MEASUREMENT_KINDS = ("delta", "aic", "waic", "dic")
 
 # A criterion approximates the score of one inference only; the other kinds
 # run under any inference.
@@ -173,6 +169,8 @@ class ExperimentConfig:
         require_count("replications", self.replications)
         require_count("n_points", self.n_points)
         require_count("seed", self.seed, minimum=0)
+        if self.output_dir is not None and not isinstance(self.output_dir, str):
+            raise ValueError(f"output_dir must be a string or null, got {self.output_dir!r}")
         if self.inference == InferenceKind.MLE and self.n_points < self.model.min_fit_size:
             raise ValueError(
                 f"n_points {self.n_points} below the degree-{self.model.degree} MLE minimum {self.model.min_fit_size}"
@@ -206,17 +204,14 @@ class ExperimentConfig:
     @classmethod
     def from_json_dict(cls, d: dict) -> "ExperimentConfig":
         reject_unknown_keys("config", d, cls)
-        return cls(
-            truth=GeneratorSpec.from_json_dict(d["truth"]),
-            model=ModelSpec.from_json_dict(d["model"]),
-            inference=InferenceKind(d["inference"]),
-            n_points=d.get("n_points", 12),
-            replications=d.get("replications", 500),
-            estimators=tuple(EstimatorRequest.from_json_dict(e) for e in d["estimators"]),
-            oracle=OracleConfig.from_json_dict(d.get("oracle", {})),
-            seed=d["seed"],
-            output_dir=d.get("output_dir"),
-        )
+        parsed = {
+            "truth": GeneratorSpec.from_json_dict(d["truth"]),
+            "model": ModelSpec.from_json_dict(d["model"]),
+            "estimators": tuple(EstimatorRequest.from_json_dict(e) for e in d["estimators"]),
+        }
+        if "oracle" in d:
+            parsed["oracle"] = OracleConfig.from_json_dict(d["oracle"])
+        return cls(**{**d, **parsed})  # absent fields take the defaults above
 
     @classmethod
     def from_json_file(cls, path) -> "ExperimentConfig":
@@ -279,18 +274,17 @@ def _exact_score(config: ExperimentConfig, predictive: Predictive, oracle_seed: 
 
 def run_estimator(
     request: EstimatorRequest,
-    predictive: Predictive | None,
+    predictive: Predictive,
     build: PredictiveBuilder,
     measurement: DataSet,
     seed: int,
 ) -> ScoreEstimate | Criterion:
     """Run one request on a measurement under the inference of `build`.
 
-    `predictive` is the one `build` made from the whole measurement, or None
-    to build it here when the kind needs it: delta scores it, AIC reads its
-    fit, and WAIC and DIC draw from its posterior.  The partition estimators
-    score their folds through `build.score_folds`.  `seed` draws the
-    partitions and the posterior samples.
+    `predictive` is the one `build` made from the whole measurement: delta
+    scores it, AIC reads its fit, and WAIC and DIC draw from its posterior.
+    The partition estimators score their folds through `build.score_folds`.
+    `seed` draws the partitions and the posterior samples.
     """
     request.check(build.inference, len(measurement))
     kind = request.kind
@@ -302,8 +296,6 @@ def run_estimator(
         return bootstrap_estimator(build, measurement, Bootstrap(b_resamples=request.b_resamples, seed=seed))
     if kind == "evidence":
         return evidence_criterion(build.prior, build.spec, measurement, build.include_y1_factor)
-    if predictive is None:
-        predictive = build(measurement)
     if kind == "delta":
         return delta_estimator(predictive, measurement)
     if kind == "aic":

@@ -116,19 +116,29 @@ def _least_squares(phi: np.ndarray, y2: np.ndarray) -> tuple[np.ndarray, np.ndar
     return coeffs, np.mean(resid**2, axis=1), keep.sum(axis=1)
 
 
-def plugin_log_predictive(fit: FitResult, new_data: DataSet | None, include_y1_factor: bool = True) -> float:
-    """Joint log density of new data under the plug-in Gaussian predictive.
+@dataclass(frozen=True)
+class PluginGaussian:
+    """Single-element (plug-in) predictive from an MLE fit."""
 
-    Factorizes across points; an empty dataset gives 0 (empty product).
-    `include_y1_factor` controls the uniform log(1/2) reference term per
-    point (on by default, matching every other density in the package).
-    """
-    if new_data is None or len(new_data) == 0:
+    fit: FitResult
+    include_y1_factor: bool = True
+
+    def log_density_batch(self, y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
+        """Joint log density per replicate for (R, n) arrays of points; the
+        density factorizes across points.  `include_y1_factor` adds the
+        uniform log(1/2) reference term per point."""
+        if not self.fit.sigma2 > 0:
+            raise ValueError("plug-in predictive needs sigma2 > 0 (apply a variance floor first)")
+        out = np.sum(normal_logpdf(y2, self.fit.mean_at(y1), self.fit.sigma2), axis=1)
+        if self.include_y1_factor:
+            out += y1.shape[1] * LOG_HALF
+        return out
+
+
+def plugin_log_predictive(fit: FitResult, new_data: DataSet | None, include_y1_factor: bool = True) -> float:
+    """Joint log density of new data under the plug-in Gaussian predictive:
+    its `log_density_batch` at a batch of one; `None` (no data) gives 0."""
+    if new_data is None:
         return 0.0
-    if not fit.sigma2 > 0:
-        raise ValueError("plug-in predictive needs sigma2 > 0 (apply a variance floor first)")
-    mean = fit.mean_at(new_data.y1)
-    value = float(np.sum(normal_logpdf(new_data.y2, mean, fit.sigma2)))
-    if include_y1_factor:
-        value += len(new_data) * LOG_HALF
-    return value
+    predictive = PluginGaussian(fit, include_y1_factor)
+    return float(predictive.log_density_batch(new_data.y1[None], new_data.y2[None])[0])

@@ -23,7 +23,6 @@ from scipy.special import logsumexp
 
 from .conjugate import (
     NormalGammaParams,
-    PluginGaussian,
     PosteriorPredictive,
     PosteriorSample,
     Predictive,
@@ -36,6 +35,7 @@ from .datagen import LOG_HALF, DataSet, GeneratorSpec, normal_logpdf
 from .linmodel import (
     FitResult,
     ModelSpec,
+    PluginGaussian,
     RankDeficient,
     TooFewPoints,
     _least_squares,
@@ -183,10 +183,10 @@ class PredictiveBuilder:
     def __call__(self, train: DataSet) -> Predictive:
         if self.inference == InferenceKind.MLE:
             return PluginGaussian(fit_mle(self.spec, train), self.include_y1_factor)
-        if self.inference == InferenceKind.PRIOR_PREDICTIVE:
-            train = None  # the prior predictive is the posterior predictive given no data
-        posterior = posterior_update(self.prior, self.spec, train)
-        return PosteriorPredictive(posterior, self.spec, self.include_y1_factor)
+        params = self.prior  # the prior predictive ignores the training set
+        if self.inference == InferenceKind.POSTERIOR_PREDICTIVE:
+            params = posterior_update(self.prior, self.spec, train)
+        return PosteriorPredictive(params, self.spec, self.include_y1_factor)
 
     def score_folds(self, data: DataSet, train, valid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The fold kernel: fold r trains on the points `train[r]` of an (R, m)
@@ -197,9 +197,10 @@ class PredictiveBuilder:
         distinct training points and, for the MLE, a full-rank fit (the other
         entries of an unusable fold mean nothing).  The MLE refits all folds
         in one stacked least-squares solve, the one `fit_mle` runs; the Bayes
-        kinds use the evidence chain rule log p(V | W) = log Z(W + V) - log Z(W)
-        under the one prior, with the training counts W (zero for the prior
-        predictive) and V as weights.
+        kinds score V by its log evidence under the one prior, V as weights: the
+        prior predictive directly, log p(V) = log Z(V), and the posterior
+        predictive through the chain rule log p(V | W) = log Z(W + V) - log Z(W),
+        the training counts W also as weights.
         """
         train = np.asarray(train, dtype=int)
         valid = np.asarray(valid, dtype=bool)
@@ -207,12 +208,12 @@ class PredictiveBuilder:
         counts = np.bincount((train + n * np.arange(r)[:, None]).ravel(), minlength=r * n).reshape(r, n)
         usable = (counts > 0).sum(axis=1) >= self.min_train_size
         if self.inference != InferenceKind.MLE:
-            if self.inference == InferenceKind.PRIOR_PREDICTIVE:
-                counts = np.zeros_like(counts)
-            y1, y2 = (np.broadcast_to(y, (2 * r, n)) for y in (data.y1, data.y2))
-            weights = np.concatenate([counts + valid, counts]).astype(float)
+            chain = self.inference == InferenceKind.POSTERIOR_PREDICTIVE
+            weights = (np.concatenate([counts + valid, counts]) if chain else valid).astype(float)
+            y1, y2 = (np.broadcast_to(y, weights.shape) for y in (data.y1, data.y2))
             evidence = _evidence_batch(self.prior, self.spec, y1, y2, self.include_y1_factor, weights)
-            return evidence[:r] - evidence[r:], np.zeros(r, dtype=bool), usable
+            log_density = evidence[:r] - evidence[r:] if chain else evidence
+            return log_density, np.zeros(r, dtype=bool), usable
         coeffs, sigma2, rank = _least_squares(self.spec.design_matrix(data.y1)[train], data.y2[train])
         usable &= rank == self.spec.n_coeffs
         floored = usable & (sigma2 < SIGMA2_FLOOR)
@@ -265,21 +266,16 @@ def exact_score_mc(
     )
 
 
-@functools.lru_cache(maxsize=None)
-def _gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Legendre nodes and weights, computed once per count."""
-    nodes_weights = np.polynomial.legendre.leggauss(n_nodes)
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """The 64 read-only Gauss-Legendre nodes and weights, computed once."""
+    nodes_weights = np.polynomial.legendre.leggauss(64)
     for a in nodes_weights:
         a.setflags(write=False)
     return nodes_weights
 
 
-def exact_score_quadrature(
-    spec_true: GeneratorSpec,
-    predictive: PluginGaussian,
-    n_points: int,
-    n_nodes: int = 64,
-) -> ScoreEstimate:
+def exact_score_quadrature(spec_true: GeneratorSpec, predictive: PluginGaussian, n_points: int) -> ScoreEstimate:
     """Exact score of a plug-in Gaussian predictive by Gauss-Legendre
     quadrature over the uniform y1 marginal.
 
@@ -290,11 +286,9 @@ def exact_score_quadrature(
     """
     if not isinstance(predictive, PluginGaussian):
         raise NotFactorizing("quadrature oracle applies to plug-in predictives only; use exact_score_mc")
-    if n_nodes < 64:
-        raise ValueError("use at least 64 quadrature nodes")
     predictive, floored = _floored_predictive(predictive)
     fit = predictive.fit
-    nodes, weights = _gauss_legendre(n_nodes)
+    nodes, weights = _gauss_legendre()
     gap = spec_true.mean_at(nodes) - fit.mean_at(nodes)
     cross_entropy = 0.5 * np.log(2.0 * math.pi * fit.sigma2) + (spec_true.sigma**2 + gap**2) / (
         2.0 * fit.sigma2

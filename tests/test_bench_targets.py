@@ -1,16 +1,21 @@
 """Every function the benchmark's tracer wraps (perfbench/tracer.py's
 TARGETS) must still exist, so a refactor that drops or renames one fails
-here instead of breaking a traced benchmark run; and the tracer must put
-back every object it replaced."""
+here instead of breaking a traced benchmark run; the tracer must put back
+every object it replaced; and the benchmark's reference import launch must
+import every outside module that rpps.cli does."""
 
+import ast
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def _tracer():
@@ -65,3 +70,30 @@ def test_uninstall_restores_every_target():
     assert after.keys() == before.keys()
     changed = [key for key in before if after[key] is not before[key]]
     assert not changed
+
+
+def _ref_child() -> str:
+    """perfbench/run.py's REF_CHILD, read without importing run.py."""
+    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "REF_CHILD" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/run.py assigns no REF_CHILD")
+
+
+def _modules_loaded_by(code: str) -> set:
+    probe = code + "\nimport sys\nprint(' '.join(sorted(sys.modules)))\n"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_setup_reference_launch_imports_what_rpps_cli_imports():
+    # setup_s is the time to import rpps.cli over the time of REF_CHILD, which
+    # imports a fixed list of outside modules; a module that rpps.cli loads
+    # beyond that list would count against rpps
+    reference = _modules_loaded_by(_ref_child())
+    rpps_cli = _modules_loaded_by("import rpps.cli")
+    outside = {name for name in rpps_cli - reference if name != "rpps" and not name.startswith("rpps.")}
+    assert not outside

@@ -69,6 +69,24 @@ class TestSimulate:
         assert "unknown generator spec keys: ['sigmaa']" in str(exc.value.code)
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        ("spec", "complaint"),
+        [
+            ({"degree": 1, "coeffs": [0.5, float("nan")], "sigma": 0.5}, "coefficients must be finite"),
+            ({"degree": 0, "coeffs": [0.5], "sigma": float("inf")}, "sigma must be finite and > 0"),
+        ],
+        ids=["nan-coefficient", "infinite-sigma"],
+    )
+    def test_non_finite_spec_is_rejected(self, tmp_path, spec, complaint):
+        # JSON as Python writes it may hold NaN and Infinity
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--spec", str(path), "--out", str(out)])
+        assert "bad generator spec" in str(exc.value.code) and complaint in str(exc.value.code)
+        assert not out.exists()
+
     def test_env_seed(self, tmp_path, spec_file, monkeypatch):
         out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
         monkeypatch.setenv("RPPS_SEED", "11")
@@ -304,6 +322,9 @@ class TestExperiment:
             ),
             ({"estimators": [{"kind": "delta", "label": 5}]}, "label must be a string"),
             ({"estimators": [{"kind": "delta", "label": "a,b"}]}, "without commas"),
+            ({"truth": {"degree": 0, "coeffs": [float("nan")], "sigma": 0.5}}, "coefficients must be finite"),
+            ({"truth": {"degree": 0, "coeffs": [0.5], "sigma": float("inf")}}, "sigma must be finite and > 0"),
+            ({"output_dir": 5}, "output_dir must be a string or null, got 5"),
         ],
         ids=[
             "misspelt-key",
@@ -320,6 +341,9 @@ class TestExperiment:
             "fractional-truth-degree",
             "non-string-label",
             "comma-label",
+            "nan-truth-coefficient",
+            "infinite-truth-sigma",
+            "non-string-output-dir",
         ],
     )
     def test_dry_run_rejects_bad_config(self, tmp_path, changes, complaint):

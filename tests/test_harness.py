@@ -73,6 +73,17 @@ class TestConfig:
         again = ExperimentConfig.from_json_dict(config.to_json_dict())
         assert again == config
 
+    def test_absent_fields_take_the_defaults(self):
+        raw = _config().to_json_dict()
+        for key in ("n_points", "replications", "oracle", "output_dir"):
+            del raw[key]
+        config = ExperimentConfig.from_json_dict(raw)
+        defaults = (config.n_points, config.replications, config.oracle, config.output_dir)
+        assert defaults == (12, 500, OracleConfig(), None)
+        del raw["seed"]
+        with pytest.raises(TypeError, match="seed"):
+            ExperimentConfig.from_json_dict(raw)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             _config(replications=0)
@@ -292,7 +303,7 @@ class TestCriterionRows:
         build = PredictiveBuilder(InferenceKind.POSTERIOR_PREDICTIVE, config.model)
         data = sample_dataset(config.truth, 12, 0)
         with pytest.raises(ValueError, match="aic needs inference 'mle'"):
-            run_estimator(EstimatorRequest(kind="aic"), None, build, data, 0)
+            run_estimator(EstimatorRequest(kind="aic"), build(data), build, data, 0)
 
     def test_appending_a_request_keeps_earlier_rows(self, tmp_path):
         # replication r draws request j's seed from generate_state(2 + J)[2 + j];

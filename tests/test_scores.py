@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from rpps import scores
 from rpps.conjugate import (
     PluginGaussian,
     PosteriorSample,
@@ -302,6 +303,31 @@ class TestBootstrap:
         build = PredictiveBuilder(InferenceKind.POSTERIOR_PREDICTIVE, ModelSpec(0))
         est = bootstrap_estimator(build, data, Bootstrap(25, seed=2))
         assert np.isfinite(est.value) and est.n_effective == 25
+
+
+@pytest.mark.parametrize(
+    ("estimate", "rows"),
+    [
+        (lambda build, data: holdout_estimator(build, data, 6, 6, seed=1), 1),
+        (lambda build, data: jackknife_estimator(build, data, 6, seed=1), 6),
+        (lambda build, data: bootstrap_estimator(build, data, Bootstrap(40, seed=1)), 40),
+    ],
+    ids=["holdout", "jackknife", "bootstrap"],
+)
+def test_prior_predictive_folds_take_one_evidence_row_each(monkeypatch, estimate, rows):
+    # the prior predictive trains on nothing: fold r is the evidence of its
+    # validation points alone, one kernel row, with no training-only rows
+    shapes = []
+    original = scores._evidence_batch
+
+    def recording(params, spec, y1, y2, include_y1_factor, weights=None):
+        shapes.append((np.shape(y1), np.shape(weights)))
+        return original(params, spec, y1, y2, include_y1_factor, weights)
+
+    monkeypatch.setattr(scores, "_evidence_batch", recording)
+    build = PredictiveBuilder(InferenceKind.PRIOR_PREDICTIVE, ModelSpec(2))
+    estimate(build, sample_dataset(QUARTIC, n=12, seed=3))
+    assert shapes == [((rows, 12), (rows, 12))]
 
 
 class TestUnusableFold:
