@@ -54,6 +54,16 @@ def _load_json(path: str, what: str) -> dict:
         raise SystemExit(f"error: {what} {path!r} is not valid JSON: {exc}")
 
 
+def _load_object(path: str, cls, what: str):
+    """`cls.from_json_dict` of the JSON file at `path`; an invalid object
+    exits with a message naming `what` and the file."""
+    raw = _load_json(path, what)
+    try:
+        return cls.from_json_dict(raw)
+    except ValueError as exc:
+        raise SystemExit(f"error: bad {what} {path!r}: {exc}")
+
+
 def _print_record(record: dict) -> None:
     print(json.dumps(record, sort_keys=True))
 
@@ -65,11 +75,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise SystemExit("error: simulate needs --spec and --out")
     n = _resolve(args, "n", int, 12)
     seed = _resolve(args, "seed", int, 0)
-    raw = _load_json(spec_path, "generator spec")
-    try:
-        spec = GeneratorSpec.from_json_dict(raw)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SystemExit(f"error: bad generator spec {spec_path!r}: {exc}")
+    spec = _load_object(spec_path, GeneratorSpec, "generator spec")
     data = sample_dataset(spec, n, seed)
     write_dataset_csv(data, out_path)
     _print_record({"spec": spec.to_json_dict(), "n": n, "seed": seed, "out": str(out_path)})
@@ -80,11 +86,7 @@ def _load_model(args: argparse.Namespace) -> ModelSpec:
     model_path = _resolve(args, "model")
     if model_path is None:
         raise SystemExit("error: a --model JSON file is required")
-    raw = _load_json(model_path, "model config")
-    try:
-        return ModelSpec.from_json_dict(raw)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SystemExit(f"error: bad model config {model_path!r}: {exc}")
+    return _load_object(model_path, ModelSpec, "model config")
 
 
 def _load_data(args: argparse.Namespace) -> DataSet:
@@ -173,11 +175,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     config_path = _resolve(args, "config")
     if config_path is None:
         raise SystemExit("error: experiment needs --config")
-    raw = _load_json(config_path, "experiment config")
-    try:
-        config = ExperimentConfig.from_json_dict(raw)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SystemExit(f"error: bad experiment config {config_path!r}: {exc}")
+    config = _load_object(config_path, ExperimentConfig, "experiment config")
     out_override = _resolve(args, "out")
     out_dir = out_override if out_override is not None else config.output_dir
     if _resolve(args, "dry_run", lambda s: s not in ("", "0", "false"), False):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -31,11 +31,32 @@ def require_count(name: str, value, minimum: int = 1) -> None:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
-def reject_unknown_keys(what: str, d: dict, cls) -> None:
-    """JSON objects name the fields of `cls`; anything else is a typo."""
+def load_json_object(cls, what: str, d, **nested):
+    """Build the dataclass `cls` from the JSON object `d`, named `what` in
+    errors.  Its keys are fields of `cls` (anything else is a typo), and it
+    holds every field without a default.  `nested` maps a field to the loader
+    of its JSON value; a ValueError there is prefixed with the field's name."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object, got {d!r}")
     extra = set(d) - {f.name for f in fields(cls)}
     if extra:
         raise ValueError(f"unknown {what} keys: {sorted(extra)}")
+    required = [f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING]
+    missing = [key for key in required if key not in d]
+    if missing:
+        raise ValueError(f"missing {what} keys: {missing}")
+    values = dict(d)
+    for key, load in nested.items():
+        if key in values:
+            try:
+                values[key] = load(values[key])
+            except ValueError as exc:
+                raise ValueError(f"{key}: {exc}") from None
+    return cls(**values)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def normal_logpdf(x, mean, var):
@@ -72,8 +93,13 @@ class GeneratorSpec:
     sigma: float
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
         require_count("degree", self.degree, minimum=0)
+        if not isinstance(self.coeffs, (list, tuple)) or not all(map(_is_real, self.coeffs)):
+            raise ValueError(f"coeffs must be a list or tuple of real numbers, got {self.coeffs!r}")
+        if not _is_real(self.sigma):
+            raise ValueError(f"sigma must be a real number, got {self.sigma!r}")
+        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
+        object.__setattr__(self, "sigma", float(self.sigma))
         if len(self.coeffs) != self.degree + 1:
             raise ValueError(
                 f"expected {self.degree + 1} coefficients, got {len(self.coeffs)}"
@@ -87,13 +113,22 @@ class GeneratorSpec:
         """Polynomial mean of y2 at the given y1 value(s)."""
         return horner(y1, self.coeffs)
 
+    def draw(self, rng: np.random.Generator, shape) -> tuple[np.ndarray, np.ndarray]:
+        """Draw y1 and then y2 arrays of `shape` from `rng`.  y2 is
+        mean + sigma * z, formed in place: bit for bit
+        `rng.normal(self.mean_at(y1), self.sigma)`."""
+        y1 = rng.uniform(-1.0, 1.0, size=shape)
+        y2 = rng.standard_normal(shape)
+        y2 *= self.sigma
+        y2 += self.mean_at(y1)
+        return y1, y2
+
     def to_json_dict(self) -> dict:
         return {"degree": self.degree, "coeffs": list(self.coeffs), "sigma": self.sigma}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "GeneratorSpec":
-        reject_unknown_keys("generator spec", d, cls)
-        return cls(degree=d["degree"], coeffs=tuple(d["coeffs"]), sigma=float(d["sigma"]))
+        return load_json_object(cls, "generator spec", d)
 
 
 class DataSet:
@@ -142,12 +177,8 @@ def sample_dataset(spec: GeneratorSpec, n: int, seed: int) -> DataSet:
     Uses numpy's PCG64 stream; identical (spec, n, seed) yields a bitwise
     identical DataSet.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    y1 = rng.uniform(-1.0, 1.0, size=n)
-    y2 = rng.normal(spec.mean_at(y1), spec.sigma)
-    return DataSet(y1, y2)
+    require_count("n", n)
+    return DataSet(*spec.draw(np.random.default_rng(seed), n))
 
 
 def true_log_density(spec: GeneratorSpec, data: DataSet) -> float:

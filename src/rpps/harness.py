@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .conjugate import Predictive, posterior_mean, sample_posterior
-from .datagen import DataSet, GeneratorSpec, reject_unknown_keys, require_count, sample_dataset
+from .datagen import DataSet, GeneratorSpec, load_json_object, require_count, sample_dataset
 from .linmodel import ModelSpec, PluginGaussian, RankDeficient, TooFewPoints
 from .scores import (
     AllResamplesDegenerate,
@@ -123,10 +123,7 @@ class EstimatorRequest:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "EstimatorRequest":
-        reject_unknown_keys("estimator", d, cls)
-        if "kind" not in d:
-            raise ValueError("an estimator request needs a kind")
-        return cls(**d)
+        return load_json_object(cls, "estimator", d)
 
 
 @dataclass(frozen=True)
@@ -142,13 +139,9 @@ class OracleConfig:
         if not isinstance(self.quadrature, bool):
             raise ValueError(f"quadrature must be true or false, got {self.quadrature!r}")
 
-    def to_json_dict(self) -> dict:
-        return {"mc_datasets": self.mc_datasets, "quadrature": self.quadrature}
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "OracleConfig":
-        reject_unknown_keys("oracle", d, cls)
-        return cls(**d)
+        return load_json_object(cls, "oracle", d)
 
 
 @dataclass(frozen=True)
@@ -189,34 +182,20 @@ class ExperimentConfig:
             request.check(self.inference, self.n_points)
 
     def to_json_dict(self) -> dict:
-        return {
-            "truth": self.truth.to_json_dict(),
-            "model": self.model.to_json_dict(),
-            "inference": self.inference.value,
-            "n_points": self.n_points,
-            "replications": self.replications,
-            "estimators": [e.to_json_dict() for e in self.estimators],
-            "oracle": self.oracle.to_json_dict(),
-            "seed": self.seed,
-            "output_dir": self.output_dir,
-        }
+        estimators = [e.to_json_dict() for e in self.estimators]
+        return {**asdict(self), "inference": self.inference.value, "estimators": estimators}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ExperimentConfig":
-        reject_unknown_keys("config", d, cls)
-        parsed = {
-            "truth": GeneratorSpec.from_json_dict(d["truth"]),
-            "model": ModelSpec.from_json_dict(d["model"]),
-            "estimators": tuple(EstimatorRequest.from_json_dict(e) for e in d["estimators"]),
-        }
-        if "oracle" in d:
-            parsed["oracle"] = OracleConfig.from_json_dict(d["oracle"])
-        return cls(**{**d, **parsed})  # absent fields take the defaults above
+        nested = {"truth": GeneratorSpec.from_json_dict, "model": ModelSpec.from_json_dict,
+                  "estimators": _load_requests, "oracle": OracleConfig.from_json_dict}
+        return load_json_object(cls, "config", d, **nested)
 
-    @classmethod
-    def from_json_file(cls, path) -> "ExperimentConfig":
-        with Path(path).open("r", encoding="utf-8") as f:
-            return cls.from_json_dict(json.load(f))
+
+def _load_requests(raw) -> tuple[EstimatorRequest, ...]:
+    if not isinstance(raw, list):
+        raise ValueError(f"expected a JSON list, got {raw!r}")
+    return tuple(EstimatorRequest.from_json_dict(e) for e in raw)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from .conjugate import (
     log_evidence,
     posterior_update,
 )
-from .datagen import LOG_HALF, DataSet, GeneratorSpec, normal_logpdf
+from .datagen import LOG_HALF, DataSet, GeneratorSpec, normal_logpdf, require_count
 from .linmodel import (
     FitResult,
     ModelSpec,
@@ -42,8 +42,6 @@ from .linmodel import (
     fit_mle,
     plugin_log_predictive,
 )
-
-_LOG_2PI = math.log(2.0 * math.pi)
 
 # Overfit folds can drive the MLE noise variance to zero; densities are
 # evaluated with the variance floored here and the engagement counted.
@@ -243,17 +241,10 @@ def exact_score_mc(
     predictive; the standard error is the sample SD over replicates divided
     by sqrt(n_datasets).
     """
-    if n_datasets < 2:
-        raise ValueError("n_datasets must be >= 2")
-    if n_points < 1:
-        raise ValueError("n_points must be >= 1")
+    require_count("n_datasets", n_datasets, minimum=2)
+    require_count("n_points", n_points)
     predictive, floored = _floored_predictive(predictive)
-    rng = np.random.default_rng(seed)
-    y1 = rng.uniform(-1.0, 1.0, size=(n_datasets, n_points))
-    # mean + sigma * z, in place: bit for bit rng.normal(mean, sigma)
-    y2 = rng.standard_normal(y1.shape)
-    y2 *= spec_true.sigma
-    y2 += spec_true.mean_at(y1)
+    y1, y2 = spec_true.draw(np.random.default_rng(seed), (n_datasets, n_points))
     scores = -predictive.log_density_batch(y1, y2)
     value = float(np.mean(scores))
     std_error = float(np.std(scores, ddof=1) / math.sqrt(n_datasets))
@@ -437,9 +428,8 @@ def _pointwise_loglik(
 ) -> np.ndarray:
     """Matrix of log pi(y_n | x_s): rows are posterior draws, columns data
     points; the conditional likelihood carries the uniform y1 factor."""
-    tau = samples.precision
     mean = samples.coeffs @ spec.design_matrix(data.y1).T
-    loglik = -0.5 * _LOG_2PI + 0.5 * np.log(tau)[:, None] - 0.5 * tau[:, None] * (data.y2 - mean) ** 2
+    loglik = normal_logpdf(data.y2, mean, 1.0 / samples.precision[:, None])
     if include_y1_factor:
         loglik = loglik + LOG_HALF
     return loglik

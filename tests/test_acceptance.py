@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines alongside pytest's own verdicts.
 """
 
+import json
 import math
 import time
 from pathlib import Path
@@ -208,7 +209,7 @@ def test_criterion_6_misfit_figure_shape():
     magnitude below the medians this configuration produces across seeds.
     """
     started = time.time()
-    config = ExperimentConfig.from_json_file(CONFIG_DIR / "misfit.json")
+    config = ExperimentConfig.from_json_dict(json.loads((CONFIG_DIR / "misfit.json").read_text()))
     assert config.replications == 500 and config.n_points == 12
     stats_a = _ensemble_stats(config)
     reseeded = ExperimentConfig.from_json_dict({**config.to_json_dict(), "seed": config.seed + 1})
@@ -232,7 +233,7 @@ def test_criterion_7_overfit_figure_shape():
     20-80% error band is wider than the jackknife's and the delta median
     error is negative; sign/ordering checks only."""
     started = time.time()
-    config = ExperimentConfig.from_json_file(CONFIG_DIR / "overfit.json")
+    config = ExperimentConfig.from_json_dict(json.loads((CONFIG_DIR / "overfit.json").read_text()))
     assert config.replications == 500
     summary = _ensemble_stats(config)
     holdout_band = summary["holdout"]["q80"] - summary["holdout"]["q20"]

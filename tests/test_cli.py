@@ -87,6 +87,23 @@ class TestSimulate:
         assert "bad generator spec" in str(exc.value.code) and complaint in str(exc.value.code)
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        ("spec", "complaint"),
+        [
+            ({"degree": 0, "coeffs": 0.5, "sigma": 0.5}, "coeffs must be a list or tuple of real numbers, got 0.5"),
+            (None, "generator spec must be a JSON object, got None"),
+        ],
+        ids=["number-coeffs", "null-spec"],
+    )
+    def test_malformed_spec_is_rejected(self, tmp_path, spec, complaint):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--spec", str(path), "--out", str(out)])
+        assert str(exc.value.code) == f"error: bad generator spec {str(path)!r}: {complaint}"
+        assert not out.exists()
+
     def test_env_seed(self, tmp_path, spec_file, monkeypatch):
         out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
         monkeypatch.setenv("RPPS_SEED", "11")
@@ -114,6 +131,18 @@ class TestFit:
             main(["fit", "--data", str(data_file), "--model", str(model)])
         assert "bad model config" in str(exc.value.code)
         assert "unknown model keys: ['prior_scale']" in str(exc.value.code)
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("command", ["fit", "score"])
+    def test_null_model_is_rejected(self, tmp_path, data_file, capsys, command):
+        model = tmp_path / "model.json"
+        model.write_text("null")
+        est = tmp_path / "est.json"
+        est.write_text(json.dumps([{"kind": "delta"}]))
+        args = [command, "--data", str(data_file), "--model", str(model)]
+        with pytest.raises(SystemExit) as exc:
+            main(args + (["--estimators", str(est)] if command == "score" else []))
+        assert str(exc.value.code) == f"error: bad model config {str(model)!r}: model must be a JSON object, got None"
         assert capsys.readouterr().out == ""
 
     def test_malformed_row_is_a_read_error(self, tmp_path, model_file):
@@ -325,6 +354,20 @@ class TestExperiment:
             ({"truth": {"degree": 0, "coeffs": [float("nan")], "sigma": 0.5}}, "coefficients must be finite"),
             ({"truth": {"degree": 0, "coeffs": [0.5], "sigma": float("inf")}}, "sigma must be finite and > 0"),
             ({"output_dir": 5}, "output_dir must be a string or null, got 5"),
+            ({"oracle": None}, "oracle: oracle must be a JSON object, got None"),
+            ({"truth": None}, "truth: generator spec must be a JSON object, got None"),
+            ({"model": []}, "model: model must be a JSON object, got []"),
+            ({"estimators": 5}, "estimators: expected a JSON list, got 5"),
+            ({"estimators": [5]}, "estimators: estimator must be a JSON object, got 5"),
+            (
+                {"truth": {"degree": 2, "coeffs": "123", "sigma": 0.5}},
+                "truth: coeffs must be a list or tuple of real numbers, got '123'",
+            ),
+            (
+                {"truth": {"degree": 0, "coeffs": [0.5], "sigma": "0.5"}},
+                "truth: sigma must be a real number, got '0.5'",
+            ),
+            ({"truth": {"degree": 0, "coeffs": [0.5], "sigma": True}}, "truth: sigma must be a real number, got True"),
         ],
         ids=[
             "misspelt-key",
@@ -344,6 +387,14 @@ class TestExperiment:
             "nan-truth-coefficient",
             "infinite-truth-sigma",
             "non-string-output-dir",
+            "null-oracle",
+            "null-truth",
+            "list-model",
+            "number-estimators",
+            "number-estimator-entry",
+            "string-truth-coeffs",
+            "string-truth-sigma",
+            "bool-truth-sigma",
         ],
     )
     def test_dry_run_rejects_bad_config(self, tmp_path, changes, complaint):
@@ -389,7 +440,7 @@ class TestExperiment:
         assert main(["experiment", "--config", str(path), "--out", str(out_dir)]) == 0
         with (out_dir / "rows.csv").open() as f:
             rows = {(row["replication_id"], row["estimator"]): row for row in csv.DictReader(f)}
-        config = ExperimentConfig.from_json_file(path)
+        config = ExperimentConfig.from_json_dict(json.loads(path.read_text()))
         for r, child in enumerate(np.random.SeedSequence(config.seed).spawn(config.replications)):
             # the harness's seeds: data, oracle, then one per request
             seeds = [int(s) for s in child.generate_state(2 + len(estimators), dtype=np.uint64)]
@@ -423,6 +474,6 @@ class TestExperiment:
     def test_shipped_configs_parse(self):
         config_dir = Path(__file__).resolve().parent.parent / "configs"
         for name in ("misfit.json", "overfit.json"):
-            config = ExperimentConfig.from_json_file(config_dir / name)
+            config = ExperimentConfig.from_json_dict(json.loads((config_dir / name).read_text()))
             assert config.n_points == 12
             assert config.replications == 500

@@ -29,6 +29,38 @@ class TestGeneratorSpec:
         again = GeneratorSpec.from_json_dict(QUARTIC.to_json_dict())
         assert again == QUARTIC
 
+    @pytest.mark.parametrize(
+        ("fields", "complaint"),
+        [
+            ({"degree": 2, "coeffs": "123", "sigma": 0.5}, "coeffs must be a list or tuple of real numbers"),
+            ({"degree": 0, "coeffs": 0.5, "sigma": 0.5}, "coeffs must be a list or tuple of real numbers"),
+            ({"degree": 0, "coeffs": [True], "sigma": 0.5}, "coeffs must be a list or tuple of real numbers"),
+            ({"degree": 0, "coeffs": ["0.5"], "sigma": 0.5}, "coeffs must be a list or tuple of real numbers"),
+            ({"degree": 0, "coeffs": [0.5], "sigma": "0.5"}, "sigma must be a real number, got '0.5'"),
+            ({"degree": 0, "coeffs": [0.5], "sigma": True}, "sigma must be a real number, got True"),
+            ({"degree": 0, "coeffs": [0.5]}, r"missing generator spec keys: \['sigma'\]"),
+            (None, "generator spec must be a JSON object, got None"),
+        ],
+        ids=[
+            "string-coeffs",
+            "number-coeffs",
+            "bool-coefficient",
+            "string-coefficient",
+            "string-sigma",
+            "bool-sigma",
+            "missing-sigma",
+            "null-spec",
+        ],
+    )
+    def test_json_types_are_checked_not_coerced(self, fields, complaint):
+        with pytest.raises(ValueError, match=complaint):
+            GeneratorSpec.from_json_dict(fields)
+
+    def test_integers_are_real_numbers(self):
+        spec = GeneratorSpec.from_json_dict({"degree": 1, "coeffs": [1, 2], "sigma": 1})
+        assert spec == GeneratorSpec(1, (1.0, 2.0), 1.0)
+        assert spec.to_json_dict() == {"degree": 1, "coeffs": [1.0, 2.0], "sigma": 1.0}
+
     def test_mean_is_polynomial(self):
         y1 = np.array([-1.0, 0.0, 0.5])
         expected = [sum(c * x**k for k, c in enumerate(QUARTIC.coeffs)) for x in y1]
@@ -61,6 +93,22 @@ class TestSampleDataset:
         data = sample_dataset(spec, n=3, seed=0)
         # the noise is below float resolution around 0.7
         np.testing.assert_array_equal(data.y2, 0.7)
+
+    @pytest.mark.parametrize("degree", range(6))
+    def test_stream_is_uniform_then_normal(self, degree):
+        # every rows.csv rests on this stream: y1 first, then y2 around the mean
+        rng = np.random.default_rng(100 + degree)
+        spec = GeneratorSpec(degree, tuple(rng.normal(size=degree + 1)), float(rng.uniform(0.1, 2.0)))
+        data = sample_dataset(spec, n=12, seed=degree)
+        rng = np.random.default_rng(degree)
+        y1 = rng.uniform(-1.0, 1.0, 12)
+        y2 = rng.normal(np.polynomial.polynomial.polyval(y1, spec.coeffs), spec.sigma)
+        np.testing.assert_array_equal(data.y1, y1)
+        np.testing.assert_array_equal(data.y2, y2)
+        # the Monte Carlo oracle's batch of measurements is the same stream
+        y1, y2 = spec.draw(np.random.default_rng(degree), (3, 4))
+        np.testing.assert_array_equal(y1.ravel(), data.y1)
+        np.testing.assert_array_equal(y2.ravel(), data.y2)
 
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):

@@ -81,8 +81,17 @@ class TestConfig:
         defaults = (config.n_points, config.replications, config.oracle, config.output_dir)
         assert defaults == (12, 500, OracleConfig(), None)
         del raw["seed"]
-        with pytest.raises(TypeError, match="seed"):
+        with pytest.raises(ValueError, match="seed"):
             ExperimentConfig.from_json_dict(raw)
+
+    def test_missing_keys_are_named(self):
+        with pytest.raises(ValueError, match=r"missing estimator keys: \['kind'\]"):
+            EstimatorRequest.from_json_dict({"k_folds": 6})
+        for key in ("truth", "seed"):
+            raw = _config().to_json_dict()
+            del raw[key]
+            with pytest.raises(ValueError, match=rf"missing config keys: \['{key}'\]"):
+                ExperimentConfig.from_json_dict(raw)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -308,7 +317,7 @@ class TestCriterionRows:
     def test_appending_a_request_keeps_earlier_rows(self, tmp_path):
         # replication r draws request j's seed from generate_state(2 + J)[2 + j];
         # a longer state has the shorter one as its prefix
-        shipped = ExperimentConfig.from_json_file(CONFIG_DIR / "misfit.json")
+        shipped = ExperimentConfig.from_json_dict(json.loads((CONFIG_DIR / "misfit.json").read_text()))
         assert shipped.inference == InferenceKind.MLE
         extended = replace(shipped, estimators=shipped.estimators + (EstimatorRequest(kind="aic"),))
         emit_outputs(run_experiment(shipped), tmp_path / "shipped")
