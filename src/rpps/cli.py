@@ -136,7 +136,7 @@ def _parse_request(raw, model: ModelSpec, data: DataSet, builders: dict):
     if inference not in builders:
         builders[inference] = PredictiveBuilder(inference, model)
     build = builders[inference]
-    request.check(build.inference, len(data))
+    request.check(build, len(data))
     return request, build, seed
 
 

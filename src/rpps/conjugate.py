@@ -195,11 +195,8 @@ def _update(
     return params.lam + sums[j[:, None] + j].transpose(2, 0, 1), logdet_n, mu_n, beta_n
 
 
-def posterior_update(prior: NormalGammaParams, spec: ModelSpec, data: DataSet | None) -> NormalGammaParams:
-    """Closed-form conjugate update (see `_update`); `None` (no data)
-    returns the prior."""
-    if data is None or len(data) == 0:
-        return prior
+def posterior_update(prior: NormalGammaParams, spec: ModelSpec, data: DataSet) -> NormalGammaParams:
+    """Closed-form conjugate update (see `_update`)."""
     lam_n, _, mu_n, beta_n = _update(prior, spec, data.y1[None], data.y2[None])
     return NormalGammaParams(mu=mu_n[0], lam=lam_n[0], alpha=prior.alpha + 0.5 * len(data), beta=float(beta_n[0]))
 
@@ -234,21 +231,19 @@ def _evidence_batch(
 def log_evidence(
     prior: NormalGammaParams,
     spec: ModelSpec,
-    data: DataSet | None,
+    data: DataSet,
     include_y1_factor: bool = True,
 ) -> float:
     """Log marginal likelihood of `data`: log of the likelihood integrated
     against the Normal-Gamma distribution `prior`.
 
-    The batch evidence at R = 1; `None`/empty data gives 0.  Includes
+    The batch evidence at R = 1.  Includes
     n * log(1/2) for the uniform y1 factors unless `include_y1_factor` is
     off.  Under a posterior this is the joint posterior predictive density:
     log_evidence(posterior_update(prior, train), new) equals
     log_evidence(prior, train + new) - log_evidence(prior, train) by the
     probability chain rule (asserted in tests).
     """
-    if data is None or len(data) == 0:
-        return 0.0
     return float(_evidence_batch(prior, spec, data.y1[None], data.y2[None], include_y1_factor)[0])
 
 

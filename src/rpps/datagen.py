@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import math
 import numbers
+import sys
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
@@ -98,16 +99,17 @@ class GeneratorSpec:
             raise ValueError(f"coeffs must be a list or tuple of real numbers, got {self.coeffs!r}")
         if not _is_real(self.sigma):
             raise ValueError(f"sigma must be a real number, got {self.sigma!r}")
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
-        object.__setattr__(self, "sigma", float(self.sigma))
         if len(self.coeffs) != self.degree + 1:
             raise ValueError(
                 f"expected {self.degree + 1} coefficients, got {len(self.coeffs)}"
             )
-        if not all(math.isfinite(c) for c in self.coeffs):
+        # checked unconverted: float() of an integer beyond the float range overflows
+        if not all(abs(c) <= sys.float_info.max for c in self.coeffs):
             raise ValueError(f"coefficients must be finite, got {list(self.coeffs)}")
-        if not (math.isfinite(self.sigma) and self.sigma > 0):
+        if not 0 < self.sigma <= sys.float_info.max:
             raise ValueError(f"sigma must be finite and > 0, got {self.sigma!r}")
+        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
+        object.__setattr__(self, "sigma", float(self.sigma))
 
     def mean_at(self, y1):
         """Polynomial mean of y2 at the given y1 value(s)."""

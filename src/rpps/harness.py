@@ -17,7 +17,7 @@ import numpy as np
 
 from .conjugate import Predictive, posterior_mean, sample_posterior
 from .datagen import DataSet, GeneratorSpec, load_json_object, require_count, sample_dataset
-from .linmodel import ModelSpec, PluginGaussian, RankDeficient, TooFewPoints
+from .linmodel import ModelSpec, PluginGaussian, RankDeficient
 from .scores import (
     AllResamplesDegenerate,
     Bootstrap,
@@ -102,17 +102,24 @@ class EstimatorRequest:
         if self.label is not None and (not isinstance(self.label, str) or any(c in self.label for c in ',"\r\n')):
             raise ValueError(f"label must be a string without commas, quotes or line breaks, got {self.label!r}")
 
-    def check(self, inference: InferenceKind, n_points: int) -> None:
-        """Raise ValueError unless the request runs under `inference` on
-        n_points: a criterion needs its own inference, and a hold-out or
-        jackknife partition must fit."""
-        fixed, inference = CRITERION_INFERENCE.get(self.kind), InferenceKind(inference)
-        if fixed is not None and inference != fixed:
-            raise ValueError(f"{self.kind} needs inference {fixed.value!r}, got {inference.value!r}")
+    def check(self, build: PredictiveBuilder, n_points: int) -> None:
+        """Raise ValueError unless the request runs on n_points under the
+        inference of `build`: a criterion needs its own inference, a partition
+        must fit, and each training set (the measurement, a hold-out's n_train
+        points, a jackknife fold's complement) needs `build.min_train_size`."""
+        fixed, minimum = CRITERION_INFERENCE.get(self.kind), build.min_train_size
+        if fixed is not None and build.inference != fixed:
+            raise ValueError(f"{self.kind} needs inference {fixed.value!r}, got {build.inference.value!r}")
         if self.kind == "holdout" and self.n_train + self.n_valid != n_points:
             raise ValueError(f"holdout partitions must cover all {n_points} points")
         if self.kind == "jackknife" and n_points % self.k_folds != 0:
             raise ValueError(f"k_folds must divide n_points = {n_points}")
+        train = self.n_train if self.kind == "holdout" else n_points
+        if self.kind == "jackknife":
+            train -= n_points // self.k_folds
+        if train < minimum:
+            below = f"below the degree-{build.spec.degree} {build.inference.value} minimum {minimum}"
+            raise ValueError(f"{self.kind} trains on {train} of {n_points} points, {below}")
 
     @property
     def name(self) -> str:
@@ -164,22 +171,19 @@ class ExperimentConfig:
         require_count("seed", self.seed, minimum=0)
         if self.output_dir is not None and not isinstance(self.output_dir, str):
             raise ValueError(f"output_dir must be a string or null, got {self.output_dir!r}")
-        if self.inference == InferenceKind.MLE and self.n_points < self.model.min_fit_size:
-            raise ValueError(
-                f"n_points {self.n_points} below the degree-{self.model.degree} MLE minimum {self.model.min_fit_size}"
-            )
         if not self.estimators:
             raise ValueError("select at least one estimator")
         names = [e.name for e in self.estimators]
         if len(set(names)) != len(names):
             raise ValueError(f"estimator labels must be unique, got {names}")
+        build = PredictiveBuilder(self.inference, self.model)
         for request in self.estimators:
             if request.kind == "evidence":
                 raise ValueError(
                     "evidence keeps its classical sign and is no score; request delta under "
                     "prior_predictive, whose value is exactly the negated log evidence"
                 )
-            request.check(self.inference, self.n_points)
+            request.check(build, self.n_points)
 
     def to_json_dict(self) -> dict:
         estimators = [e.to_json_dict() for e in self.estimators]
@@ -265,7 +269,7 @@ def run_estimator(
     The partition estimators score their folds through `build.score_folds`.
     `seed` draws the partitions and the posterior samples.
     """
-    request.check(build.inference, len(measurement))
+    request.check(build, len(measurement))
     kind = request.kind
     if kind == "holdout":
         return holdout_estimator(build, measurement, request.n_train, request.n_valid, seed)
@@ -289,9 +293,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the full ensemble and summarize estimator errors.
 
     Per replication: sample a measurement, build the configured predictive,
-    compute the exact score once, then every selected estimator.  Estimator
-    failures (degenerate folds and the like) are recorded as failed rows;
-    the run only fails if every row does.
+    compute the exact score once, then every selected estimator.  Only data
+    failures (rank-deficient fits, degenerate bootstraps) become failed rows,
+    and the run fails if every row does; any other exception propagates.
     """
     build = PredictiveBuilder(config.inference, config.model)
     root = np.random.SeedSequence(config.seed)
@@ -305,7 +309,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         try:
             predictive = build(measurement)
             exact = _exact_score(config, predictive, oracle_seed)
-        except (TooFewPoints, RankDeficient) as exc:
+        except RankDeficient as exc:
             for request in config.estimators:
                 rows.append(ReplicationRow(r, request.name, None, None, None, None, 0, failed=True, message=str(exc)))
             continue
@@ -314,7 +318,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         for j, request in enumerate(config.estimators):
             try:
                 est = run_estimator(request, predictive, build, measurement, int(sub[2 + j]))
-            except (TooFewPoints, RankDeficient, AllResamplesDegenerate) as exc:
+            except (RankDeficient, AllResamplesDegenerate) as exc:
                 row = ReplicationRow(r, request.name, None, None, exact.value, None, 0, failed=True, message=str(exc))
             else:
                 error, floored = est.value - exact.value, est.floor_engaged + exact.floor_engaged

@@ -134,10 +134,8 @@ class PluginGaussian:
         return out
 
 
-def plugin_log_predictive(fit: FitResult, new_data: DataSet | None, include_y1_factor: bool = True) -> float:
+def plugin_log_predictive(fit: FitResult, new_data: DataSet, include_y1_factor: bool = True) -> float:
     """Joint log density of new data under the plug-in Gaussian predictive:
-    its `log_density_batch` at a batch of one; `None` (no data) gives 0."""
-    if new_data is None:
-        return 0.0
+    its `log_density_batch` at a batch of one."""
     predictive = PluginGaussian(fit, include_y1_factor)
     return float(predictive.log_density_batch(new_data.y1[None], new_data.y2[None])[0])

@@ -1,8 +1,10 @@
 """Every function the benchmark's tracer wraps (perfbench/tracer.py's
 TARGETS) must still exist, so a refactor that drops or renames one fails
 here instead of breaking a traced benchmark run; the tracer must put back
-every object it replaced; and the benchmark's reference import launch must
-import every outside module that rpps.cli does."""
+every object it replaced; the benchmark's reference import launch must
+import every outside module that rpps.cli does; its setup launch must run
+on both of its inputs; and its replication marker and oracle-SE collector,
+patched onto `rpps.harness`, must see the calls of a run."""
 
 import ast
 import importlib
@@ -13,6 +15,11 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from rpps import harness
+from rpps.datagen import GeneratorSpec, sample_dataset, write_dataset_csv
+from rpps.harness import EstimatorRequest, ExperimentConfig, InferenceKind, OracleConfig
+from rpps.linmodel import ModelSpec
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -72,28 +79,72 @@ def test_uninstall_restores_every_target():
     assert not changed
 
 
-def _ref_child() -> str:
-    """perfbench/run.py's REF_CHILD, read without importing run.py."""
+def _run_py_constant(name: str) -> str:
+    """The string constant `name` of perfbench/run.py, read without importing run.py."""
     tree = ast.parse((ROOT / "perfbench" / "run.py").read_text(encoding="utf-8"))
     for node in tree.body:
-        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "REF_CHILD" for t in node.targets):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == name for t in node.targets):
             return ast.literal_eval(node.value)
-    raise AssertionError("perfbench/run.py assigns no REF_CHILD")
+    raise AssertionError(f"perfbench/run.py assigns no {name}")
+
+
+def _last_line_of(code: str, *argv) -> str:
+    """The last line `code` prints, run with `argv` in a fresh interpreter that imports rpps from src."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    command = [sys.executable, "-c", code, *map(str, argv)]
+    proc = subprocess.run(command, cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
 
 
 def _modules_loaded_by(code: str) -> set:
     probe = code + "\nimport sys\nprint(' '.join(sorted(sys.modules)))\n"
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return set(proc.stdout.splitlines()[-1].split())
+    return set(_last_line_of(probe).split())
 
 
 def test_setup_reference_launch_imports_what_rpps_cli_imports():
     # setup_s is the time to import rpps.cli over the time of REF_CHILD, which
     # imports a fixed list of outside modules; a module that rpps.cli loads
     # beyond that list would count against rpps
-    reference = _modules_loaded_by(_ref_child())
+    reference = _modules_loaded_by(_run_py_constant("REF_CHILD"))
     rpps_cli = _modules_loaded_by("import rpps.cli")
     outside = {name for name in rpps_cli - reference if name != "rpps" and not name.startswith("rpps.")}
     assert not outside
+
+
+def test_setup_launch_validates_a_config():
+    # setup_s times SETUP_CHILD, which prints "fail" when rpps rejects its input
+    assert float(_last_line_of(_run_py_constant("SETUP_CHILD"), ROOT / "configs" / "misfit.json")) > 0
+
+
+def test_setup_launch_loads_score_inputs(tmp_path):
+    data, model, requests = tmp_path / "data.csv", tmp_path / "model.json", tmp_path / "requests.json"
+    write_dataset_csv(sample_dataset(GeneratorSpec(0, (0.5,), 0.5), 12, 3), data)
+    model.write_text('{"degree": 2}')
+    requests.write_text('[{"kind": "delta"}, {"kind": "jackknife", "k_folds": 6, "seed": 1}]')
+    assert float(_last_line_of(_run_py_constant("SETUP_CHILD"), data, model, requests)) > 0
+
+
+def test_run_experiment_calls_through_harness_attributes(monkeypatch):
+    # the benchmark marks replications by patching harness.sample_dataset and
+    # collects oracle SEs by patching harness.exact_score_mc
+    config = ExperimentConfig(
+        truth=GeneratorSpec(0, (0.5,), 0.5),
+        model=ModelSpec(1),
+        inference=InferenceKind.POSTERIOR_PREDICTIVE,
+        estimators=(EstimatorRequest(kind="delta"),),
+        seed=3,
+        replications=3,
+        oracle=OracleConfig(mc_datasets=20),
+    )
+    calls = []
+    for name in ("sample_dataset", "exact_score_mc"):
+        original = getattr(harness, name)
+
+        def recording(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(harness, name, recording)
+    harness.run_experiment(config)
+    assert calls == ["sample_dataset", "exact_score_mc"] * 3

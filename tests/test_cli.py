@@ -74,8 +74,10 @@ class TestSimulate:
         [
             ({"degree": 1, "coeffs": [0.5, float("nan")], "sigma": 0.5}, "coefficients must be finite"),
             ({"degree": 0, "coeffs": [0.5], "sigma": float("inf")}, "sigma must be finite and > 0"),
+            ({"degree": 0, "coeffs": [10**400], "sigma": 0.5}, "coefficients must be finite"),
+            ({"degree": 0, "coeffs": [0.5], "sigma": 10**400}, "sigma must be finite and > 0"),
         ],
-        ids=["nan-coefficient", "infinite-sigma"],
+        ids=["nan-coefficient", "infinite-sigma", "huge-integer-coefficient", "huge-integer-sigma"],
     )
     def test_non_finite_spec_is_rejected(self, tmp_path, spec, complaint):
         # JSON as Python writes it may hold NaN and Infinity
@@ -278,6 +280,30 @@ class TestScore:
     def test_requests_validated_before_any_record(self, data_file, model_file, tmp_path, capsys):
         self._usage_error(data_file, model_file, tmp_path, [{"kind": "delta"}, {"kind": "bootstrap"}], capsys)
 
+    @pytest.mark.parametrize(
+        ("n_points", "requests"),
+        [
+            (12, [{"kind": "delta"}, {"kind": "holdout", "n_train": 4, "n_valid": 8}]),  # 4 < 6
+            (12, [{"kind": "delta"}, {"kind": "jackknife", "k_folds": 1}]),  # 0 < 6
+            (5, [{"kind": "delta", "inference": "posterior_predictive"}, {"kind": "aic"}]),  # 5 < 6
+        ],
+        ids=["undersized-holdout", "one-fold-jackknife", "undersized-measurement"],
+    )
+    def test_training_set_below_model_minimum_is_usage_error(self, tmp_path, capsys, n_points, requests):
+        # the degree-4 MLE needs 6 points, in the measurement and in each training set
+        data = tmp_path / "data.csv"
+        write_dataset_csv(sample_dataset(GeneratorSpec(0, (0.5,), 0.5), n=n_points, seed=7), data)
+        model = tmp_path / "model4.json"
+        model.write_text(json.dumps({"degree": 4}))
+        est = tmp_path / "est.json"
+        est.write_text(json.dumps(requests))
+        with pytest.raises(SystemExit) as exc:
+            main(["score", "--data", str(data), "--model", str(model), "--estimators", str(est)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no record printed
+        assert "below the degree-4 mle minimum 6" in captured.err
+
     def test_y1_outside_support_is_a_read_error(self, tmp_path, model_file):
         bad = tmp_path / "outside.csv"
         bad.write_text("y1,y2\n2.0,0.2\n0.3,0.1\n")
@@ -353,6 +379,8 @@ class TestExperiment:
             ({"estimators": [{"kind": "delta", "label": "a,b"}]}, "without commas"),
             ({"truth": {"degree": 0, "coeffs": [float("nan")], "sigma": 0.5}}, "coefficients must be finite"),
             ({"truth": {"degree": 0, "coeffs": [0.5], "sigma": float("inf")}}, "sigma must be finite and > 0"),
+            ({"truth": {"degree": 0, "coeffs": [-10**400], "sigma": 0.5}}, "truth: coefficients must be finite"),
+            ({"truth": {"degree": 0, "coeffs": [0.5], "sigma": 10**400}}, "truth: sigma must be finite and > 0"),
             ({"output_dir": 5}, "output_dir must be a string or null, got 5"),
             ({"oracle": None}, "oracle: oracle must be a JSON object, got None"),
             ({"truth": None}, "truth: generator spec must be a JSON object, got None"),
@@ -386,6 +414,8 @@ class TestExperiment:
             "comma-label",
             "nan-truth-coefficient",
             "infinite-truth-sigma",
+            "huge-integer-truth-coefficient",
+            "huge-integer-truth-sigma",
             "non-string-output-dir",
             "null-oracle",
             "null-truth",
@@ -398,6 +428,32 @@ class TestExperiment:
         ],
     )
     def test_dry_run_rejects_bad_config(self, tmp_path, changes, complaint):
+        path = self._write_config(tmp_path, **changes)
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "--config", str(path), "--dry-run"])
+        assert "bad experiment config" in str(exc.value.code) and complaint in str(exc.value.code)
+
+    @pytest.mark.parametrize(
+        ("changes", "complaint"),
+        [
+            (
+                {"model": {"degree": 4}, "estimators": [{"kind": "holdout", "n_train": 4, "n_valid": 8}]},
+                "holdout trains on 4 of 12 points, below the degree-4 mle minimum 6",
+            ),
+            (
+                {"model": {"degree": 6}, "estimators": [{"kind": "jackknife", "k_folds": 2}]},
+                "jackknife trains on 6 of 12 points, below the degree-6 mle minimum 8",
+            ),
+            (
+                {"estimators": [{"kind": "jackknife", "k_folds": 1}]},
+                "jackknife trains on 0 of 12 points, below the degree-0 mle minimum 2",
+            ),
+            ({"model": {"degree": 4}, "n_points": 5}, "delta trains on 5 of 5 points, below the degree-4 mle minimum 6"),
+        ],
+        ids=["undersized-holdout", "undersized-jackknife", "one-fold-jackknife", "undersized-measurement"],
+    )
+    def test_dry_run_rejects_training_set_below_model_minimum(self, tmp_path, changes, complaint):
+        # a partition the model cannot fit fails validation, not every replication
         path = self._write_config(tmp_path, **changes)
         with pytest.raises(SystemExit) as exc:
             main(["experiment", "--config", str(path), "--dry-run"])

@@ -116,10 +116,6 @@ class TestPosteriorUpdate:
         grid = posterior_grid_summary([0.0], [[0.001]], 0.5, 0.5, [0.0], [1.0])
         assert post.mu[0] == pytest.approx(grid["mean"][0], abs=1e-6)
 
-    def test_empty_data_returns_prior(self):
-        prior = default_prior(ModelSpec(1))
-        assert posterior_update(prior, ModelSpec(1), None) is prior
-
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_sequential_equals_batch(self, seed):
         prior, spec, data = _random_case(seed, degree=1, n=8)
@@ -151,10 +147,6 @@ class TestPosteriorUpdate:
 
 
 class TestLogEvidence:
-    def test_empty_is_zero(self):
-        prior = default_prior(ModelSpec(0))
-        assert log_evidence(prior, ModelSpec(0), None) == 0.0
-
     def test_single_datum_against_grid_oracle(self):
         prior = default_prior(ModelSpec(0))
         data = DataSet([0.0], [1.0])

@@ -2,9 +2,12 @@ import csv
 import json
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rpps import harness
 from rpps.datagen import GeneratorSpec, sample_dataset
@@ -20,7 +23,7 @@ from rpps.harness import (
     run_estimator,
     run_experiment,
 )
-from rpps.linmodel import ModelSpec
+from rpps.linmodel import ModelSpec, TooFewPoints
 from rpps.scores import PredictiveBuilder
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -219,22 +222,20 @@ class TestRunExperiment:
             assert (s.q20, s.q50, s.q80) == (q20, q50, q80)
 
     def test_failed_rows_recorded_and_run_continues(self):
-        # holdout training partition below the degree-4 minimum fails per row
+        # one resample of 12 draws almost never holds the 12 distinct points
+        # a degree-10 MLE needs, so the bootstrap fails per row from the data
         config = _config(
-            truth=GeneratorSpec(degree=0, coeffs=(0.5,), sigma=0.5),
-            model=ModelSpec(4),
-            estimators=(
-                EstimatorRequest(kind="delta"),
-                EstimatorRequest(kind="holdout", n_train=5, n_valid=7),
-            ),
+            model=ModelSpec(10),
+            estimators=(EstimatorRequest(kind="delta"), EstimatorRequest(kind="bootstrap", b_resamples=1)),
             replications=4,
         )
         result = run_experiment(config)
         failed = [r for r in result.rows if r.failed]
-        assert len(failed) == 4 and all(r.estimator == "holdout" for r in failed)
+        assert len(failed) == 4 and all(r.estimator == "bootstrap" for r in failed)
+        assert all("no usable resample" in r.message for r in failed)
         assert all(not r.failed for r in result.rows if r.estimator == "delta")
         summary = {s.estimator: s for s in result.summary}
-        assert summary["holdout"].n_failed == 4
+        assert summary["bootstrap"].n_failed == 4
         assert any("all 4 replications failed" in w for w in result.warnings)
 
     def test_unexpected_estimator_error_propagates(self, monkeypatch):
@@ -247,11 +248,20 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="not a domain failure"):
             run_experiment(_config(replications=2))
 
+    def test_too_few_points_at_run_time_propagates(self, monkeypatch):
+        # validation rules out every training set below the model minimum,
+        # so a TooFewPoints during a run is a bug, not a failed row
+        def broken(predictive, measurement):
+            raise TooFewPoints("not reachable from a validated config")
+
+        monkeypatch.setattr(harness, "delta_estimator", broken)
+        with pytest.raises(TooFewPoints, match="not reachable"):
+            run_experiment(_config(replications=2))
+
     def test_all_rows_failing_raises(self):
         config = _config(
-            truth=GeneratorSpec(degree=0, coeffs=(0.5,), sigma=0.5),
-            model=ModelSpec(4),
-            estimators=(EstimatorRequest(kind="holdout", n_train=5, n_valid=7),),
+            model=ModelSpec(10),
+            estimators=(EstimatorRequest(kind="bootstrap", b_resamples=1),),
             replications=3,
         )
         with pytest.raises(RuntimeError):
@@ -290,6 +300,46 @@ class TestRunExperiment:
         )
         result = run_experiment(config)
         assert all(not r.failed for r in result.rows)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    degree=st.integers(0, 6),
+    n_points=st.integers(2, 20),
+    inference=st.sampled_from(list(InferenceKind)),
+    kind=st.sampled_from(["holdout", "jackknife", "bootstrap"]),
+    count=st.integers(1, 20),
+)
+def test_a_request_the_model_cannot_fit_is_a_config_error(degree, n_points, inference, kind, count):
+    # either validation rejects the config, or its run meets no TooFewPoints,
+    # neither as a failed row nor as an exception
+    fields = {"holdout": {"n_train": count, "n_valid": n_points - count}, "jackknife": {"k_folds": count},
+              "bootstrap": {"b_resamples": count}}[kind]
+    try:
+        config = _config(
+            model=ModelSpec(degree),
+            inference=inference,
+            n_points=n_points,
+            replications=2,
+            estimators=(EstimatorRequest(kind="delta"), EstimatorRequest(kind=kind, **fields)),
+            oracle=OracleConfig(mc_datasets=50),
+        )
+    except ValueError:
+        return
+    raised = []
+    original = harness.run_estimator
+
+    def recording(*args):
+        try:
+            return original(*args)
+        except Exception as exc:
+            raised.append(exc)
+            raise
+
+    with mock.patch.object(harness, "run_estimator", recording):
+        result = run_experiment(config)
+    assert not any(isinstance(exc, TooFewPoints) for exc in raised)
+    assert len(result.rows) == 4
 
 
 class TestCriterionRows:
@@ -371,16 +421,12 @@ class TestEmitOutputs:
 
     def test_failed_rows_serialize_with_empty_cells(self, tmp_path):
         config = _config(
-            truth=GeneratorSpec(degree=0, coeffs=(0.5,), sigma=0.5),
-            model=ModelSpec(4),
-            estimators=(
-                EstimatorRequest(kind="delta"),
-                EstimatorRequest(kind="holdout", n_train=5, n_valid=7),
-            ),
+            model=ModelSpec(10),
+            estimators=(EstimatorRequest(kind="delta"), EstimatorRequest(kind="bootstrap", b_resamples=1)),
             replications=2,
         )
         emit_outputs(run_experiment(config), tmp_path)
         with (tmp_path / "rows.csv").open() as f:
             rows = list(csv.DictReader(f))
-        failed = [r for r in rows if r["estimator"] == "holdout"]
-        assert all(r["estimate"] == "" and r["error"] == "" for r in failed)
+        failed = [r for r in rows if r["estimator"] == "bootstrap"]
+        assert failed and all(r["estimate"] == "" and r["error"] == "" for r in failed)

@@ -140,10 +140,6 @@ class TestPluginLogPredictive:
         value = plugin_log_predictive(fit, DataSet([0.0], [0.0]))
         assert value == pytest.approx(math.log(0.5) - 0.5 * math.log(2 * math.pi), rel=1e-15)
 
-    def test_empty_is_zero(self):
-        fit = FitResult(spec=ModelSpec(0), coeffs=np.array([1.0]), sigma2=2.0, n_fit=5)
-        assert plugin_log_predictive(fit, None) == 0.0
-
     def test_matches_per_point_sum(self):
         truth = GeneratorSpec(degree=2, coeffs=(0.0, 1.0, -1.0), sigma=0.8)
         data = sample_dataset(truth, n=15, seed=8)
