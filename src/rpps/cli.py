@@ -147,9 +147,11 @@ def cmd_score(args: argparse.Namespace) -> int:
     if est_path is None:
         raise SystemExit("error: an --estimators JSON file is required")
     raw = _load_json(est_path, "estimator config")
+    extra = sorted(set(raw) - {"requests"}) if isinstance(raw, dict) else []
     requests = raw.get("requests") if isinstance(raw, dict) else raw
-    if not isinstance(requests, list) or not requests:
-        raise SystemExit(f"error: estimator config {est_path!r} must hold a nonempty list of requests")
+    if extra or not isinstance(requests, list) or not requests:
+        unknown = f" and no other key, got {extra}" if extra else ""
+        raise SystemExit(f"error: estimator config {est_path!r} must hold a nonempty list of requests{unknown}")
     builders: dict = {}
     try:
         parsed = [_parse_request(request, model, data, builders) for request in requests]

@@ -206,45 +206,37 @@ def _evidence_batch(
     spec: ModelSpec,
     y1: np.ndarray,
     y2: np.ndarray,
-    include_y1_factor: bool,
     weights: np.ndarray | None = None,
 ) -> np.ndarray:
     """Log evidence of each of R datasets of n points, given as (R, n)
     arrays: the ratio of Normal-Gamma normalizing constants before and after
-    the conjugate update, through the stacked `_kernel`; with
-    `weights`, of row r's points repeated weights[r] times."""
+    the conjugate update, through the stacked `_kernel`, plus n log(1/2) for
+    the uniform y1 factors; with `weights`, of row r's points repeated
+    weights[r] times."""
     _, logdet_n, _, beta_n = _kernel(params, spec, y1, y2, weights)
     n = np.shape(y1)[1] if weights is None else np.sum(weights, axis=1)
     alpha_n = params.alpha + 0.5 * n
-    out = (
+    return (
         -0.5 * n * _LOG_2PI
         + 0.5 * (params.logdet_lam - logdet_n)
         + params.alpha * math.log(params.beta)
         - alpha_n * np.log(beta_n)
         + (gammaln(alpha_n) - gammaln(params.alpha))
+        + n * LOG_HALF
     )
-    if include_y1_factor:
-        out = out + n * LOG_HALF
-    return out
 
 
-def log_evidence(
-    prior: NormalGammaParams,
-    spec: ModelSpec,
-    data: DataSet,
-    include_y1_factor: bool = True,
-) -> float:
+def log_evidence(prior: NormalGammaParams, spec: ModelSpec, data: DataSet) -> float:
     """Log marginal likelihood of `data`: log of the likelihood integrated
-    against the Normal-Gamma distribution `prior`.
+    against the Normal-Gamma distribution `prior`, on (y1, y2)^n.
 
-    The batch evidence at R = 1.  Includes
-    n * log(1/2) for the uniform y1 factors unless `include_y1_factor` is
-    off.  Under a posterior this is the joint posterior predictive density:
-    log_evidence(posterior_update(prior, train), new) equals
+    The batch evidence at R = 1, so it includes n log(1/2) for the uniform
+    y1 factors.  Under a posterior this is the joint posterior predictive
+    density: log_evidence(posterior_update(prior, train), new) equals
     log_evidence(prior, train + new) - log_evidence(prior, train) by the
     probability chain rule (asserted in tests).
     """
-    return float(_evidence_batch(prior, spec, data.y1[None], data.y2[None], include_y1_factor)[0])
+    return float(_evidence_batch(prior, spec, data.y1[None], data.y2[None])[0])
 
 
 def sample_posterior(posterior: NormalGammaParams, count: int, seed: int) -> PosteriorSample:
@@ -282,11 +274,10 @@ class PosteriorPredictive:
 
     params: NormalGammaParams
     spec: ModelSpec
-    include_y1_factor: bool = True
 
     def log_density_batch(self, y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
         """Joint log density per replicate for (R, n) arrays of points."""
-        return _evidence_batch(self.params, self.spec, y1, y2, self.include_y1_factor)
+        return _evidence_batch(self.params, self.spec, y1, y2)
 
 
 # the prior predictive is the one conjugate class at the prior's parameters

@@ -210,9 +210,9 @@ def write_dataset_csv(data: DataSet, path) -> None:
 
 
 def read_dataset_csv(path) -> DataSet:
-    """Read a y1,y2 CSV.  A non-blank row without two numeric fields is a
-    ValueError, and a y1 outside [-1, 1] is OutsideSupport; both name the
-    line."""
+    """Read a y1,y2 CSV.  A non-blank row without two numeric fields, or
+    with a y2 that is not finite, is a ValueError, and a y1 outside [-1, 1]
+    is OutsideSupport; each names the line."""
     path = Path(path)
     with path.open("r", encoding="utf-8", newline="") as f:
         r = csv.reader(f)
@@ -232,6 +232,8 @@ def read_dataset_csv(path) -> DataSet:
                 raise ValueError(f"{where}: {exc}") from None
             if not -1.0 <= a <= 1.0:
                 raise OutsideSupport(f"{where}: y1 = {a!r} lies outside [-1, 1]")
+            if not math.isfinite(b):
+                raise ValueError(f"{where}: y2 = {b!r} is not finite")
             y1.append(a)
             y2.append(b)
     return DataSet(y1, y2)

@@ -106,7 +106,9 @@ class EstimatorRequest:
         """Raise ValueError unless the request runs on n_points under the
         inference of `build`: a criterion needs its own inference, a partition
         must fit, and each training set (the measurement, a hold-out's n_train
-        points, a jackknife fold's complement) needs `build.min_train_size`."""
+        points, a jackknife fold's complement) needs `build.min_train_size`.
+        A kept bootstrap resample leaves a point out of the bag, so it trains
+        on at most n_points - 1 distinct points, and needs at least one."""
         fixed, minimum = CRITERION_INFERENCE.get(self.kind), build.min_train_size
         if fixed is not None and build.inference != fixed:
             raise ValueError(f"{self.kind} needs inference {fixed.value!r}, got {build.inference.value!r}")
@@ -117,6 +119,8 @@ class EstimatorRequest:
         train = self.n_train if self.kind == "holdout" else n_points
         if self.kind == "jackknife":
             train -= n_points // self.k_folds
+        if self.kind == "bootstrap":
+            train, minimum = n_points - 1, max(minimum, 1)
         if train < minimum:
             below = f"below the degree-{build.spec.degree} {build.inference.value} minimum {minimum}"
             raise ValueError(f"{self.kind} trains on {train} of {n_points} points, {below}")
@@ -278,15 +282,15 @@ def run_estimator(
     if kind == "bootstrap":
         return bootstrap_estimator(build, measurement, Bootstrap(b_resamples=request.b_resamples, seed=seed))
     if kind == "evidence":
-        return evidence_criterion(build.prior, build.spec, measurement, build.include_y1_factor)
+        return evidence_criterion(build.prior, build.spec, measurement)
     if kind == "delta":
         return delta_estimator(predictive, measurement)
     if kind == "aic":
-        return aic(predictive.fit, measurement, build.include_y1_factor)
+        return aic(predictive.fit, measurement)
     samples = sample_posterior(predictive.params, request.n_samples, seed)
     if kind == "waic":
-        return waic(samples, build.spec, measurement, build.include_y1_factor)
-    return dic(samples, posterior_mean(predictive.params), build.spec, measurement, build.include_y1_factor)
+        return waic(samples, build.spec, measurement)
+    return dic(samples, posterior_mean(predictive.params), build.spec, measurement)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:

@@ -120,22 +120,20 @@ class PluginGaussian:
     """Single-element (plug-in) predictive from an MLE fit."""
 
     fit: FitResult
-    include_y1_factor: bool = True
 
     def log_density_batch(self, y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
-        """Joint log density per replicate for (R, n) arrays of points; the
-        density factorizes across points.  `include_y1_factor` adds the
-        uniform log(1/2) reference term per point."""
+        """Joint log density per replicate for (R, n) arrays of points on
+        (y1, y2)^n: the density factorizes across points, each point's
+        Gaussian in y2 times the uniform density 1/2 of its y1."""
         if not self.fit.sigma2 > 0:
             raise ValueError("plug-in predictive needs sigma2 > 0 (apply a variance floor first)")
         out = np.sum(normal_logpdf(y2, self.fit.mean_at(y1), self.fit.sigma2), axis=1)
-        if self.include_y1_factor:
-            out += y1.shape[1] * LOG_HALF
+        out += y1.shape[1] * LOG_HALF
         return out
 
 
-def plugin_log_predictive(fit: FitResult, new_data: DataSet, include_y1_factor: bool = True) -> float:
+def plugin_log_predictive(fit: FitResult, new_data: DataSet) -> float:
     """Joint log density of new data under the plug-in Gaussian predictive:
     its `log_density_batch` at a batch of one."""
-    predictive = PluginGaussian(fit, include_y1_factor)
+    predictive = PluginGaussian(fit)
     return float(predictive.log_density_batch(new_data.y1[None], new_data.y2[None])[0])

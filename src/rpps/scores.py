@@ -167,7 +167,6 @@ class PredictiveBuilder:
 
     inference: InferenceKind
     spec: ModelSpec
-    include_y1_factor: bool = True
     prior: NormalGammaParams = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -180,11 +179,11 @@ class PredictiveBuilder:
 
     def __call__(self, train: DataSet) -> Predictive:
         if self.inference == InferenceKind.MLE:
-            return PluginGaussian(fit_mle(self.spec, train), self.include_y1_factor)
+            return PluginGaussian(fit_mle(self.spec, train))
         params = self.prior  # the prior predictive ignores the training set
         if self.inference == InferenceKind.POSTERIOR_PREDICTIVE:
             params = posterior_update(self.prior, self.spec, train)
-        return PosteriorPredictive(params, self.spec, self.include_y1_factor)
+        return PosteriorPredictive(params, self.spec)
 
     def score_folds(self, data: DataSet, train, valid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The fold kernel: fold r trains on the points `train[r]` of an (R, m)
@@ -209,7 +208,7 @@ class PredictiveBuilder:
             chain = self.inference == InferenceKind.POSTERIOR_PREDICTIVE
             weights = (np.concatenate([counts + valid, counts]) if chain else valid).astype(float)
             y1, y2 = (np.broadcast_to(y, weights.shape) for y in (data.y1, data.y2))
-            evidence = _evidence_batch(self.prior, self.spec, y1, y2, self.include_y1_factor, weights)
+            evidence = _evidence_batch(self.prior, self.spec, y1, y2, weights)
             log_density = evidence[:r] - evidence[r:] if chain else evidence
             return log_density, np.zeros(r, dtype=bool), usable
         coeffs, sigma2, rank = _least_squares(self.spec.design_matrix(data.y1)[train], data.y2[train])
@@ -218,8 +217,7 @@ class PredictiveBuilder:
         sigma2 = np.maximum(sigma2, SIGMA2_FLOOR)  # unusable folds may interpolate
         mean = np.polynomial.polynomial.polyval(data.y1, coeffs.T)  # (R, n)
         log_density = np.sum(np.where(valid, normal_logpdf(data.y2, mean, sigma2[:, None]), 0.0), axis=1)
-        if self.include_y1_factor:
-            log_density += valid.sum(axis=1) * LOG_HALF
+        log_density += valid.sum(axis=1) * LOG_HALF
         return log_density, floored, usable
 
 
@@ -272,8 +270,9 @@ def exact_score_quadrature(spec_true: GeneratorSpec, predictive: PluginGaussian,
 
     Per point the conditional cross entropy at y1 is
     log(2 pi s^2)/2 + (sigma^2 + (f_true(y1) - m_fit(y1))^2) / (2 s^2),
-    integrated against the uniform density 1/2 on [-1, 1]; the joint score
-    is n_points times the per-point value (the predictive factorizes).
+    integrated against the uniform density 1/2 on [-1, 1], plus log 2 for
+    the uniform y1 factor; the joint score is n_points times the per-point
+    value (the predictive factorizes).
     """
     if not isinstance(predictive, PluginGaussian):
         raise NotFactorizing("quadrature oracle applies to plug-in predictives only; use exact_score_mc")
@@ -284,9 +283,7 @@ def exact_score_quadrature(spec_true: GeneratorSpec, predictive: PluginGaussian,
     cross_entropy = 0.5 * np.log(2.0 * math.pi * fit.sigma2) + (spec_true.sigma**2 + gap**2) / (
         2.0 * fit.sigma2
     )
-    per_point = float(np.sum(weights * 0.5 * cross_entropy))
-    if predictive.include_y1_factor:
-        per_point += math.log(2.0)
+    per_point = float(np.sum(weights * 0.5 * cross_entropy)) + math.log(2.0)
     return ScoreEstimate(
         value=n_points * per_point,
         std_error=None,
@@ -412,35 +409,22 @@ def bootstrap_estimator(build: PredictiveBuilder, data: DataSet, scheme: Bootstr
 # Information criteria
 
 
-def aic(fit: FitResult, data: DataSet, include_y1_factor: bool = True) -> Criterion:
+def aic(fit: FitResult, data: DataSet) -> Criterion:
     """Akaike criterion on the negated log likelihood scale: the plug-in
     delta value plus the parameter count (coefficients plus one variance)."""
     k_params = fit.spec.degree + 2
-    value = -plugin_log_predictive(fit, data, include_y1_factor=include_y1_factor) + k_params
+    value = -plugin_log_predictive(fit, data) + k_params
     return Criterion(kind=CriterionKind.AIC, value=value)
 
 
-def _pointwise_loglik(
-    samples: PosteriorSample,
-    spec: ModelSpec,
-    data: DataSet,
-    include_y1_factor: bool,
-) -> np.ndarray:
+def _pointwise_loglik(samples: PosteriorSample, spec: ModelSpec, data: DataSet) -> np.ndarray:
     """Matrix of log pi(y_n | x_s): rows are posterior draws, columns data
     points; the conditional likelihood carries the uniform y1 factor."""
     mean = samples.coeffs @ spec.design_matrix(data.y1).T
-    loglik = normal_logpdf(data.y2, mean, 1.0 / samples.precision[:, None])
-    if include_y1_factor:
-        loglik = loglik + LOG_HALF
-    return loglik
+    return normal_logpdf(data.y2, mean, 1.0 / samples.precision[:, None]) + LOG_HALF
 
 
-def waic(
-    posterior_samples: PosteriorSample,
-    spec: ModelSpec,
-    data: DataSet,
-    include_y1_factor: bool = True,
-) -> Criterion:
+def waic(posterior_samples: PosteriorSample, spec: ModelSpec, data: DataSet) -> Criterion:
     """Widely applicable information criterion from posterior samples,
     flipped to the lower-is-better orientation.
 
@@ -449,7 +433,7 @@ def waic(
     """
     if len(posterior_samples) < 2:
         raise DegeneratePosterior("WAIC needs at least 2 posterior samples")
-    loglik = _pointwise_loglik(posterior_samples, spec, data, include_y1_factor)
+    loglik = _pointwise_loglik(posterior_samples, spec, data)
     s_count = loglik.shape[0]
     lppd = float(np.sum(logsumexp(loglik, axis=0) - math.log(s_count)))
     penalty = float(np.sum(np.var(loglik, axis=0, ddof=1)))
@@ -461,7 +445,6 @@ def dic(
     point_estimate: PosteriorSample,
     spec: ModelSpec,
     data: DataSet,
-    include_y1_factor: bool = True,
 ) -> Criterion:
     """Deviance information criterion at a point estimate (conventionally the
     posterior mean), flipped to the lower-is-better orientation.
@@ -474,8 +457,8 @@ def dic(
         raise DegeneratePosterior("DIC needs at least 2 posterior samples")
     if len(point_estimate) != 1:
         raise ValueError(f"the point estimate must be one draw, got {len(point_estimate)}")
-    loglik = _pointwise_loglik(posterior_samples, spec, data, include_y1_factor)
-    at_hat = _pointwise_loglik(point_estimate, spec, data, include_y1_factor)[0]
+    loglik = _pointwise_loglik(posterior_samples, spec, data)
+    at_hat = _pointwise_loglik(point_estimate, spec, data)[0]
     penalty = 2.0 * float(np.sum(at_hat - np.mean(loglik, axis=0)))
     value = -(float(np.sum(at_hat)) - penalty)
     return Criterion(kind=CriterionKind.DIC, value=value, n_samples=len(posterior_samples))
@@ -488,15 +471,7 @@ def log_odds(evidence_a: Criterion, evidence_b: Criterion) -> Criterion:
     return Criterion(kind=CriterionKind.LOG_ODDS, value=evidence_a.value - evidence_b.value)
 
 
-def evidence_criterion(
-    prior: NormalGammaParams,
-    spec: ModelSpec,
-    data: DataSet,
-    include_y1_factor: bool = True,
-) -> Criterion:
+def evidence_criterion(prior: NormalGammaParams, spec: ModelSpec, data: DataSet) -> Criterion:
     """Log marginal likelihood as a criterion (classical sign: higher is
     better; its negation is the prior-predictive delta estimate)."""
-    return Criterion(
-        kind=CriterionKind.LOG_EVIDENCE,
-        value=log_evidence(prior, spec, data, include_y1_factor=include_y1_factor),
-    )
+    return Criterion(kind=CriterionKind.LOG_EVIDENCE, value=log_evidence(prior, spec, data))

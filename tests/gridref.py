@@ -1,6 +1,7 @@
-"""Brute-force integration references for the conjugate module.
+"""Independent references for the conjugate module, on the y2 part only
+(no uniform y1 factors).
 
-Everything here works directly on the joint density
+`posterior_grid_summary` works directly on the joint density
 prior(c, tau) * likelihood(y2 | c, tau) evaluated pointwise on tensor
 quadrature grids; no conjugate update formula is used.  The precision is
 integrated in the u = sqrt(tau) coordinate (removes the tau^(alpha-1)
@@ -8,6 +9,8 @@ endpoint singularity for alpha >= 1/2) and each coefficient through a
 tangent substitution c = m + s * tan(theta), which covers the whole real
 line and so tolerates the polynomial tails of the coefficient marginals.
 Centers and scales are located by iterating on the integrand's own moments.
+`_mvt_logpdf` assembles the joint predictive of a block as a multivariate
+Student t, where the package goes through the evidence form.
 """
 
 from __future__ import annotations
@@ -93,3 +96,22 @@ def posterior_grid_summary(mu0, lam0, alpha0, beta0, y1, y2, n_nodes=220, n_iter
         scales = np.maximum(abs_dev, 1e-8)
         u_hi = u_mean + 12.0 * u_sd
     return {"log_evidence": shift + math.log(z), "mean": mean, "var": var}
+
+
+def _mvt_logpdf(params, spec, y1, y2):
+    """Direct multivariate-t assembly of the joint predictive of y2 given y1
+    for a block: nu = 2 alpha, location Phi mu, shape
+    (beta/alpha)(I + Phi lam^-1 Phi')."""
+    block = len(y1)
+    phi = spec.design_matrix(y1)
+    nu = 2.0 * params.alpha
+    shape = params.beta / params.alpha * (np.eye(block) + phi @ np.linalg.solve(params.lam, phi.T))
+    dev = np.asarray(y2) - phi @ params.mu
+    quad = float(dev @ np.linalg.solve(shape, dev))
+    return (
+        math.lgamma((nu + block) / 2.0)
+        - math.lgamma(nu / 2.0)
+        - 0.5 * block * math.log(nu * math.pi)
+        - 0.5 * float(np.linalg.slogdet(shape)[1])
+        - 0.5 * (nu + block) * math.log1p(quad / nu)
+    )

@@ -11,9 +11,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 
-from gridref import posterior_grid_summary
+from gridref import _mvt_logpdf, posterior_grid_summary
 from rpps.cli import main
 from rpps.conjugate import (
     NormalGammaParams,
@@ -263,8 +263,9 @@ def test_criterion_8_experiment_determinism(tmp_path):
 
 
 def test_criterion_9_score_difference_invariance():
-    """Dropping the uniform log(1/2) reference factor shifts every score by
-    exactly N log 2 and leaves every pairwise difference unchanged."""
+    """Every score path equals its y2-only value, built here from
+    independent references, plus N log 2 for the uniform y1 factor counted
+    once per point; so every pairwise difference is the y2-only one."""
     n = 12
     n_log2 = n * math.log(2.0)
     truth = GeneratorSpec(4, (0.5, -3.0, -4.0, 3.0, 6.0), 0.5)
@@ -272,28 +273,38 @@ def test_criterion_9_score_difference_invariance():
     spec = ModelSpec(0)
     fit = fit_mle(spec, data)
     prior = default_prior(spec)
+    build = PredictiveBuilder(InferenceKind.MLE, spec)
 
-    def scores(include):
-        plugin = PluginGaussian(fit, include_y1_factor=include)
-        prior_pred = PriorPredictive(prior, spec, include_y1_factor=include)
-        build = PredictiveBuilder(InferenceKind.MLE, spec, include_y1_factor=include)
-        return {
-            "delta_plugin": delta_estimator(plugin, data).value,
-            "delta_prior": delta_estimator(prior_pred, data).value,
-            "holdout": holdout_estimator(build, data, 6, 6, seed=2).value,
-            "jackknife": jackknife_estimator(build, data, 6, seed=2).value,
-            "exact_quadrature": exact_score_quadrature(truth, plugin, n_points=n).value,
-        }
+    def y2_log_density(train, valid):
+        # the plug-in Gaussian of the fit on data[train] at the y2 of data[valid]
+        f = fit_mle(spec, data.subset(train))
+        return float(np.sum(stats.norm.logpdf(data.y2[valid], f.mean_at(data.y1[valid]), math.sqrt(f.sigma2))))
 
-    with_factor = scores(True)
-    without = scores(False)
-    for name in with_factor:
-        shift = with_factor[name] - without[name]
-        assert shift == pytest.approx(n_log2, abs=1e-10), f"{name} shifted by {shift}"
-    names = list(with_factor)
+    def cross_entropy(y1):
+        gap = truth.mean_at(y1) - fit.mean_at(y1)
+        return 0.5 * math.log(2.0 * math.pi * fit.sigma2) + (truth.sigma**2 + gap**2) / (2.0 * fit.sigma2)
+
+    everything = np.arange(n)
+    idx = np.random.default_rng(2).permutation(n)  # the seeded shuffle of hold-out and jackknife
+    folds = idx.reshape(6, 2)
+    y2_only = {
+        "delta_plugin": -y2_log_density(everything, everything),
+        "delta_prior": -_mvt_logpdf(prior, spec, data.y1, data.y2),
+        "holdout": -(n / 6) * y2_log_density(idx[:6], idx[6:]),
+        "jackknife": -sum(y2_log_density(np.setdiff1d(everything, fold), fold) for fold in folds),
+        "exact_quadrature": n * 0.5 * integrate.quad(cross_entropy, -1.0, 1.0)[0],
+    }
+    scores = {
+        "delta_plugin": delta_estimator(PluginGaussian(fit), data).value,
+        "delta_prior": delta_estimator(PriorPredictive(prior, spec), data).value,
+        "holdout": holdout_estimator(build, data, 6, 6, seed=2).value,
+        "jackknife": jackknife_estimator(build, data, 6, seed=2).value,
+        "exact_quadrature": exact_score_quadrature(truth, PluginGaussian(fit), n_points=n).value,
+    }
+    for name, value in scores.items():
+        assert value == pytest.approx(y2_only[name] + n_log2, abs=1e-10), name
+    names = list(scores)
     for i, a in enumerate(names):
         for b in names[i + 1 :]:
-            diff_with = with_factor[a] - with_factor[b]
-            diff_without = without[a] - without[b]
-            assert diff_with == pytest.approx(diff_without, abs=1e-9)
-    _report(9, f"all five score paths shift by N log 2 = {n_log2:.6f}; differences invariant")
+            assert scores[a] - scores[b] == pytest.approx(y2_only[a] - y2_only[b], abs=1e-9)
+    _report(9, f"all five score paths are their y2-only value + N log 2 = {n_log2:.6f}; differences y2-only")

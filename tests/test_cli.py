@@ -15,6 +15,10 @@ from rpps.linmodel import ModelSpec, fit_mle
 from rpps.scores import evidence_criterion
 
 
+# a kept resample leaves a point out of the bag, so it trains on at most N - 1 points
+BOOTSTRAP = {"kind": "bootstrap", "b_resamples": 20}
+
+
 @pytest.fixture
 def spec_file(tmp_path):
     path = tmp_path / "spec.json"
@@ -304,6 +308,39 @@ class TestScore:
         assert captured.out == ""  # no record printed
         assert "below the degree-4 mle minimum 6" in captured.err
 
+    @pytest.mark.parametrize(
+        ("inference", "degree", "n_points"),
+        [("posterior_predictive", 0, 1), ("mle", 0, 2), ("mle", 2, 4)],
+    )
+    def test_bootstrap_that_can_keep_no_resample_is_usage_error(self, tmp_path, capsys, inference, degree, n_points):
+        data = tmp_path / "data.csv"
+        write_dataset_csv(sample_dataset(GeneratorSpec(0, (0.5,), 0.5), n=n_points, seed=7), data)
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"degree": degree}))
+        requests = [{"kind": "delta", "inference": inference}, {**BOOTSTRAP, "inference": inference}]
+        est = tmp_path / "est.json"
+        est.write_text(json.dumps(requests))
+        with pytest.raises(SystemExit) as exc:
+            main(["score", "--data", str(data), "--model", str(model), "--estimators", str(est)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no record printed
+        assert f"bootstrap trains on {n_points - 1} of {n_points} points" in captured.err
+
+    def test_requests_object_takes_no_other_key(self, data_file, model_file, tmp_path, capsys):
+        # an ignored "inference" would silently score the MLE instead
+        requests = [{"kind": "delta"}]
+        assert self._run(data_file, model_file, tmp_path, {"requests": requests}, capsys) == self._run(
+            data_file, model_file, tmp_path, requests, capsys
+        )
+        est = tmp_path / "est.json"
+        est.write_text(json.dumps({"requests": requests, "inference": "posterior_predictive"}))
+        with pytest.raises(SystemExit) as exc:
+            main(["score", "--data", str(data_file), "--model", str(model_file), "--estimators", str(est)])
+        assert "must hold a nonempty list of requests" in str(exc.value.code)
+        assert "and no other key, got ['inference']" in str(exc.value.code)
+        assert capsys.readouterr().out == ""
+
     def test_y1_outside_support_is_a_read_error(self, tmp_path, model_file):
         bad = tmp_path / "outside.csv"
         bad.write_text("y1,y2\n2.0,0.2\n0.3,0.1\n")
@@ -449,8 +486,21 @@ class TestExperiment:
                 "jackknife trains on 0 of 12 points, below the degree-0 mle minimum 2",
             ),
             ({"model": {"degree": 4}, "n_points": 5}, "delta trains on 5 of 5 points, below the degree-4 mle minimum 6"),
+            (
+                {"inference": "posterior_predictive", "n_points": 1, "estimators": [BOOTSTRAP]},
+                "bootstrap trains on 0 of 1 points, below the degree-0 posterior_predictive minimum 1",
+            ),
+            (
+                {"n_points": 2, "estimators": [BOOTSTRAP]},
+                "bootstrap trains on 1 of 2 points, below the degree-0 mle minimum 2",
+            ),
+            (
+                {"model": {"degree": 2}, "n_points": 4, "estimators": [BOOTSTRAP]},
+                "bootstrap trains on 3 of 4 points, below the degree-2 mle minimum 4",
+            ),
         ],
-        ids=["undersized-holdout", "undersized-jackknife", "one-fold-jackknife", "undersized-measurement"],
+        ids=["undersized-holdout", "undersized-jackknife", "one-fold-jackknife", "undersized-measurement",
+             "one-point-bootstrap", "two-point-bootstrap", "degree-2-bootstrap-on-4"],
     )
     def test_dry_run_rejects_training_set_below_model_minimum(self, tmp_path, changes, complaint):
         # a partition the model cannot fit fails validation, not every replication

@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate, stats
 from scipy.linalg import solve_triangular
 
-from gridref import posterior_grid_summary
+from gridref import _mvt_logpdf, posterior_grid_summary
 from rpps.conjugate import (
     NormalGammaParams,
     PosteriorPredictive,
@@ -36,27 +36,6 @@ def _random_case(seed, degree=1, n=6):
     truth = GeneratorSpec(degree=degree, coeffs=tuple(rng.normal(size=p)), sigma=0.7)
     data = sample_dataset(truth, n=n, seed=seed + 1000)
     return prior, ModelSpec(degree), data
-
-
-def _mvt_logpdf(params, spec, y1, y2):
-    """Direct multivariate-t assembly of the joint predictive of a block:
-    nu = 2 alpha, location Phi mu, shape (beta/alpha)(I + Phi lam^-1 Phi'),
-    plus the uniform factor; the implementation goes through the evidence
-    form instead, so this is an independent path."""
-    block = len(y1)
-    phi = spec.design_matrix(y1)
-    nu = 2.0 * params.alpha
-    shape = params.beta / params.alpha * (np.eye(block) + phi @ np.linalg.solve(params.lam, phi.T))
-    dev = np.asarray(y2) - phi @ params.mu
-    quad = float(dev @ np.linalg.solve(shape, dev))
-    return (
-        math.lgamma((nu + block) / 2.0)
-        - math.lgamma(nu / 2.0)
-        - 0.5 * block * math.log(nu * math.pi)
-        - 0.5 * float(np.linalg.slogdet(shape)[1])
-        - 0.5 * (nu + block) * math.log1p(quad / nu)
-        + block * math.log(0.5)
-    )
 
 
 def _joint(predictive, data):
@@ -150,7 +129,7 @@ class TestLogEvidence:
     def test_single_datum_against_grid_oracle(self):
         prior = default_prior(ModelSpec(0))
         data = DataSet([0.0], [1.0])
-        value = log_evidence(prior, ModelSpec(0), data, include_y1_factor=False)
+        value = log_evidence(prior, ModelSpec(0), data) - math.log(0.5)
         grid = posterior_grid_summary([0.0], [[0.001]], 0.5, 0.5, [0.0], [1.0])
         assert value == pytest.approx(grid["log_evidence"], abs=1e-6)
 
@@ -162,12 +141,6 @@ class TestLogEvidence:
         whole = log_evidence(prior, spec, data)
         chained = log_evidence(prior, spec, head) + log_evidence(post, spec, tail)
         assert whole == pytest.approx(chained, abs=1e-9)
-
-    def test_uniform_factor_shift(self):
-        prior, spec, data = _random_case(11, degree=1, n=6)
-        with_f = log_evidence(prior, spec, data)
-        without = log_evidence(prior, spec, data, include_y1_factor=False)
-        assert with_f - without == pytest.approx(6 * math.log(0.5), rel=1e-15)
 
 
 class TestPriorPredictive:
@@ -195,7 +168,8 @@ class TestPriorPredictive:
     def test_multi_point_block_is_multivariate_student_t(self, seed, block):
         prior, spec, data = _random_case(seed, degree=1, n=block)
         value = _joint(PriorPredictive(prior, spec), data)
-        assert value == pytest.approx(_mvt_logpdf(prior, spec, data.y1, data.y2), abs=1e-10)
+        expected = _mvt_logpdf(prior, spec, data.y1, data.y2) + block * math.log(0.5)
+        assert value == pytest.approx(expected, abs=1e-10)
 
     def test_joint_is_not_product_of_marginals(self):
         prior = default_prior(ModelSpec(0))
@@ -308,10 +282,11 @@ class TestBatchEvidence:
             prior, spec, _ = _random_case(20 + degree, degree=degree, n=2)
             y1 = rng.uniform(-1, 1, size=(6, 4))
             y2 = rng.normal(0.0, 1.0, size=(6, 4))
-            batch = _evidence_batch(prior, spec, y1, y2, True)
+            batch = _evidence_batch(prior, spec, y1, y2)
             assert batch.shape == (6,)
             for r in range(6):
-                assert batch[r] == pytest.approx(_mvt_logpdf(prior, spec, y1[r], y2[r]), abs=1e-10)
+                expected = _mvt_logpdf(prior, spec, y1[r], y2[r]) + 4 * math.log(0.5)
+                assert batch[r] == pytest.approx(expected, abs=1e-10)
 
     @pytest.mark.parametrize("degree", range(6))
     def test_updated_precision_is_exactly_symmetric(self, degree):
@@ -335,7 +310,7 @@ class TestBatchEvidence:
             with pytest.raises(np.linalg.LinAlgError):
                 _update(prior, spec, y1, y2, np.array(weights))
         with pytest.raises(np.linalg.LinAlgError):
-            _evidence_batch(prior, spec, np.array([[-0.8, np.nan, 0.5, 0.9]]), y2, True)
+            _evidence_batch(prior, spec, np.array([[-0.8, np.nan, 0.5, 0.9]]), y2)
 
     def test_nearly_interpolating_data_keeps_beta_positive(self):
         # degree-4 data with sigma = 1e-8 around the prior mean, under a prior
@@ -356,5 +331,5 @@ class TestBatchEvidence:
         rss_mu = np.sum((y2 - phi @ truth) ** 2, axis=1)
         assert np.all(rss_min > 0)
         assert np.all(0.5 * rss_min * (1 - 1e-4) <= beta_n) and np.all(beta_n <= 0.5 * rss_mu * (1 + 1e-4))
-        evidence = _evidence_batch(prior, spec, y1, y2, True)
+        evidence = _evidence_batch(prior, spec, y1, y2)
         assert np.all(np.isfinite(evidence))

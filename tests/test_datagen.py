@@ -225,6 +225,13 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="line 3: could not convert string to float: 'abc'"):
             read_dataset_csv(path)
 
+    @pytest.mark.parametrize("y2", ["inf", "-inf", "nan"])
+    def test_names_the_line_of_a_non_finite_y2(self, tmp_path, y2):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"y1,y2\n0.1,0.2\n0.3,{y2}\n")
+        with pytest.raises(ValueError, match=f"line 3: y2 = {y2} is not finite"):
+            read_dataset_csv(path)
+
     @pytest.mark.parametrize("y1", ["2.0", "-1.0000001", "nan", "inf"])
     def test_rejects_y1_outside_support(self, tmp_path, y1):
         path = tmp_path / "bad.csv"

@@ -179,6 +179,13 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"{kind} needs inference"):
             _config(inference=inference, estimators=(EstimatorRequest(kind=kind),))
 
+    def test_a_bootstrap_with_a_point_to_spare_runs(self):
+        # degree 2 needs 4 distinct training points: a resample keeps them
+        # only with exactly one point out of the bag
+        config = _config(model=ModelSpec(2), n_points=5, replications=3,
+                         estimators=(EstimatorRequest(kind="bootstrap", b_resamples=50),))
+        assert not any(row.failed for row in run_experiment(config).rows)
+
     @pytest.mark.parametrize("inference", list(InferenceKind))
     def test_evidence_is_no_experiment_estimator(self, inference):
         with pytest.raises(ValueError, match="request delta under prior_predictive"):
@@ -222,10 +229,11 @@ class TestRunExperiment:
             assert (s.q20, s.q50, s.q80) == (q20, q50, q80)
 
     def test_failed_rows_recorded_and_run_continues(self):
-        # one resample of 12 draws almost never holds the 12 distinct points
-        # a degree-10 MLE needs, so the bootstrap fails per row from the data
+        # one resample of 12 draws almost never holds the 11 distinct points
+        # a degree-9 MLE needs (p = 0.0036), so the bootstrap fails per row
+        # from the data
         config = _config(
-            model=ModelSpec(10),
+            model=ModelSpec(9),
             estimators=(EstimatorRequest(kind="delta"), EstimatorRequest(kind="bootstrap", b_resamples=1)),
             replications=4,
         )
@@ -260,7 +268,7 @@ class TestRunExperiment:
 
     def test_all_rows_failing_raises(self):
         config = _config(
-            model=ModelSpec(10),
+            model=ModelSpec(9),
             estimators=(EstimatorRequest(kind="bootstrap", b_resamples=1),),
             replications=3,
         )
@@ -421,7 +429,7 @@ class TestEmitOutputs:
 
     def test_failed_rows_serialize_with_empty_cells(self, tmp_path):
         config = _config(
-            model=ModelSpec(10),
+            model=ModelSpec(9),
             estimators=(EstimatorRequest(kind="delta"), EstimatorRequest(kind="bootstrap", b_resamples=1)),
             replications=2,
         )

@@ -166,10 +166,3 @@ class TestPluginLogPredictive:
         ]
         for lo, hi in zip(values, values[1:]):
             assert hi >= lo - 1e-10
-
-    def test_without_reference_factor(self):
-        fit = FitResult(spec=ModelSpec(0), coeffs=np.array([0.0]), sigma2=1.0, n_fit=3)
-        data = DataSet([0.2, -0.5], [0.0, 1.0])
-        with_f = plugin_log_predictive(fit, data)
-        without = plugin_log_predictive(fit, data, include_y1_factor=False)
-        assert with_f - without == pytest.approx(2 * math.log(0.5), rel=1e-15)

@@ -1,7 +1,8 @@
 """Property tests: the partition estimators equal explicit splits written
 out by hand, and delta equals the density functions it stands for, over
 random data, degrees 0-2 and every inference kind; the stacked kernels under
-them equal numpy's per-row routines and the explicit algebra."""
+them equal numpy's per-row routines and the explicit algebra, and the batch
+evidence equals the scalar one over random priors and degrees 0-6."""
 
 import math
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from gridref import _mvt_logpdf
 from rpps.conjugate import (
     _BLOCK,
     NormalGammaParams,
@@ -164,16 +166,43 @@ KERNEL_CASES = given(seed=st.integers(0, 2**32 - 1), degree=st.integers(0, 4))
 @PROPERTY
 @KERNEL_CASES
 def test_plugin_batch_is_plugin_log_predictive(seed, degree):
-    # each row of the batch, bit for bit, with and without the y1 factor
+    # each row of the batch, bit for bit
     rng, spec, data = _case(seed, degree)
     fit = fit_mle(spec, data)
     r, n = int(rng.integers(1, 6)), int(rng.integers(1, 40))
     y1 = rng.uniform(-1, 1, size=(r, n))
     y2 = rng.normal(scale=rng.uniform(0.1, 10.0), size=(r, n))
-    for include in (True, False):
-        batch = PluginGaussian(fit, include).log_density_batch(y1, y2)
-        rows = [plugin_log_predictive(fit, DataSet(a, b), include) for a, b in zip(y1, y2)]
-        assert batch.tolist() == rows
+    batch = PluginGaussian(fit).log_density_batch(y1, y2)
+    assert batch.tolist() == [plugin_log_predictive(fit, DataSet(a, b)) for a, b in zip(y1, y2)]
+
+
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    degree=st.integers(0, 6),
+    n=st.integers(1, 40),
+    r=st.integers(1, 5),
+)
+def test_conjugate_batch_is_scalar_evidence_over_random_priors(seed, degree, n, r):
+    # random SPD lam scaled over 1e-3..1e3, random alpha and beta: each row
+    # of the batch is the scalar evidence of that dataset and the direct
+    # multivariate-t assembly plus the y1 factor, counted once per point
+    rng = np.random.default_rng(seed)
+    p = degree + 1
+    a = rng.normal(size=(p + 2, p))
+    lam = 10.0 ** rng.uniform(-3, 3) * (a.T @ a + rng.uniform(0.01, 2.0) * np.eye(p))
+    alpha, beta = rng.uniform(0.1, 5.0, size=2)
+    params = NormalGammaParams(mu=rng.normal(size=p), lam=lam, alpha=float(alpha), beta=float(beta))
+    spec = ModelSpec(degree)
+    y1 = rng.uniform(-1, 1, size=(r, n))
+    y2 = rng.normal(scale=rng.uniform(0.1, 10.0), size=(r, n))
+    batch = PosteriorPredictive(params, spec).log_density_batch(y1, y2)
+    assert batch.shape == (r,)
+    for value, row1, row2 in zip(batch, y1, y2):
+        scalar = log_evidence(params, spec, DataSet(row1, row2))
+        assert value == pytest.approx(scalar, rel=1e-12, abs=1e-12)
+        direct = _mvt_logpdf(params, spec, row1, row2) + n * math.log(0.5)
+        assert value == pytest.approx(direct, rel=1e-9, abs=1e-9)
 
 
 @settings(max_examples=25, deadline=None, database=None)

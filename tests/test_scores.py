@@ -42,8 +42,8 @@ QUARTIC = GeneratorSpec(degree=4, coeffs=(0.5, -3.0, -4.0, 3.0, 6.0), sigma=0.5)
 CONSTANT = GeneratorSpec(degree=0, coeffs=(0.5,), sigma=0.5)
 
 
-def _mle(degree, include_y1_factor=True):
-    return PredictiveBuilder(InferenceKind.MLE, ModelSpec(degree), include_y1_factor)
+def _mle(degree):
+    return PredictiveBuilder(InferenceKind.MLE, ModelSpec(degree))
 
 
 def _plugin(coeffs, sigma2, degree=None):
@@ -320,9 +320,9 @@ def test_prior_predictive_folds_take_one_evidence_row_each(monkeypatch, estimate
     shapes = []
     original = scores._evidence_batch
 
-    def recording(params, spec, y1, y2, include_y1_factor, weights=None):
+    def recording(params, spec, y1, y2, weights=None):
         shapes.append((np.shape(y1), np.shape(weights)))
-        return original(params, spec, y1, y2, include_y1_factor, weights)
+        return original(params, spec, y1, y2, weights)
 
     monkeypatch.setattr(scores, "_evidence_batch", recording)
     build = PredictiveBuilder(InferenceKind.PRIOR_PREDICTIVE, ModelSpec(2))
@@ -477,34 +477,6 @@ class TestWaicDic:
             )
             penalties.append(dic(samples, point, spec, data).value - base)
         print(f"DIC penalty across seeds (expected nonnegative): {penalties}")
-
-
-class TestScoreDifferenceInvariance:
-    def test_reference_factor_shifts_but_cancels(self):
-        data = sample_dataset(QUARTIC, n=12, seed=9)
-        spec = ModelSpec(0)
-        fit = fit_mle(spec, data)
-        n_log2 = 12 * math.log(2.0)
-        with_f = delta_estimator(PluginGaussian(fit, include_y1_factor=True), data)
-        without = delta_estimator(PluginGaussian(fit, include_y1_factor=False), data)
-        assert with_f.value - without.value == pytest.approx(n_log2, rel=1e-14)
-
-        prior = default_prior(spec)
-        pw = delta_estimator(PriorPredictive(prior, spec, include_y1_factor=True), data)
-        po = delta_estimator(PriorPredictive(prior, spec, include_y1_factor=False), data)
-        assert pw.value - po.value == pytest.approx(n_log2, rel=1e-14)
-        # pairwise difference between the two predictives is reference-free
-        assert with_f.value - pw.value == pytest.approx(without.value - po.value, abs=1e-9)
-
-    def test_holdout_and_jackknife_shift_by_n_log2(self):
-        data = sample_dataset(QUARTIC, n=12, seed=19)
-        n_log2 = 12 * math.log(2.0)
-        h_with = holdout_estimator(_mle(0, True), data, 6, 6, seed=2)
-        h_without = holdout_estimator(_mle(0, False), data, 6, 6, seed=2)
-        assert h_with.value - h_without.value == pytest.approx(n_log2, rel=1e-12)
-        j_with = jackknife_estimator(_mle(0, True), data, 6, seed=2)
-        j_without = jackknife_estimator(_mle(0, False), data, 6, seed=2)
-        assert j_with.value - j_without.value == pytest.approx(n_log2, rel=1e-12)
 
 
 class TestSerialization:
