@@ -1,15 +1,13 @@
 """Command-line entry point: simulate | fit | score | experiment.
 
-Every command is a thin adapter over the library modules; all flags can
-also be supplied through RPPS_-prefixed environment variables (for example
-RPPS_SEED for --seed).
+Every command is a thin adapter over the library modules.  A run reads
+its flags and the files they name, nothing else.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -26,22 +24,11 @@ from .harness import (
 from .linmodel import ModelSpec, fit_mle
 from .scores import InferenceKind, PredictiveBuilder
 
-ENV_PREFIX = "RPPS_"
 
-
-def _env(name: str) -> str | None:
-    return os.environ.get(ENV_PREFIX + name.upper())
-
-
-def _resolve(args: argparse.Namespace, name: str, cast=str, default=None):
-    """Flag value, else RPPS_<NAME> environment variable, else default."""
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    raw = _env(name)
-    if raw is not None:
-        return cast(raw)
-    return default
+def _resolve(args: argparse.Namespace, name: str):
+    """The value of flag `name` (perfbench's setup launch reads the
+    estimators path through it)."""
+    return getattr(args, name)
 
 
 def _load_json(path: str, what: str) -> dict:
@@ -69,34 +56,22 @@ def _print_record(record: dict) -> None:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    spec_path = _resolve(args, "spec")
-    out_path = _resolve(args, "out")
-    if spec_path is None or out_path is None:
-        raise SystemExit("error: simulate needs --spec and --out")
-    n = _resolve(args, "n", int, 12)
-    seed = _resolve(args, "seed", int, 0)
-    spec = _load_object(spec_path, GeneratorSpec, "generator spec")
-    data = sample_dataset(spec, n, seed)
-    write_dataset_csv(data, out_path)
-    _print_record({"spec": spec.to_json_dict(), "n": n, "seed": seed, "out": str(out_path)})
+    spec = _load_object(args.spec, GeneratorSpec, "generator spec")
+    data = sample_dataset(spec, args.n, args.seed)
+    write_dataset_csv(data, args.out)
+    _print_record({"spec": spec.to_json_dict(), "n": args.n, "seed": args.seed, "out": str(args.out)})
     return 0
 
 
 def _load_model(args: argparse.Namespace) -> ModelSpec:
-    model_path = _resolve(args, "model")
-    if model_path is None:
-        raise SystemExit("error: a --model JSON file is required")
-    return _load_object(model_path, ModelSpec, "model config")
+    return _load_object(args.model, ModelSpec, "model config")
 
 
 def _load_data(args: argparse.Namespace) -> DataSet:
-    data_path = _resolve(args, "data")
-    if data_path is None:
-        raise SystemExit("error: a --data CSV file is required")
     try:
-        return read_dataset_csv(data_path)
+        return read_dataset_csv(args.data)
     except (OSError, ValueError) as exc:
-        raise SystemExit(f"error: cannot read dataset {data_path!r}: {exc}")
+        raise SystemExit(f"error: cannot read dataset {args.data!r}: {exc}")
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
@@ -143,20 +118,17 @@ def _parse_request(raw, model: ModelSpec, data: DataSet, builders: dict):
 def cmd_score(args: argparse.Namespace) -> int:
     model = _load_model(args)
     data = _load_data(args)
-    est_path = _resolve(args, "estimators")
-    if est_path is None:
-        raise SystemExit("error: an --estimators JSON file is required")
-    raw = _load_json(est_path, "estimator config")
+    raw = _load_json(args.estimators, "estimator config")
     extra = sorted(set(raw) - {"requests"}) if isinstance(raw, dict) else []
     requests = raw.get("requests") if isinstance(raw, dict) else raw
     if extra or not isinstance(requests, list) or not requests:
         unknown = f" and no other key, got {extra}" if extra else ""
-        raise SystemExit(f"error: estimator config {est_path!r} must hold a nonempty list of requests{unknown}")
+        raise _usage_error(f"estimator config {args.estimators!r} must hold a nonempty list of requests{unknown}")
     builders: dict = {}
     try:
         parsed = [_parse_request(request, model, data, builders) for request in requests]
     except ValueError as exc:
-        raise _usage_error(f"bad request in {est_path!r}: {exc}")
+        raise _usage_error(f"bad request in {args.estimators!r}: {exc}")
     # each inference's predictive of the whole dataset, built at its first request
     predictives: dict = {}
     for request, build, seed in parsed:
@@ -174,13 +146,9 @@ def _summary_table(result) -> str:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    config_path = _resolve(args, "config")
-    if config_path is None:
-        raise SystemExit("error: experiment needs --config")
-    config = _load_object(config_path, ExperimentConfig, "experiment config")
-    out_override = _resolve(args, "out")
-    out_dir = out_override if out_override is not None else config.output_dir
-    if _resolve(args, "dry_run", lambda s: s not in ("", "0", "false"), False):
+    config = _load_object(args.config, ExperimentConfig, "experiment config")
+    out_dir = args.out if args.out is not None else config.output_dir
+    if args.dry_run:
         print("config OK")
         print(json.dumps(config.to_json_dict(), indent=2, sort_keys=True))
         return 0
@@ -203,27 +171,27 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", help="sample a dataset from a generator spec")
-    p_sim.add_argument("--spec", help="generator spec JSON file")
-    p_sim.add_argument("--n", type=int, help="number of points (default 12)")
-    p_sim.add_argument("--seed", type=int, help="RNG seed (default 0)")
-    p_sim.add_argument("--out", help="output CSV path")
+    p_sim.add_argument("--spec", required=True, help="generator spec JSON file")
+    p_sim.add_argument("--n", type=int, default=12, help="number of points (default 12)")
+    p_sim.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    p_sim.add_argument("--out", required=True, help="output CSV path")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_fit = sub.add_parser("fit", help="maximum likelihood polynomial fit")
-    p_fit.add_argument("--data", help="dataset CSV file")
-    p_fit.add_argument("--model", help="model config JSON file ({\"degree\": d})")
+    p_fit.add_argument("--data", required=True, help="dataset CSV file")
+    p_fit.add_argument("--model", required=True, help="model config JSON file ({\"degree\": d})")
     p_fit.set_defaults(func=cmd_fit)
 
     p_score = sub.add_parser("score", help="evaluate estimators/criteria on a dataset")
-    p_score.add_argument("--data", help="dataset CSV file")
-    p_score.add_argument("--model", help="model config JSON file")
-    p_score.add_argument("--estimators", help="estimator request JSON file")
+    p_score.add_argument("--data", required=True, help="dataset CSV file")
+    p_score.add_argument("--model", required=True, help="model config JSON file")
+    p_score.add_argument("--estimators", required=True, help="estimator request JSON file")
     p_score.set_defaults(func=cmd_score)
 
     p_exp = sub.add_parser("experiment", help="run an estimator-error experiment")
-    p_exp.add_argument("--config", help="experiment config JSON file")
+    p_exp.add_argument("--config", required=True, help="experiment config JSON file")
     p_exp.add_argument("--out", help="output directory (overrides the config)")
-    p_exp.add_argument("--dry-run", dest="dry_run", action="store_const", const=True, default=None,
+    p_exp.add_argument("--dry-run", action="store_true",
                        help="validate and echo the config without running")
     p_exp.set_defaults(func=cmd_experiment)
     return parser

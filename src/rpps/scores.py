@@ -40,7 +40,6 @@ from .linmodel import (
     TooFewPoints,
     _least_squares,
     fit_mle,
-    plugin_log_predictive,
 )
 
 # Overfit folds can drive the MLE noise variance to zero; densities are
@@ -122,14 +121,15 @@ class Criterion:
     """An information criterion value on the lower-is-better orientation
     (log evidence and log odds keep their classical sign); `n_samples`
     counts the posterior draws behind WAIC and DIC.  Like a delta estimate
-    it has no spread and engages no variance floor."""
+    it has no spread; AIC alone can engage the variance floor, which the
+    record leaves out and an experiment row counts."""
 
     kind: CriterionKind
     value: float
     n_samples: int | None = None
+    floor_engaged: int = 0
 
     std_error = None
-    floor_engaged = 0
 
     def to_json_dict(self) -> dict:
         record = {"criterion": self.kind.value, "value": self.value}
@@ -411,10 +411,11 @@ def bootstrap_estimator(build: PredictiveBuilder, data: DataSet, scheme: Bootstr
 
 def aic(fit: FitResult, data: DataSet) -> Criterion:
     """Akaike criterion on the negated log likelihood scale: the plug-in
-    delta value plus the parameter count (coefficients plus one variance)."""
+    delta value, variance floor included, plus the parameter count
+    (coefficients plus one variance)."""
     k_params = fit.spec.degree + 2
-    value = -plugin_log_predictive(fit, data) + k_params
-    return Criterion(kind=CriterionKind.AIC, value=value)
+    delta = delta_estimator(PluginGaussian(fit), data)
+    return Criterion(kind=CriterionKind.AIC, value=delta.value + k_params, floor_engaged=delta.floor_engaged)
 
 
 def _pointwise_loglik(samples: PosteriorSample, spec: ModelSpec, data: DataSet) -> np.ndarray:

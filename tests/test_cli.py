@@ -9,7 +9,7 @@ import pytest
 from rpps import scores
 from rpps.cli import main
 from rpps.conjugate import default_prior
-from rpps.datagen import GeneratorSpec, read_dataset_csv, sample_dataset, write_dataset_csv
+from rpps.datagen import DataSet, GeneratorSpec, read_dataset_csv, sample_dataset, write_dataset_csv
 from rpps.harness import ExperimentConfig
 from rpps.linmodel import ModelSpec, fit_mle
 from rpps.scores import evidence_criterion
@@ -110,13 +110,48 @@ class TestSimulate:
         assert str(exc.value.code) == f"error: bad generator spec {str(path)!r}: {complaint}"
         assert not out.exists()
 
-    def test_env_seed(self, tmp_path, spec_file, monkeypatch):
-        out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
-        monkeypatch.setenv("RPPS_SEED", "11")
-        main(["simulate", "--spec", str(spec_file), "--out", str(out_a)])
-        monkeypatch.delenv("RPPS_SEED")
-        main(["simulate", "--spec", str(spec_file), "--seed", "11", "--out", str(out_b)])
-        assert out_a.read_bytes() == out_b.read_bytes()
+
+def test_ambient_rpps_variables_change_nothing(tmp_path, spec_file, monkeypatch):
+    # a run reads its flags and the files they name, not the environment
+    out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["simulate", "--spec", str(spec_file), "--out", str(out_a)]) == 0
+    ambient = tmp_path / "ambient"
+    for name, value in [("RPPS_SEED", "11"), ("RPPS_N", "5"), ("RPPS_OUT", str(ambient)), ("RPPS_DRY_RUN", "1")]:
+        monkeypatch.setenv(name, value)
+    assert main(["simulate", "--spec", str(spec_file), "--out", str(out_b)]) == 0
+    assert out_b.read_bytes() == out_a.read_bytes()
+    config = json.loads((Path(__file__).resolve().parent.parent / "configs" / "misfit.json").read_text())
+    config_path = tmp_path / "misfit.json"
+    config_path.write_text(json.dumps(dict(config, replications=2)))
+    out_dir = tmp_path / "out"
+    assert main(["experiment", "--config", str(config_path), "--out", str(out_dir)]) == 0
+    assert (out_dir / "rows.csv").exists()
+    assert not ambient.exists()
+
+
+@pytest.mark.parametrize(
+    ("command", "missing"),
+    [("simulate", "--spec"), ("simulate", "--out"), ("fit", "--model"), ("score", "--estimators"),
+     ("experiment", "--config")],
+)
+def test_missing_required_flag_is_usage_error(tmp_path, spec_file, model_file, data_file, capsys, command, missing):
+    est = tmp_path / "est.json"
+    est.write_text(json.dumps([{"kind": "delta"}]))
+    out = tmp_path / "out"
+    flags = {
+        "simulate": {"--spec": spec_file, "--out": out},
+        "fit": {"--data": data_file, "--model": model_file},
+        "score": {"--data": data_file, "--model": model_file, "--estimators": est},
+        "experiment": {"--config": tmp_path / "config.json", "--out": out},
+    }[command]
+    argv = [command] + [str(part) for flag, value in flags.items() if flag != missing for part in (flag, value)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "the following arguments are required: " + missing in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 class TestFit:
@@ -337,9 +372,20 @@ class TestScore:
         est.write_text(json.dumps({"requests": requests, "inference": "posterior_predictive"}))
         with pytest.raises(SystemExit) as exc:
             main(["score", "--data", str(data_file), "--model", str(model_file), "--estimators", str(est)])
-        assert "must hold a nonempty list of requests" in str(exc.value.code)
-        assert "and no other key, got ['inference']" in str(exc.value.code)
-        assert capsys.readouterr().out == ""
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "must hold a nonempty list of requests and no other key, got ['inference']" in captured.err
+        assert captured.out == ""
+
+    def test_aic_floors_the_variance_as_delta_does(self, tmp_path, capsys):
+        # a degree-0 fit to a constant y2 has sigma2 = 0
+        data = tmp_path / "flat.csv"
+        write_dataset_csv(DataSet(np.linspace(-0.9, 0.9, 6), np.zeros(6)), data)
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"degree": 0}))
+        delta, aic = self._run(data, model, tmp_path, [{"kind": "delta"}, {"kind": "aic"}], capsys)
+        assert delta["floor_engaged"] == 1
+        assert aic == {"criterion": "aic", "value": delta["value"] + 2}
 
     def test_y1_outside_support_is_a_read_error(self, tmp_path, model_file):
         bad = tmp_path / "outside.csv"

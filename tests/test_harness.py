@@ -365,6 +365,19 @@ class TestCriterionRows:
             assert row.std_error is None and row.floor_engaged == 0
             assert row.error == row.estimate - row.exact
 
+    def test_aic_row_counts_the_floor_of_its_fit(self):
+        # noise far below the spacing of floats around 0.5 leaves every y2 at
+        # 0.5, so the degree-0 fit and the oracle's plug-in fit both floor
+        config = _config(
+            truth=GeneratorSpec(degree=0, coeffs=(0.5,), sigma=1e-200),
+            estimators=(EstimatorRequest("delta"), EstimatorRequest("aic")),
+            replications=2,
+        )
+        rows = run_experiment(config).rows
+        assert [row.floor_engaged for row in rows] == [2, 2, 2, 2]
+        for delta, aic in zip(rows[::2], rows[1::2]):
+            assert aic.estimate == delta.estimate + 2
+
     def test_run_estimator_rejects_a_criterion_of_another_inference(self):
         config = _config()
         build = PredictiveBuilder(InferenceKind.POSTERIOR_PREDICTIVE, config.model)
