@@ -72,11 +72,11 @@ def horner(y1, coeffs, out=None):
     coeffs)` for a 1-D `coeffs`; a coefficient may also be an array that
     broadcasts against y1."""
     y1 = np.asarray(y1, dtype=float)
-    out = np.multiply(y1, 0.0, out=out)
-    out += coeffs[-1]
-    for c in coeffs[-2::-1]:
-        out *= y1
+    out = np.multiply(y1, coeffs[-1] if len(coeffs) > 1 else 0.0, out=out)  # degree 0: c0 + 0 * y1
+    for c in coeffs[-2:0:-1]:
         out += c
+        out *= y1
+    out += coeffs[0]
     return out
 
 
@@ -115,15 +115,28 @@ class GeneratorSpec:
         """Polynomial mean of y2 at the given y1 value(s)."""
         return horner(y1, self.coeffs)
 
-    def draw(self, rng: np.random.Generator, shape) -> tuple[np.ndarray, np.ndarray]:
-        """Draw y1 and then y2 arrays of `shape` from `rng`.  y2 is
-        mean + sigma * z, formed in place: bit for bit
-        `rng.normal(self.mean_at(y1), self.sigma)`."""
+    def draw(self, rng: np.random.Generator, shape, normals=None) -> tuple[np.ndarray, np.ndarray]:
+        """Draw y1 and then y2 arrays of `shape` from `rng`, y2's noise from
+        `normals` if given.  y2 is mean + sigma * z, formed in place: bit
+        for bit `rng.normal(self.mean_at(y1), self.sigma)`."""
         y1 = rng.uniform(-1.0, 1.0, size=shape)
-        y2 = rng.standard_normal(shape)
+        y2 = (rng if normals is None else normals).standard_normal(shape)
         y2 *= self.sigma
         y2 += self.mean_at(y1)
         return y1, y2
+
+    def draw_blocks(self, rng: np.random.Generator, n_rows: int, n_points: int, block: int):
+        """Yield the rows of `self.draw(rng, (n_rows, n_points))` bit for
+        bit as (y1, y2) blocks of `block` rows, a shorter tail joining the
+        last block.  `rng` must be a PCG64 (`default_rng`): a uniform takes
+        one 64-bit output, so the normals start n_rows * n_points outputs
+        on, where a copy of its state advanced that far draws them."""
+        stops = [*range(block, n_rows - block + 1, block), n_rows]
+        bits = np.random.PCG64()
+        bits.state = rng.bit_generator.state
+        normals = np.random.Generator(bits.advance(n_rows * n_points))
+        for start, stop in zip([0, *stops], stops):
+            yield self.draw(rng, (stop - start, n_points), normals)
 
     def to_json_dict(self) -> dict:
         return {"degree": self.degree, "coeffs": list(self.coeffs), "sigma": self.sigma}

@@ -7,6 +7,7 @@ from rpps.datagen import (
     DataSet,
     GeneratorSpec,
     OutsideSupport,
+    horner,
     read_dataset_csv,
     sample_dataset,
     true_log_density,
@@ -75,6 +76,20 @@ class TestGeneratorSpec:
             assert np.shape(mean) == np.shape(y1)
             np.testing.assert_array_equal(mean, np.polynomial.polynomial.polyval(y1, spec.coeffs))
 
+    @pytest.mark.parametrize(
+        "coeffs",
+        [(0.7,), (-1.5,), (0.3, 0.0), (0.3, -2.0, 0.0), (1.0, 2.0, 0.0, 0.0)],
+        ids=["degree-0", "negative-degree-0", "zero-leading-linear", "zero-leading-quadratic", "two-zero-leading"],
+    )
+    def test_horner_is_polyval_bit_for_bit(self, coeffs):
+        y1 = np.random.default_rng(0).uniform(-1, 1, size=(50, 12))
+        expected = np.polynomial.polynomial.polyval(y1, coeffs)
+        np.testing.assert_array_equal(horner(y1, coeffs), expected)
+        # per-row coefficient columns, as the conjugate kernel passes them, into `out`
+        out = np.empty_like(y1)
+        assert horner(y1, [np.full((50, 1), c) for c in coeffs], out=out) is out
+        np.testing.assert_array_equal(out, expected)
+
 
 class TestSampleDataset:
     def test_twelve_point_draw(self):
@@ -109,6 +124,16 @@ class TestSampleDataset:
         y1, y2 = spec.draw(np.random.default_rng(degree), (3, 4))
         np.testing.assert_array_equal(y1.ravel(), data.y1)
         np.testing.assert_array_equal(y2.ravel(), data.y2)
+
+    @pytest.mark.parametrize("n_rows", [1, 15, 16, 17, 31, 32, 33, 47, 48, 100])
+    def test_blocks_are_one_draw_bit_for_bit(self, n_rows):
+        blocks = list(QUARTIC.draw_blocks(np.random.default_rng(4), n_rows, 3, block=16))
+        # whole blocks, a shorter tail joining the last
+        assert [len(y1) for y1, _ in blocks[:-1]] == [16] * (len(blocks) - 1)
+        assert len(blocks) == max(1, n_rows // 16)
+        y1, y2 = QUARTIC.draw(np.random.default_rng(4), (n_rows, 3))
+        np.testing.assert_array_equal(np.concatenate([b[0] for b in blocks]), y1)
+        np.testing.assert_array_equal(np.concatenate([b[1] for b in blocks]), y2)
 
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,21 +87,61 @@ class TestExactScoreMc:
             exact_score_mc(CONSTANT, _plugin([0.0], 1.0), n_datasets=1, n_points=3, seed=0)
 
     def test_draws_the_generating_stream_bit_for_bit(self):
-        # the oracle's replicate measurements are the points y1 ~ U(-1, 1),
-        # then y2 ~ N(mean_at(y1), sigma^2) as rng.normal draws them
+        # the oracle's replicate measurements, over all its blocks, are the
+        # points y1 ~ U(-1, 1), then y2 ~ N(mean_at(y1), sigma^2) as
+        # rng.normal draws them
         class Recorder:
+            def __init__(self):
+                self.y1, self.y2 = [], []
+
             def log_density_batch(self, y1, y2):
-                self.points = y1, y2
+                self.y1.append(y1)
+                self.y2.append(y2)
                 return np.zeros(len(y1))
 
-        for truth in (QUARTIC, CONSTANT):
+        for truth, n_datasets in itertools.product((QUARTIC, CONSTANT), (300, 2 * scores._MC_BLOCK + 1, 20_001)):
             recorder = Recorder()
-            exact_score_mc(truth, recorder, n_datasets=300, n_points=12, seed=11)
+            exact_score_mc(truth, recorder, n_datasets=n_datasets, n_points=12, seed=11)
             rng = np.random.default_rng(11)
-            y1 = rng.uniform(-1.0, 1.0, size=(300, 12))
+            y1 = rng.uniform(-1.0, 1.0, size=(n_datasets, 12))
             y2 = rng.normal(np.polynomial.polynomial.polyval(y1, truth.coeffs), truth.sigma)
-            np.testing.assert_array_equal(recorder.points[0], y1)
-            np.testing.assert_array_equal(recorder.points[1], y2)
+            np.testing.assert_array_equal(np.concatenate(recorder.y1), y1)
+            np.testing.assert_array_equal(np.concatenate(recorder.y2), y2)
+
+    @pytest.mark.parametrize("n_datasets", [2, 3, 4095, 4096, 4097, 8193, 20_001])
+    @pytest.mark.parametrize("degree", [0, 4])
+    def test_blocks_equal_the_one_shot_ensemble(self, degree, n_datasets):
+        # value and SE equal those of one draw scored as one batch
+        spec = ModelSpec(degree)
+        prior = default_prior(spec)
+        for truth in (CONSTANT, QUARTIC):
+            data = sample_dataset(truth, 12, seed=5)
+            for predictive in (
+                PluginGaussian(fit_mle(spec, data)),
+                PriorPredictive(prior, spec),
+                PriorPredictive(posterior_update(prior, spec, data), spec),
+            ):
+                y1, y2 = truth.draw(np.random.default_rng(9), (n_datasets, 12))
+                reference = -predictive.log_density_batch(y1, y2)
+                est = exact_score_mc(truth, predictive, n_datasets, 12, seed=9)
+                assert est.value == float(np.mean(reference))
+                assert est.std_error == float(np.std(reference, ddof=1) / math.sqrt(n_datasets))
+
+    def test_memory_does_not_grow_with_the_ensemble(self):
+        # a degree-4 posterior predictive at 10x the datasets: the blocks,
+        # not the ensemble, set the peak
+        spec = ModelSpec(4)
+        prior = default_prior(spec)
+        predictive = PriorPredictive(posterior_update(prior, spec, sample_dataset(QUARTIC, 12, seed=1)), spec)
+        peaks = []
+        for n_datasets in (20_000, 200_000):
+            tracemalloc.start()
+            try:
+                exact_score_mc(QUARTIC, predictive, n_datasets, 12, seed=2)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 3 * peaks[0]
 
     def test_bayesian_predictive_supported(self):
         prior = default_prior(ModelSpec(0))
