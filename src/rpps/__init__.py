@@ -30,7 +30,6 @@ from .harness import (
     InferenceKind,
     OracleConfig,
     emit_outputs,
-    quantiles,
     run_estimator,
     run_experiment,
 )

@@ -202,8 +202,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit:
-        raise
     except (ValueError, RuntimeError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import gammaln
 
-from .datagen import LOG_HALF, DataSet, horner
+from .datagen import LOG_HALF, DataSet, horner, require_count
 from .linmodel import ModelSpec, PluginGaussian
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -245,8 +245,7 @@ def sample_posterior(posterior: NormalGammaParams, count: int, seed: int) -> Pos
 
     tau ~ Gamma(alpha, rate=beta); coeffs | tau ~ Normal(mu, (tau lam)^-1).
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    require_count("count", count)
     rng = np.random.default_rng(seed)
     tau = rng.gamma(shape=posterior.alpha, scale=1.0 / posterior.beta, size=count)
     z = rng.standard_normal(size=(count, posterior.p))

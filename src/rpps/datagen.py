@@ -72,7 +72,9 @@ def horner(y1, coeffs, out=None):
     coeffs)` for a 1-D `coeffs`; a coefficient may also be an array that
     broadcasts against y1."""
     y1 = np.asarray(y1, dtype=float)
-    out = np.multiply(y1, coeffs[-1] if len(coeffs) > 1 else 0.0, out=out)  # degree 0: c0 + 0 * y1
+    if len(coeffs) == 1:  # c0 + 0 * y1, shaped as they broadcast
+        return np.add(coeffs[0], np.multiply(y1, 0.0, out=out), out=out)
+    out = np.multiply(y1, coeffs[-1], out=out)
     for c in coeffs[-2:0:-1]:
         out += c
         out *= y1

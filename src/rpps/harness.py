@@ -9,7 +9,6 @@ complete, machine-independent description of the run.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -36,8 +35,6 @@ from .scores import (
     jackknife_estimator,
     waic,
 )
-
-logger = logging.getLogger(__name__)
 
 ROWS_HEADER = ["replication_id", "estimator", "estimate", "std_error", "exact", "error", "floor_engaged"]
 SUMMARY_HEADER = ["estimator", "q20", "q50", "q80"]
@@ -99,8 +96,12 @@ class EstimatorRequest:
             else:
                 require_count(key, value, minimum=2 if key == "n_samples" else 1)
         # a label is a rows.csv and summary.csv cell, written without quoting
-        if self.label is not None and (not isinstance(self.label, str) or any(c in self.label for c in ',"\r\n')):
-            raise ValueError(f"label must be a string without commas, quotes or line breaks, got {self.label!r}")
+        if self.label is not None and (
+            not isinstance(self.label, str) or not self.label or any(c in self.label for c in ',"\r\n')
+        ):
+            raise ValueError(
+                f"label must be a string, nonempty and without commas, quotes or line breaks, got {self.label!r}"
+            )
 
     def check(self, build: PredictiveBuilder, n_points: int) -> None:
         """Raise ValueError unless the request runs on n_points under the
@@ -208,8 +209,9 @@ def _load_requests(raw) -> tuple[EstimatorRequest, ...]:
 
 @dataclass(frozen=True)
 class ReplicationRow:
-    """One estimator evaluation on one replication; failed rows keep the
-    estimator name and exact score but no estimate."""
+    """One estimator evaluation on one replication; a failed row keeps the
+    estimator name, the exact score if it was computed, and the failure's
+    message, but no estimate."""
 
     replication_id: int
     estimator: str
@@ -218,8 +220,11 @@ class ReplicationRow:
     exact: float | None
     error: float | None
     floor_engaged: int
-    failed: bool = False
     message: str = ""
+
+    @property
+    def failed(self) -> bool:
+        return self.estimate is None
 
 
 @dataclass(frozen=True)
@@ -237,18 +242,6 @@ class ExperimentResult:
     rows: tuple[ReplicationRow, ...]
     summary: tuple[SummaryRow, ...]
     warnings: tuple[str, ...] = ()
-
-
-def quantiles(errors, probs) -> list[float]:
-    """Empirical quantiles with linear interpolation between order
-    statistics at h = (n - 1) * p (numpy's default rule)."""
-    errors = np.asarray(list(errors), dtype=float)
-    if errors.size == 0:
-        raise ValueError("quantiles of an empty list are undefined")
-    probs = np.asarray(list(probs), dtype=float)
-    if np.any(probs < 0.0) or np.any(probs > 1.0):
-        raise ValueError("probs must lie in [0, 1]")
-    return [float(q) for q in np.quantile(errors, probs, method="linear")]
 
 
 def _exact_score(config: ExperimentConfig, predictive: Predictive, oracle_seed: int) -> ScoreEstimate:
@@ -299,12 +292,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     Per replication: sample a measurement, build the configured predictive,
     compute the exact score once, then every selected estimator.  Only data
     failures (rank-deficient fits, degenerate bootstraps) become failed rows,
-    and the run fails if every row does; any other exception propagates.
+    and the run fails, naming the first, if every row does; any other
+    exception propagates.  The summary quantiles interpolate linearly between
+    the order statistics of each request's errors at h = (n - 1) * p.
+    Warnings are returned, not logged.
     """
     build = PredictiveBuilder(config.inference, config.model)
     root = np.random.SeedSequence(config.seed)
     children = root.spawn(config.replications)
     rows: list[ReplicationRow] = []
+    errors: dict[str, list[float]] = {request.name: [] for request in config.estimators}
     oracle_ses: list[float] = []
     for r, child in enumerate(children):
         sub = child.generate_state(2 + len(config.estimators), dtype=np.uint64)
@@ -315,7 +312,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             exact = _exact_score(config, predictive, oracle_seed)
         except RankDeficient as exc:
             for request in config.estimators:
-                rows.append(ReplicationRow(r, request.name, None, None, None, None, 0, failed=True, message=str(exc)))
+                rows.append(ReplicationRow(r, request.name, None, None, None, None, 0, str(exc)))
             continue
         if exact.std_error is not None:
             oracle_ses.append(exact.std_error)
@@ -323,34 +320,33 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             try:
                 est = run_estimator(request, predictive, build, measurement, int(sub[2 + j]))
             except (RankDeficient, AllResamplesDegenerate) as exc:
-                row = ReplicationRow(r, request.name, None, None, exact.value, None, 0, failed=True, message=str(exc))
-            else:
-                error, floored = est.value - exact.value, est.floor_engaged + exact.floor_engaged
-                row = ReplicationRow(r, request.name, est.value, est.std_error, exact.value, error, floored)
-            rows.append(row)
-    if all(row.failed for row in rows):
-        raise RuntimeError("every estimator row failed; see row messages")
+                rows.append(ReplicationRow(r, request.name, None, None, exact.value, None, 0, str(exc)))
+                continue
+            error, floored = est.value - exact.value, est.floor_engaged + exact.floor_engaged
+            rows.append(ReplicationRow(r, request.name, est.value, est.std_error, exact.value, error, floored))
+            errors[request.name].append(error)
+    if not any(errors.values()):
+        first = rows[0]
+        raise RuntimeError(
+            f"every estimator row failed; the first, {first.estimator} in replication "
+            f"{first.replication_id}: {first.message}"
+        )
 
     warnings: list[str] = []
     summary: list[SummaryRow] = []
-    for request in config.estimators:
-        errors = [row.error for row in rows if row.estimator == request.name and not row.failed]
-        n_failed = sum(1 for row in rows if row.estimator == request.name and row.failed)
-        if not errors:
-            warnings.append(f"estimator {request.name}: all {n_failed} replications failed")
-            summary.append(SummaryRow(request.name, float("nan"), float("nan"), float("nan"), n_failed))
+    for name, errs in errors.items():
+        n_failed = config.replications - len(errs)
+        if not errs:
+            warnings.append(f"estimator {name}: all {n_failed} replications failed")
+            summary.append(SummaryRow(name, float("nan"), float("nan"), float("nan"), n_failed))
             continue
-        q20, q50, q80 = quantiles(errors, SUMMARY_PROBS)
-        summary.append(SummaryRow(request.name, q20, q50, q80, n_failed))
+        q20, q50, q80 = map(float, np.quantile(errs, SUMMARY_PROBS))
+        summary.append(SummaryRow(name, q20, q50, q80, n_failed))
         if oracle_ses:
-            iqr = float(np.subtract(*np.quantile(errors, [0.75, 0.25])))
+            iqr = float(np.subtract(*np.quantile(errs, [0.75, 0.25])))
             median_se = float(np.median(oracle_ses))
             if iqr > 0 and median_se > 0.05 * iqr:
-                warnings.append(
-                    f"estimator {request.name}: oracle SE {median_se:.4g} exceeds 5% of error IQR {iqr:.4g}"
-                )
-    for message in warnings:
-        logger.warning(message)
+                warnings.append(f"estimator {name}: oracle SE {median_se:.4g} exceeds 5% of error IQR {iqr:.4g}")
     return ExperimentResult(config=config, rows=tuple(rows), summary=tuple(summary), warnings=tuple(warnings))
 
 

@@ -32,7 +32,7 @@ from .conjugate import (
     log_evidence,
     posterior_update,
 )
-from .datagen import LOG_HALF, DataSet, GeneratorSpec, normal_logpdf, require_count
+from .datagen import LOG_HALF, DataSet, GeneratorSpec, horner, normal_logpdf, require_count
 from .linmodel import (
     FitResult,
     ModelSpec,
@@ -216,7 +216,7 @@ class PredictiveBuilder:
         usable &= rank == self.spec.n_coeffs
         floored = usable & (sigma2 < SIGMA2_FLOOR)
         sigma2 = np.maximum(sigma2, SIGMA2_FLOOR)  # unusable folds may interpolate
-        mean = np.polynomial.polynomial.polyval(data.y1, coeffs.T)  # (R, n)
+        mean = horner(data.y1, coeffs.T[:, :, None])  # (R, n)
         log_density = np.sum(np.where(valid, normal_logpdf(data.y2, mean, sigma2[:, None]), 0.0), axis=1)
         log_density += valid.sum(axis=1) * LOG_HALF
         return log_density, floored, usable
@@ -284,6 +284,7 @@ def exact_score_quadrature(spec_true: GeneratorSpec, predictive: PluginGaussian,
     """
     if not isinstance(predictive, PluginGaussian):
         raise NotFactorizing("quadrature oracle applies to plug-in predictives only; use exact_score_mc")
+    require_count("n_points", n_points)
     predictive, floored = _floored_predictive(predictive)
     fit = predictive.fit
     nodes, weights = _gauss_legendre()

@@ -1,6 +1,9 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -460,6 +463,7 @@ class TestExperiment:
             ),
             ({"estimators": [{"kind": "delta", "label": 5}]}, "label must be a string"),
             ({"estimators": [{"kind": "delta", "label": "a,b"}]}, "without commas"),
+            ({"estimators": [{"kind": "delta", "label": ""}]}, "nonempty"),
             ({"truth": {"degree": 0, "coeffs": [float("nan")], "sigma": 0.5}}, "coefficients must be finite"),
             ({"truth": {"degree": 0, "coeffs": [0.5], "sigma": float("inf")}}, "sigma must be finite and > 0"),
             ({"truth": {"degree": 0, "coeffs": [-10**400], "sigma": 0.5}}, "truth: coefficients must be finite"),
@@ -495,6 +499,7 @@ class TestExperiment:
             "fractional-truth-degree",
             "non-string-label",
             "comma-label",
+            "empty-label",
             "nan-truth-coefficient",
             "infinite-truth-sigma",
             "huge-integer-truth-coefficient",
@@ -617,6 +622,38 @@ class TestExperiment:
         assert "estimator" in printed and "jackknife" in printed
         for name in ("rows.csv", "summary.csv", "config.echo.json"):
             assert (out_dir / name).exists()
+
+    def test_all_rows_failing_names_the_cause(self, tmp_path, capsys):
+        # one resample of 12 draws almost never holds the 11 distinct points
+        # a degree-9 MLE needs, so every bootstrap row fails from its data
+        path = self._write_config(
+            tmp_path, model={"degree": 9}, estimators=[{"kind": "bootstrap", "b_resamples": 1}]
+        )
+        assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            r"error: every estimator row failed; the first, bootstrap in replication 0: .*no usable resample.*\n", err
+        )
+
+    def test_each_warning_is_printed_once(self, tmp_path):
+        # a fresh interpreter, since pytest's logging capture would hide a
+        # second, logged copy of a warning
+        path = self._write_config(
+            tmp_path, replications=20, inference="posterior_predictive", oracle={"mc_datasets": 2}
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "rpps.cli", "experiment", "--config", str(path), "--out", str(tmp_path / "out")],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert lines and all(line.startswith("warning: estimator ") for line in lines), lines
+        assert len(set(lines)) == len(lines)
+        assert any("oracle SE" in line for line in lines)
 
     def test_missing_output_dir_is_error(self, tmp_path):
         path = self._write_config(tmp_path)

@@ -235,6 +235,12 @@ class TestSamplePosterior:
         np.testing.assert_array_equal(a.coeffs, b.coeffs)
         np.testing.assert_array_equal(a.precision, b.precision)
 
+    @pytest.mark.parametrize("count", [0, -3, 2.5, True])
+    def test_rejects_a_count_that_is_no_count(self, count):
+        post = posterior_update(*(_random_case(3, degree=0, n=5)))
+        with pytest.raises(ValueError, match="count must be an integer >= 1"):
+            sample_posterior(post, count, seed=1)
+
     def test_posterior_mean_point(self):
         post = posterior_update(*(_random_case(6, degree=1, n=6)))
         point = posterior_mean(post)

@@ -89,6 +89,10 @@ class TestGeneratorSpec:
         out = np.empty_like(y1)
         assert horner(y1, [np.full((50, 1), c) for c in coeffs], out=out) is out
         np.testing.assert_array_equal(out, expected)
+        # a 1-D y1 against (R, 1) columns gives the (R, n) table, as the fold kernel asks it
+        columns = np.random.default_rng(1).normal(size=(len(coeffs), 40, 1))
+        table = np.polynomial.polynomial.polyval(y1[0], columns[..., 0])
+        np.testing.assert_array_equal(horner(y1[0], columns), table)
 
 
 class TestSampleDataset:

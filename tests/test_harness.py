@@ -19,11 +19,10 @@ from rpps.harness import (
     ROWS_HEADER,
     SUMMARY_HEADER,
     emit_outputs,
-    quantiles,
     run_estimator,
     run_experiment,
 )
-from rpps.linmodel import ModelSpec, TooFewPoints
+from rpps.linmodel import ModelSpec, RankDeficient, TooFewPoints
 from rpps.scores import PredictiveBuilder
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -48,26 +47,6 @@ def _config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
-
-
-class TestQuantiles:
-    def test_median_of_odd_set(self):
-        assert quantiles([1, 2, 3, 4, 5], [0.5]) == [3.0]
-
-    def test_interpolation_rule(self):
-        # h = (n-1) p = 0.2 between order statistics 0 and 10
-        assert quantiles([0.0, 10.0], [0.2]) == [2.0]
-
-    def test_constant_list(self):
-        assert quantiles([7.0] * 9, [0.0, 0.37, 1.0]) == [7.0, 7.0, 7.0]
-
-    def test_empty_errors(self):
-        with pytest.raises(ValueError):
-            quantiles([], [0.5])
-
-    def test_probs_range(self):
-        with pytest.raises(ValueError):
-            quantiles([1.0], [1.5])
 
 
 class TestConfig:
@@ -137,6 +116,7 @@ class TestConfig:
             {"kind": "delta", "label": "a,b"},
             {"kind": "delta", "label": 'say "delta"'},
             {"kind": "delta", "label": "two\nlines"},
+            {"kind": "delta", "label": ""},
         ):
             with pytest.raises(ValueError):
                 EstimatorRequest.from_json_dict(fields)
@@ -225,8 +205,41 @@ class TestRunExperiment:
         result = run_experiment(_config())
         for s in result.summary:
             errors = [r.error for r in result.rows if r.estimator == s.estimator and not r.failed]
-            q20, q50, q80 = quantiles(errors, (0.2, 0.5, 0.8))
-            assert (s.q20, s.q50, s.q80) == (q20, q50, q80)
+            assert (s.q20, s.q50, s.q80) == tuple(np.quantile(errors, (0.2, 0.5, 0.8)))
+
+    @pytest.mark.parametrize("replications", [2, 3, 5, 8])
+    def test_summary_interpolates_between_order_statistics(self, replications):
+        # quantile p lies at h = (n - 1) p between the order statistics
+        # e[floor h] and e[floor h + 1], weighted by the fraction of h
+        result = run_experiment(_config(replications=replications))
+        for s in result.summary:
+            e = sorted(r.error for r in result.rows if r.estimator == s.estimator)
+            expected = []
+            for p in (0.2, 0.5, 0.8):
+                h = (len(e) - 1) * p
+                lo = int(h)
+                hi = min(lo + 1, len(e) - 1)
+                expected.append(e[lo] + (h - lo) * (e[hi] - e[lo]))
+            np.testing.assert_allclose((s.q20, s.q50, s.q80), expected, rtol=0, atol=1e-12)
+            assert s.q20 <= s.q50 <= s.q80 and s.n_failed == 0
+
+    def test_n_failed_counts_rank_deficient_replications(self, monkeypatch):
+        # a predictive that cannot be built fails every request's row of its
+        # replication, and the summary counts it once per request
+        original = PredictiveBuilder.__call__
+        calls = []
+
+        def flaky(build, data):
+            calls.append(None)
+            if len(calls) % 2:
+                raise RankDeficient("rank-deficient on purpose")
+            return original(build, data)
+
+        monkeypatch.setattr(PredictiveBuilder, "__call__", flaky)
+        result = run_experiment(_config(replications=6))
+        failed = [r for r in result.rows if r.failed]
+        assert len(failed) == 3 * 3 and all(r.exact is None and "on purpose" in r.message for r in failed)
+        assert [s.n_failed for s in result.summary] == [3, 3, 3]
 
     def test_failed_rows_recorded_and_run_continues(self):
         # one resample of 12 draws almost never holds the 11 distinct points
@@ -272,7 +285,9 @@ class TestRunExperiment:
             estimators=(EstimatorRequest(kind="bootstrap", b_resamples=1),),
             replications=3,
         )
-        with pytest.raises(RuntimeError):
+        # the error names the first failed row, so the CLI shows its cause
+        message = r"every estimator row failed; the first, bootstrap in replication 0: .*no usable resample"
+        with pytest.raises(RuntimeError, match=message):
             run_experiment(config)
 
     def test_posterior_predictive_lane_uses_mc_oracle(self):

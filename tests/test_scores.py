@@ -174,6 +174,11 @@ class TestExactScoreQuadrature:
         with pytest.raises(NotFactorizing):
             exact_score_quadrature(CONSTANT, PriorPredictive(prior, ModelSpec(0)), n_points=5)
 
+    @pytest.mark.parametrize("n_points", [0, -3, 2.5, True, "12"])
+    def test_rejects_a_point_count_that_is_no_count(self, n_points):
+        with pytest.raises(ValueError, match="n_points must be an integer >= 1"):
+            exact_score_quadrature(CONSTANT, _plugin([0.0], 1.0), n_points)
+
     def test_true_parameters_are_optimal_on_grid(self):
         truth = GeneratorSpec(degree=0, coeffs=(0.4,), sigma=0.8)
         best = exact_score_quadrature(truth, _plugin([0.4], 0.64), n_points=1).value
