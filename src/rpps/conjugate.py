@@ -24,7 +24,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import gammaln
 
-from .datagen import LOG_HALF, DataSet, horner, require_count
+from .datagen import LOG_HALF, DataSet, horner, require_count, scratch
 from .linmodel import ModelSpec, PluginGaussian
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -128,6 +128,9 @@ def _kernel(
     second pass over the blocks sums the weighted squared residuals, the fit
     evaluated by Horner's rule.  A pivot that is not positive (or is NaN)
     raises LinAlgError.
+
+    The buffers, power sums and Cholesky factors live in `scratch` arrays
+    that the next call overwrites, so every returned array is a fresh one.
     """
     y1 = np.asarray(y1, dtype=float)
     y2 = np.asarray(y2, dtype=float)
@@ -138,8 +141,8 @@ def _kernel(
     p, (r, n) = params.p, y1.shape
     n_pow = 2 * p - 1
     ones = np.ones(n)
-    buf = np.empty((n_pow + p) * min(r, _BLOCK) * n)
-    sums = np.empty((n_pow + p, r))  # the power sums, then the right-hand sides
+    buf = scratch("kernel.buf", ((n_pow + p) * min(r, _BLOCK) * n,))
+    sums = scratch("kernel.sums", (n_pow + p, r))  # the power sums, then the right-hand sides
     for start in range(0, r, _BLOCK):
         blk = slice(start, start + _BLOCK)
         x = y1[blk]
@@ -150,7 +153,7 @@ def _kernel(
         np.multiply(powers[:p], y2[blk], out=powers[n_pow:])
         sums[:, blk] = (powers.reshape(-1, n) @ ones).reshape(n_pow + p, -1)
 
-    chol = np.empty((p + 1, p, r))  # L[i, j] at i >= j; row p ends as L^-1 rhs
+    chol = scratch("kernel.chol", (p + 1, p, r))  # L[i, j] at i >= j; row p ends as L^-1 rhs
     np.add((params.lam @ params.mu)[:, None], sums[n_pow:], out=chol[p])
     for j in range(p):
         col = chol[j:, j]
@@ -163,6 +166,7 @@ def _kernel(
         np.sqrt(pivot, out=pivot)
         col[1:] /= pivot
     diag = chol[:p].diagonal(axis1=0, axis2=1).T
+    logdet_n = 2.0 * np.log(diag).sum(axis=0)
     mu_n = chol[p].copy()
     mu_n[p - 1] /= diag[p - 1]
     for i in range(p - 1, 0, -1):  # L^T mu' = L^-1 rhs, from the last row up
@@ -179,9 +183,11 @@ def _kernel(
         if weights is not None:
             resid *= weights[blk]
         rss[blk] = resid @ ones
-    shift = mu_n - params.mu[:, None]
-    beta_n = params.beta + 0.5 * rss + 0.5 * np.einsum("jr,jr->r", params.lam @ shift, shift)
-    return sums[:n_pow], 2.0 * np.log(diag).sum(axis=0), mu_n.T, beta_n
+    # the factors are spent: rows p and 0 of chol hold mu' - mu and lam (mu' - mu)
+    shift = np.subtract(mu_n, params.mu[:, None], out=chol[p])
+    lam_shift = np.matmul(params.lam, shift, out=chol[0])
+    beta_n = params.beta + 0.5 * rss + 0.5 * np.einsum("jr,jr->r", lam_shift, shift)
+    return sums[:n_pow].copy(), logdet_n, mu_n.T, beta_n
 
 
 def _update(

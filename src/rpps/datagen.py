@@ -13,6 +13,7 @@ import csv
 import math
 import numbers
 import sys
+import threading
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
@@ -66,11 +67,31 @@ def normal_logpdf(x, mean, var):
     return -_HALF_LOG_2PI - 0.5 * np.log(var) - 0.5 * (x - mean) ** 2 / var
 
 
+_pool = threading.local()
+
+
+def scratch(name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """A float64 work array of `shape` that outlives the call: a view of the
+    first prod(shape) elements of one flat buffer per `name`, kept per
+    thread, grown when a request is larger and never shrunk.  Its contents
+    are whatever the last user left there, and the next request under the
+    same name in this thread overwrites them, so nothing that leaves the
+    caller may alias it."""
+    size = math.prod(shape)
+    buf = getattr(_pool, name, None)
+    if buf is None or buf.size < size:
+        buf = np.empty(size)
+        setattr(_pool, name, buf)
+    return buf[:size].reshape(shape)
+
+
 def horner(y1, coeffs, out=None):
     """sum_k coeffs[k] * y1**k by Horner's rule, computed in place (into
-    `out` if given).  Bit for bit `np.polynomial.polynomial.polyval(y1,
-    coeffs)` for a 1-D `coeffs`; a coefficient may also be an array that
-    broadcasts against y1."""
+    `out` if given).  Equal to `np.polynomial.polynomial.polyval(y1, coeffs)`
+    for a 1-D `coeffs`, and bit for bit but for one case: when every
+    coefficient is -0.0 at degree >= 1, the two give zeros of opposite sign
+    at some y1 (which compare equal).  A coefficient may also be an array
+    that broadcasts against y1."""
     y1 = np.asarray(y1, dtype=float)
     if len(coeffs) == 1:  # c0 + 0 * y1, shaped as they broadcast
         return np.add(coeffs[0], np.multiply(y1, 0.0, out=out), out=out)
@@ -117,14 +138,20 @@ class GeneratorSpec:
         """Polynomial mean of y2 at the given y1 value(s)."""
         return horner(y1, self.coeffs)
 
-    def draw(self, rng: np.random.Generator, shape, normals=None) -> tuple[np.ndarray, np.ndarray]:
+    def draw(self, rng: np.random.Generator, shape, normals=None, out=None) -> tuple[np.ndarray, np.ndarray]:
         """Draw y1 and then y2 arrays of `shape` from `rng`, y2's noise from
-        `normals` if given.  y2 is mean + sigma * z, formed in place: bit
-        for bit `rng.normal(self.mean_at(y1), self.sigma)`."""
-        y1 = rng.uniform(-1.0, 1.0, size=shape)
-        y2 = (rng if normals is None else normals).standard_normal(shape)
-        y2 *= self.sigma
-        y2 += self.mean_at(y1)
+        `normals` if given, into the C-contiguous float64 pair `out` if
+        given.  y1 is 2u - 1, bit for bit `rng.uniform(-1, 1, shape)`, and
+        y2 is mean + sigma * z, formed in place with z in a `scratch`
+        buffer: bit for bit `rng.normal(self.mean_at(y1), self.sigma)`."""
+        y1, y2 = (np.empty(shape), np.empty(shape)) if out is None else out
+        rng.random(out=y1)
+        y1 *= 2.0
+        y1 -= 1.0
+        z = (rng if normals is None else normals).standard_normal(out=scratch("draw.z", y1.shape))
+        z *= self.sigma
+        horner(y1, self.coeffs, out=y2)
+        y2 += z
         return y1, y2
 
     def draw_blocks(self, rng: np.random.Generator, n_rows: int, n_points: int, block: int):
@@ -132,13 +159,19 @@ class GeneratorSpec:
         bit as (y1, y2) blocks of `block` rows, a shorter tail joining the
         last block.  `rng` must be a PCG64 (`default_rng`): a uniform takes
         one 64-bit output, so the normals start n_rows * n_points outputs
-        on, where a copy of its state advanced that far draws them."""
+        on, where a copy of its state advanced that far draws them.
+
+        Every block is drawn into the same `scratch` buffers, so the next
+        block (or the next `draw_blocks` in this thread) overwrites the one
+        yielded before it: a consumer must not keep the arrays, only what
+        it computed from them."""
         stops = [*range(block, n_rows - block + 1, block), n_rows]
         bits = np.random.PCG64()
         bits.state = rng.bit_generator.state
         normals = np.random.Generator(bits.advance(n_rows * n_points))
         for start, stop in zip([0, *stops], stops):
-            yield self.draw(rng, (stop - start, n_points), normals)
+            shape = (stop - start, n_points)
+            yield self.draw(rng, shape, normals, out=(scratch("draw.y1", shape), scratch("draw.y2", shape)))
 
     def to_json_dict(self) -> dict:
         return {"degree": self.degree, "coeffs": list(self.coeffs), "sigma": self.sigma}

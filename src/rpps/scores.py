@@ -242,7 +242,10 @@ def exact_score_mc(
     predictive; the standard error is the sample SD over replicates divided
     by sqrt(n_datasets).  The measurements, bit for bit those of one draw,
     are drawn and scored in blocks of four conjugate kernel blocks, so the
-    working set stays cache-sized whatever n_datasets is.
+    working set stays cache-sized whatever n_datasets is.  Each block is
+    drawn into the `draw_blocks` buffers that the next block overwrites:
+    `predictive.log_density_batch` must return fresh densities and keep
+    none of its arguments.
     """
     require_count("n_datasets", n_datasets, minimum=2)
     require_count("n_points", n_points)

@@ -6,12 +6,14 @@ from scipy import integrate, stats
 from scipy.linalg import solve_triangular
 
 from gridref import _mvt_logpdf, posterior_grid_summary
+from rpps import datagen
 from rpps.conjugate import (
     NormalGammaParams,
     PosteriorPredictive,
     PosteriorSample,
     PriorPredictive,
     _evidence_batch,
+    _kernel,
     _update,
     default_prior,
     log_evidence,
@@ -21,6 +23,7 @@ from rpps.conjugate import (
 )
 from rpps.datagen import DataSet, GeneratorSpec, sample_dataset
 from rpps.linmodel import ModelSpec
+from rpps.scores import exact_score_mc
 
 
 def _random_case(seed, degree=1, n=6):
@@ -339,3 +342,25 @@ class TestBatchEvidence:
         assert np.all(0.5 * rss_min * (1 - 1e-4) <= beta_n) and np.all(beta_n <= 0.5 * rss_mu * (1 + 1e-4))
         evidence = _evidence_batch(prior, spec, y1, y2)
         assert np.all(np.isfinite(evidence))
+
+    def test_results_do_not_alias_the_scratch_buffers(self):
+        # a kept posterior survives later oracle and kernel calls, which
+        # reuse the kernel's work arrays
+        spec = ModelSpec(4)
+        prior = default_prior(spec)
+        truth = GeneratorSpec(degree=4, coeffs=(0.5, -3.0, -4.0, 3.0, 6.0), sigma=0.5)
+        kept = posterior_update(prior, spec, sample_dataset(truth, 12, seed=1))
+        mu, lam, beta = kept.mu.copy(), kept.lam.copy(), kept.beta
+        exact_score_mc(truth, PosteriorPredictive(kept, spec), 20_001, 12, seed=2)
+        rng = np.random.default_rng(3)
+        y1, y2 = rng.uniform(-1, 1, size=(7, 12)), rng.normal(size=(7, 12))
+        _evidence_batch(prior, spec, y1, y2)
+        np.testing.assert_array_equal(kept.mu, mu)
+        np.testing.assert_array_equal(kept.lam, lam)
+        assert kept.beta == beta
+        pool = list(vars(datagen._pool).values())
+        assert pool
+        for r in (1, 7):
+            for weights in (None, np.full((r, 12), 2.0)):
+                for result in _kernel(prior, spec, y1[:r], y2[:r], weights):
+                    assert not any(np.shares_memory(result, buf) for buf in pool)

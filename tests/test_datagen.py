@@ -94,6 +94,21 @@ class TestGeneratorSpec:
         table = np.polynomial.polynomial.polyval(y1[0], columns[..., 0])
         np.testing.assert_array_equal(horner(y1[0], columns), table)
 
+    @pytest.mark.parametrize("degree", range(6))
+    def test_horner_differs_from_polyval_only_in_the_sign_of_a_zero(self, degree):
+        # the one documented difference: every coefficient -0.0 at degree >= 1
+        y1 = np.concatenate([[-0.0, 0.0], np.random.default_rng(degree).uniform(-1, 1, size=40)])
+        coeffs = (-0.0,) * (degree + 1)
+        result, expected = horner(y1, coeffs), np.polynomial.polynomial.polyval(y1, coeffs)
+        np.testing.assert_array_equal(result, expected)
+        np.testing.assert_array_equal(result, 0.0)
+        differs = np.signbit(result) != np.signbit(expected)
+        assert differs.any() == (degree >= 1)
+        # a single +0.0 coefficient among them makes horner bit for bit polyval again
+        for k in range(degree + 1):
+            mixed = coeffs[:k] + (0.0,) + coeffs[k + 1 :]
+            assert horner(y1, mixed).tobytes() == np.polynomial.polynomial.polyval(y1, mixed).tobytes()
+
 
 class TestSampleDataset:
     def test_twelve_point_draw(self):
@@ -131,7 +146,9 @@ class TestSampleDataset:
 
     @pytest.mark.parametrize("n_rows", [1, 15, 16, 17, 31, 32, 33, 47, 48, 100])
     def test_blocks_are_one_draw_bit_for_bit(self, n_rows):
-        blocks = list(QUARTIC.draw_blocks(np.random.default_rng(4), n_rows, 3, block=16))
+        # each block is overwritten by the next, so keep copies
+        draws = QUARTIC.draw_blocks(np.random.default_rng(4), n_rows, 3, block=16)
+        blocks = [(y1.copy(), y2.copy()) for y1, y2 in draws]
         # whole blocks, a shorter tail joining the last
         assert [len(y1) for y1, _ in blocks[:-1]] == [16] * (len(blocks) - 1)
         assert len(blocks) == max(1, n_rows // 16)

@@ -1,6 +1,8 @@
 import itertools
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -95,8 +97,9 @@ class TestExactScoreMc:
                 self.y1, self.y2 = [], []
 
             def log_density_batch(self, y1, y2):
-                self.y1.append(y1)
-                self.y2.append(y2)
+                # the oracle overwrites each block with the next, so keep copies
+                self.y1.append(y1.copy())
+                self.y2.append(y2.copy())
                 return np.zeros(len(y1))
 
         for truth, n_datasets in itertools.product((QUARTIC, CONSTANT), (300, 2 * scores._MC_BLOCK + 1, 20_001)):
@@ -142,6 +145,38 @@ class TestExactScoreMc:
             finally:
                 tracemalloc.stop()
         assert peaks[1] < 3 * peaks[0]
+
+    def test_a_warm_call_allocates_little(self):
+        # the blocks and the kernel's work arrays outlive the call, so after
+        # one call a second allocates only its scores and each block's results
+        spec = ModelSpec(4)
+        prior = default_prior(spec)
+        predictive = PriorPredictive(posterior_update(prior, spec, sample_dataset(QUARTIC, 12, seed=1)), spec)
+        exact_score_mc(QUARTIC, predictive, 20_000, 12, seed=2)
+        tracemalloc.start()
+        try:
+            exact_score_mc(QUARTIC, predictive, 20_000, 12, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6
+
+    def test_threads_draw_into_their_own_buffers(self):
+        # two concurrent oracles, each equal to its sequential result
+        spec = ModelSpec(4)
+        prior = default_prior(spec)
+        predictive = PriorPredictive(posterior_update(prior, spec, sample_dataset(QUARTIC, 12, seed=1)), spec)
+        seeds = (5, 6)
+        sequential = [exact_score_mc(QUARTIC, predictive, 20_001, 12, seed) for seed in seeds]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                futures = [pool.submit(exact_score_mc, QUARTIC, predictive, 20_001, 12, seed) for seed in seeds]
+                concurrent = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert concurrent == sequential
 
     def test_bayesian_predictive_supported(self):
         prior = default_prior(ModelSpec(0))
