@@ -34,7 +34,6 @@ from .harness import (
     run_experiment,
 )
 from .linmodel import (
-    FitResult,
     ModelSpec,
     PluginGaussian,
     RankDeficient,

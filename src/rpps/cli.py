@@ -83,7 +83,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
             "degree": model.degree,
             "coeffs": fit.coeffs.tolist(),
             "sigma2": fit.sigma2,
-            "n_fit": fit.n_fit,
+            "n_fit": len(data),
         }
     )
     return 0
@@ -202,7 +202,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, RuntimeError, OSError, KeyError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -104,7 +104,7 @@ _BLOCK = 1024
 
 
 def _kernel(
-    params: NormalGammaParams, spec: ModelSpec, y1: np.ndarray, y2: np.ndarray, weights: np.ndarray | None = None
+    params: NormalGammaParams, y1: np.ndarray, y2: np.ndarray, weights: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The conjugate update of `params` by each of R datasets of n points,
     given as (R, n) arrays; returns the stacked (power sums, log det lam',
@@ -136,8 +136,6 @@ def _kernel(
     y2 = np.asarray(y2, dtype=float)
     if y1.ndim != 2 or y1.shape != y2.shape or (weights is not None and np.shape(weights) != y1.shape):
         raise ValueError("expected matching (R, n) arrays")
-    if params.p != spec.n_coeffs:
-        raise ValueError("prior dimension does not match model degree")
     p, (r, n) = params.p, y1.shape
     n_pow = 2 * p - 1
     ones = np.ones(n)
@@ -190,36 +188,24 @@ def _kernel(
     return sums[:n_pow].copy(), logdet_n, mu_n.T, beta_n
 
 
-def _update(
-    params: NormalGammaParams, spec: ModelSpec, y1: np.ndarray, y2: np.ndarray, weights: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """`_kernel` with the updated precisions: the stacked (lam', log det
-    lam', mu', beta'), lam' (R, p, p) being lam plus the Hankel matrices of
-    the power sums, so for any weights exactly as symmetric as lam."""
-    sums, logdet_n, mu_n, beta_n = _kernel(params, spec, y1, y2, weights)
-    j = np.arange(params.p)
-    return params.lam + sums[j[:, None] + j].transpose(2, 0, 1), logdet_n, mu_n, beta_n
-
-
-def posterior_update(prior: NormalGammaParams, spec: ModelSpec, data: DataSet) -> NormalGammaParams:
-    """Closed-form conjugate update (see `_update`)."""
-    lam_n, _, mu_n, beta_n = _update(prior, spec, data.y1[None], data.y2[None])
-    return NormalGammaParams(mu=mu_n[0], lam=lam_n[0], alpha=prior.alpha + 0.5 * len(data), beta=float(beta_n[0]))
+def posterior_update(prior: NormalGammaParams, data: DataSet) -> NormalGammaParams:
+    """Closed-form conjugate update (see `_kernel`): lam' is lam plus the
+    Hankel matrix of the power sums, so exactly as symmetric as lam."""
+    sums, _, mu_n, beta_n = _kernel(prior, data.y1[None], data.y2[None])
+    j = np.arange(prior.p)
+    lam_n = prior.lam + sums[j[:, None] + j, 0]
+    return NormalGammaParams(mu=mu_n[0], lam=lam_n, alpha=prior.alpha + 0.5 * len(data), beta=float(beta_n[0]))
 
 
 def _evidence_batch(
-    params: NormalGammaParams,
-    spec: ModelSpec,
-    y1: np.ndarray,
-    y2: np.ndarray,
-    weights: np.ndarray | None = None,
+    params: NormalGammaParams, y1: np.ndarray, y2: np.ndarray, weights: np.ndarray | None = None
 ) -> np.ndarray:
     """Log evidence of each of R datasets of n points, given as (R, n)
     arrays: the ratio of Normal-Gamma normalizing constants before and after
     the conjugate update, through the stacked `_kernel`, plus n log(1/2) for
     the uniform y1 factors; with `weights`, of row r's points repeated
     weights[r] times."""
-    _, logdet_n, _, beta_n = _kernel(params, spec, y1, y2, weights)
+    _, logdet_n, _, beta_n = _kernel(params, y1, y2, weights)
     n = np.shape(y1)[1] if weights is None else np.sum(weights, axis=1)
     alpha_n = params.alpha + 0.5 * n
     return (
@@ -232,7 +218,7 @@ def _evidence_batch(
     )
 
 
-def log_evidence(prior: NormalGammaParams, spec: ModelSpec, data: DataSet) -> float:
+def log_evidence(prior: NormalGammaParams, data: DataSet) -> float:
     """Log marginal likelihood of `data`: log of the likelihood integrated
     against the Normal-Gamma distribution `prior`, on (y1, y2)^n.
 
@@ -242,7 +228,7 @@ def log_evidence(prior: NormalGammaParams, spec: ModelSpec, data: DataSet) -> fl
     log_evidence(prior, train + new) - log_evidence(prior, train) by the
     probability chain rule (asserted in tests).
     """
-    return float(_evidence_batch(prior, spec, data.y1[None], data.y2[None])[0])
+    return float(_evidence_batch(prior, data.y1[None], data.y2[None])[0])
 
 
 def sample_posterior(posterior: NormalGammaParams, count: int, seed: int) -> PosteriorSample:
@@ -278,11 +264,10 @@ class PosteriorPredictive:
     (a posterior given no data) the prior predictive."""
 
     params: NormalGammaParams
-    spec: ModelSpec
 
     def log_density_batch(self, y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
         """Joint log density per replicate for (R, n) arrays of points."""
-        return _evidence_batch(self.params, self.spec, y1, y2)
+        return _evidence_batch(self.params, y1, y2)
 
 
 # the prior predictive is the one conjugate class at the prior's parameters

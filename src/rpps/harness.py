@@ -262,8 +262,8 @@ def run_estimator(
     """Run one request on a measurement under the inference of `build`.
 
     `predictive` is the one `build` made from the whole measurement: delta
-    scores it, AIC reads its fit, and WAIC and DIC draw from its posterior.
-    The partition estimators score their folds through `build.score_folds`.
+    and AIC score it, and WAIC and DIC draw from its posterior.  The
+    partition estimators score their folds through `build.score_folds`.
     `seed` draws the partitions and the posterior samples.
     """
     request.check(build, len(measurement))
@@ -275,15 +275,15 @@ def run_estimator(
     if kind == "bootstrap":
         return bootstrap_estimator(build, measurement, Bootstrap(b_resamples=request.b_resamples, seed=seed))
     if kind == "evidence":
-        return evidence_criterion(build.prior, build.spec, measurement)
+        return evidence_criterion(build.prior, measurement)
     if kind == "delta":
         return delta_estimator(predictive, measurement)
     if kind == "aic":
-        return aic(predictive.fit, measurement)
+        return aic(predictive, measurement)
     samples = sample_posterior(predictive.params, request.n_samples, seed)
     if kind == "waic":
-        return waic(samples, build.spec, measurement)
-    return dic(samples, posterior_mean(predictive.params), build.spec, measurement)
+        return waic(samples, measurement)
+    return dic(samples, posterior_mean(predictive.params), measurement)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:

@@ -47,43 +47,13 @@ class ModelSpec:
             np.multiply(phi[k - 1, ...], y1, out=phi[k, ...])
         return phi.transpose((*range(1, phi.ndim), 0))
 
-    def to_json_dict(self) -> dict:
-        return {"degree": self.degree}
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "ModelSpec":
         return load_json_object(cls, "model", d)
 
 
-@dataclass(frozen=True)
-class FitResult:
-    """A maximum likelihood element of the small world.
-
-    sigma2 is the MLE (1/n) normalization.  It is zero only in the degenerate
-    case of exactly interpolating data; estimators guard density evaluation
-    with a variance floor in that case.
-    """
-
-    spec: ModelSpec
-    coeffs: np.ndarray
-    sigma2: float
-    n_fit: int
-
-    def __post_init__(self):
-        coeffs = np.ascontiguousarray(self.coeffs, dtype=float)
-        coeffs.setflags(write=False)
-        object.__setattr__(self, "coeffs", coeffs)
-        if coeffs.shape != (self.spec.n_coeffs,):
-            raise ValueError("coefficient vector has wrong length")
-        if self.sigma2 < 0:
-            raise ValueError("sigma2 must be >= 0")
-
-    def mean_at(self, y1):
-        return horner(y1, self.coeffs)
-
-
-def fit_mle(spec: ModelSpec, data: DataSet) -> FitResult:
-    """Least-squares MLE on the monomial basis.
+def fit_mle(spec: ModelSpec, data: DataSet) -> PluginGaussian:
+    """Least-squares MLE on the monomial basis, as its plug-in predictive.
 
     Solved by SVD with rank tolerance eps * max(n, p) * s_max; raises
     RankDeficient below that and TooFewPoints when n < degree + 2.
@@ -95,7 +65,7 @@ def fit_mle(spec: ModelSpec, data: DataSet) -> FitResult:
     coeffs, sigma2, rank = _least_squares(spec.design_matrix(data.y1)[None], data.y2[None])
     if rank[0] < p:
         raise RankDeficient(f"design matrix rank {rank[0]} < {p}")
-    return FitResult(spec=spec, coeffs=coeffs[0], sigma2=float(sigma2[0]), n_fit=n)
+    return PluginGaussian(coeffs=coeffs[0], sigma2=float(sigma2[0]))
 
 
 def _least_squares(phi: np.ndarray, y2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -117,23 +87,42 @@ def _least_squares(phi: np.ndarray, y2: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 @dataclass(frozen=True)
 class PluginGaussian:
-    """Single-element (plug-in) predictive from an MLE fit."""
+    """A maximum likelihood element of the small world as its (plug-in)
+    predictive: Gaussians of variance `sigma2` centered on the polynomial
+    with coefficients `coeffs`, lowest degree first.
 
-    fit: FitResult
+    sigma2 is the MLE (1/n) normalization.  It is zero only in the degenerate
+    case of exactly interpolating data; estimators guard density evaluation
+    with a variance floor in that case.
+    """
+
+    coeffs: np.ndarray
+    sigma2: float
+
+    def __post_init__(self):
+        coeffs = np.ascontiguousarray(self.coeffs, dtype=float)
+        coeffs.setflags(write=False)
+        object.__setattr__(self, "coeffs", coeffs)
+        if coeffs.ndim != 1 or not coeffs.size:
+            raise ValueError("coeffs must be a nonempty vector")
+        if self.sigma2 < 0:
+            raise ValueError("sigma2 must be >= 0")
+
+    def mean_at(self, y1):
+        return horner(y1, self.coeffs)
 
     def log_density_batch(self, y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
         """Joint log density per replicate for (R, n) arrays of points on
         (y1, y2)^n: the density factorizes across points, each point's
         Gaussian in y2 times the uniform density 1/2 of its y1."""
-        if not self.fit.sigma2 > 0:
+        if not self.sigma2 > 0:
             raise ValueError("plug-in predictive needs sigma2 > 0 (apply a variance floor first)")
-        out = np.sum(normal_logpdf(y2, self.fit.mean_at(y1), self.fit.sigma2), axis=1)
+        out = np.sum(normal_logpdf(y2, self.mean_at(y1), self.sigma2), axis=1)
         out += y1.shape[1] * LOG_HALF
         return out
 
 
-def plugin_log_predictive(fit: FitResult, new_data: DataSet) -> float:
+def plugin_log_predictive(predictive: PluginGaussian, new_data: DataSet) -> float:
     """Joint log density of new data under the plug-in Gaussian predictive:
     its `log_density_batch` at a batch of one."""
-    predictive = PluginGaussian(fit)
     return float(predictive.log_density_batch(new_data.y1[None], new_data.y2[None])[0])

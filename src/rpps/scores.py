@@ -34,7 +34,6 @@ from .conjugate import (
 )
 from .datagen import LOG_HALF, DataSet, GeneratorSpec, horner, normal_logpdf, require_count
 from .linmodel import (
-    FitResult,
     ModelSpec,
     PluginGaussian,
     RankDeficient,
@@ -140,8 +139,8 @@ class Criterion:
 
 
 def _floored_predictive(predictive: Predictive) -> tuple[Predictive, int]:
-    if isinstance(predictive, PluginGaussian) and predictive.fit.sigma2 < SIGMA2_FLOOR:
-        return replace(predictive, fit=replace(predictive.fit, sigma2=SIGMA2_FLOOR)), 1
+    if isinstance(predictive, PluginGaussian) and predictive.sigma2 < SIGMA2_FLOOR:
+        return replace(predictive, sigma2=SIGMA2_FLOOR), 1
     return predictive, 0
 
 
@@ -180,11 +179,11 @@ class PredictiveBuilder:
 
     def __call__(self, train: DataSet) -> Predictive:
         if self.inference == InferenceKind.MLE:
-            return PluginGaussian(fit_mle(self.spec, train))
+            return fit_mle(self.spec, train)
         params = self.prior  # the prior predictive ignores the training set
         if self.inference == InferenceKind.POSTERIOR_PREDICTIVE:
-            params = posterior_update(self.prior, self.spec, train)
-        return PosteriorPredictive(params, self.spec)
+            params = posterior_update(self.prior, train)
+        return PosteriorPredictive(params)
 
     def score_folds(self, data: DataSet, train, valid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The fold kernel: fold r trains on the points `train[r]` of an (R, m)
@@ -209,7 +208,7 @@ class PredictiveBuilder:
             chain = self.inference == InferenceKind.POSTERIOR_PREDICTIVE
             weights = (np.concatenate([counts + valid, counts]) if chain else valid).astype(float)
             y1, y2 = (np.broadcast_to(y, weights.shape) for y in (data.y1, data.y2))
-            evidence = _evidence_batch(self.prior, self.spec, y1, y2, weights)
+            evidence = _evidence_batch(self.prior, y1, y2, weights)
             log_density = evidence[:r] - evidence[r:] if chain else evidence
             return log_density, np.zeros(r, dtype=bool), usable
         coeffs, sigma2, rank = _least_squares(self.spec.design_matrix(data.y1)[train], data.y2[train])
@@ -289,11 +288,10 @@ def exact_score_quadrature(spec_true: GeneratorSpec, predictive: PluginGaussian,
         raise NotFactorizing("quadrature oracle applies to plug-in predictives only; use exact_score_mc")
     require_count("n_points", n_points)
     predictive, floored = _floored_predictive(predictive)
-    fit = predictive.fit
     nodes, weights = _gauss_legendre()
-    gap = spec_true.mean_at(nodes) - fit.mean_at(nodes)
-    cross_entropy = 0.5 * np.log(2.0 * math.pi * fit.sigma2) + (spec_true.sigma**2 + gap**2) / (
-        2.0 * fit.sigma2
+    gap = spec_true.mean_at(nodes) - predictive.mean_at(nodes)
+    cross_entropy = 0.5 * np.log(2.0 * math.pi * predictive.sigma2) + (spec_true.sigma**2 + gap**2) / (
+        2.0 * predictive.sigma2
     )
     per_point = float(np.sum(weights * 0.5 * cross_entropy)) + math.log(2.0)
     return ScoreEstimate(
@@ -421,23 +419,24 @@ def bootstrap_estimator(build: PredictiveBuilder, data: DataSet, scheme: Bootstr
 # Information criteria
 
 
-def aic(fit: FitResult, data: DataSet) -> Criterion:
+def aic(fit: PluginGaussian, data: DataSet) -> Criterion:
     """Akaike criterion on the negated log likelihood scale: the plug-in
     delta value, variance floor included, plus the parameter count
     (coefficients plus one variance)."""
-    k_params = fit.spec.degree + 2
-    delta = delta_estimator(PluginGaussian(fit), data)
+    k_params = fit.coeffs.size + 1
+    delta = delta_estimator(fit, data)
     return Criterion(kind=CriterionKind.AIC, value=delta.value + k_params, floor_engaged=delta.floor_engaged)
 
 
-def _pointwise_loglik(samples: PosteriorSample, spec: ModelSpec, data: DataSet) -> np.ndarray:
+def _pointwise_loglik(samples: PosteriorSample, data: DataSet) -> np.ndarray:
     """Matrix of log pi(y_n | x_s): rows are posterior draws, columns data
-    points; the conditional likelihood carries the uniform y1 factor."""
-    mean = samples.coeffs @ spec.design_matrix(data.y1).T
+    points; the conditional likelihood carries the uniform y1 factor.  The
+    degree is the draws' width less one."""
+    mean = samples.coeffs @ ModelSpec(samples.coeffs.shape[1] - 1).design_matrix(data.y1).T
     return normal_logpdf(data.y2, mean, 1.0 / samples.precision[:, None]) + LOG_HALF
 
 
-def waic(posterior_samples: PosteriorSample, spec: ModelSpec, data: DataSet) -> Criterion:
+def waic(posterior_samples: PosteriorSample, data: DataSet) -> Criterion:
     """Widely applicable information criterion from posterior samples,
     flipped to the lower-is-better orientation.
 
@@ -446,19 +445,14 @@ def waic(posterior_samples: PosteriorSample, spec: ModelSpec, data: DataSet) -> 
     """
     if len(posterior_samples) < 2:
         raise DegeneratePosterior("WAIC needs at least 2 posterior samples")
-    loglik = _pointwise_loglik(posterior_samples, spec, data)
+    loglik = _pointwise_loglik(posterior_samples, data)
     s_count = loglik.shape[0]
     lppd = float(np.sum(logsumexp(loglik, axis=0) - math.log(s_count)))
     penalty = float(np.sum(np.var(loglik, axis=0, ddof=1)))
     return Criterion(kind=CriterionKind.WAIC, value=-(lppd - penalty), n_samples=s_count)
 
 
-def dic(
-    posterior_samples: PosteriorSample,
-    point_estimate: PosteriorSample,
-    spec: ModelSpec,
-    data: DataSet,
-) -> Criterion:
+def dic(posterior_samples: PosteriorSample, point_estimate: PosteriorSample, data: DataSet) -> Criterion:
     """Deviance information criterion at a point estimate (conventionally the
     posterior mean), flipped to the lower-is-better orientation.
 
@@ -470,8 +464,8 @@ def dic(
         raise DegeneratePosterior("DIC needs at least 2 posterior samples")
     if len(point_estimate) != 1:
         raise ValueError(f"the point estimate must be one draw, got {len(point_estimate)}")
-    loglik = _pointwise_loglik(posterior_samples, spec, data)
-    at_hat = _pointwise_loglik(point_estimate, spec, data)[0]
+    loglik = _pointwise_loglik(posterior_samples, data)
+    at_hat = _pointwise_loglik(point_estimate, data)[0]
     penalty = 2.0 * float(np.sum(at_hat - np.mean(loglik, axis=0)))
     value = -(float(np.sum(at_hat)) - penalty)
     return Criterion(kind=CriterionKind.DIC, value=value, n_samples=len(posterior_samples))
@@ -484,7 +478,7 @@ def log_odds(evidence_a: Criterion, evidence_b: Criterion) -> Criterion:
     return Criterion(kind=CriterionKind.LOG_ODDS, value=evidence_a.value - evidence_b.value)
 
 
-def evidence_criterion(prior: NormalGammaParams, spec: ModelSpec, data: DataSet) -> Criterion:
+def evidence_criterion(prior: NormalGammaParams, data: DataSet) -> Criterion:
     """Log marginal likelihood as a criterion (classical sign: higher is
     better; its negation is the prior-predictive delta estimate)."""
-    return Criterion(kind=CriterionKind.LOG_EVIDENCE, value=log_evidence(prior, spec, data))
+    return Criterion(kind=CriterionKind.LOG_EVIDENCE, value=log_evidence(prior, data))

@@ -28,7 +28,7 @@ from rpps.conjugate import (
 )
 from rpps.datagen import DataSet, GeneratorSpec, sample_dataset
 from rpps.harness import ExperimentConfig, run_experiment
-from rpps.linmodel import FitResult, ModelSpec, fit_mle, plugin_log_predictive
+from rpps.linmodel import ModelSpec, fit_mle, plugin_log_predictive
 from rpps.scores import (
     InferenceKind,
     PredictiveBuilder,
@@ -67,7 +67,7 @@ def test_criterion_1_conjugacy_oracle():
         y1 = rng.uniform(-1.0, 1.0, n)
         y2 = rng.normal(1.5 + 1.0 * y1, 0.7)
         spec = ModelSpec(degree)
-        post = posterior_update(prior, spec, DataSet(y1, y2))
+        post = posterior_update(prior, DataSet(y1, y2))
         closed_var = post.beta / (post.alpha - 1.0) * np.diag(np.linalg.inv(post.lam))
         grid = posterior_grid_summary(prior.mu, prior.lam, prior.alpha, prior.beta, y1, y2)
         assert np.all(np.abs(grid["mean"]) > 0.05), "case must keep means away from zero"
@@ -103,13 +103,13 @@ def test_criterion_2_evidence_identities():
         data = sample_dataset(truth, n=n, seed=seed + 5000)
         cut = int(rng.integers(1, n))
         head, tail = data.subset(range(cut)), data.subset(range(cut, n))
-        whole = log_evidence(prior, spec, data)
-        predictive = PosteriorPredictive(posterior_update(prior, spec, head), spec)
+        whole = log_evidence(prior, data)
+        predictive = PosteriorPredictive(posterior_update(prior, head))
         tail_density = predictive.log_density_batch(tail.y1[None], tail.y2[None])[0]
-        chained = log_evidence(prior, spec, head) + float(tail_density)
+        chained = log_evidence(prior, head) + float(tail_density)
         worst = max(worst, abs(whole - chained))
         assert abs(whole - chained) < 1e-9
-        est = delta_estimator(PriorPredictive(prior, spec), data)
+        est = delta_estimator(PriorPredictive(prior), data)
         assert est.value == -whole  # bitwise
     elapsed = time.time() - started
     assert elapsed < 5.0
@@ -129,13 +129,10 @@ def test_criterion_3_oracle_cross_check():
             float(rng.uniform(0.3, 1.2)),
         )
         fit_degree = int(rng.integers(0, 3))
-        fit = FitResult(
-            spec=ModelSpec(fit_degree),
+        predictive = PluginGaussian(
             coeffs=rng.normal(scale=1.0, size=fit_degree + 1),
             sigma2=float(rng.uniform(0.2, 1.5) ** 2),
-            n_fit=12,
         )
-        predictive = PluginGaussian(fit)
         quad = exact_score_quadrature(truth, predictive, n_points=12)
         mc = exact_score_mc(truth, predictive, n_datasets=100_000, n_points=12, seed=seed + 77)
         assert abs(quad.value - mc.value) < 3 * mc.std_error, (
@@ -152,11 +149,11 @@ def test_criterion_4_waic_reduces_to_dic():
     truth = GeneratorSpec(1, (0.4, 0.8), 0.6)
     data = sample_dataset(truth, n=12, seed=31)
     spec = ModelSpec(1)
-    posterior = posterior_update(default_prior(spec), spec, data)
+    posterior = posterior_update(default_prior(spec), data)
     point = posterior_mean(posterior)
     samples = PosteriorSample(np.repeat(point.coeffs, 8, axis=0), np.repeat(point.precision, 8))
-    w = waic(samples, spec, data)
-    d = dic(samples, point, spec, data)
+    w = waic(samples, data)
+    d = dic(samples, point, data)
     direct = -sum(
         math.log(0.5)
         + float(
@@ -295,11 +292,11 @@ def test_criterion_9_score_difference_invariance():
         "exact_quadrature": n * 0.5 * integrate.quad(cross_entropy, -1.0, 1.0)[0],
     }
     scores = {
-        "delta_plugin": delta_estimator(PluginGaussian(fit), data).value,
-        "delta_prior": delta_estimator(PriorPredictive(prior, spec), data).value,
+        "delta_plugin": delta_estimator(fit, data).value,
+        "delta_prior": delta_estimator(PriorPredictive(prior), data).value,
         "holdout": holdout_estimator(build, data, 6, 6, seed=2).value,
         "jackknife": jackknife_estimator(build, data, 6, seed=2).value,
-        "exact_quadrature": exact_score_quadrature(truth, PluginGaussian(fit), n_points=n).value,
+        "exact_quadrature": exact_score_quadrature(truth, fit, n_points=n).value,
     }
     for name, value in scores.items():
         assert value == pytest.approx(y2_only[name] + n_log2, abs=1e-10), name

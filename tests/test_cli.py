@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rpps import scores
+from rpps import cli, scores
 from rpps.cli import main
 from rpps.conjugate import default_prior
 from rpps.datagen import DataSet, GeneratorSpec, read_dataset_csv, sample_dataset, write_dataset_csv
@@ -161,12 +161,23 @@ class TestFit:
     def test_thin_adapter_byte_identity(self, data_file, model_file, capsys):
         assert main(["fit", "--data", str(data_file), "--model", str(model_file)]) == 0
         out = capsys.readouterr().out.strip()
-        fit = fit_mle(ModelSpec(0), read_dataset_csv(data_file))
+        data = read_dataset_csv(data_file)
+        fit = fit_mle(ModelSpec(0), data)
         expected = json.dumps(
-            {"degree": 0, "coeffs": fit.coeffs.tolist(), "sigma2": fit.sigma2, "n_fit": fit.n_fit},
+            {"degree": 0, "coeffs": fit.coeffs.tolist(), "sigma2": fit.sigma2, "n_fit": len(data)},
             sort_keys=True,
         )
         assert out == expected
+
+    def test_a_key_error_inside_a_command_propagates(self, data_file, model_file, monkeypatch, capsys):
+        # a KeyError is a bug, never an ordinary "error:" exit
+        def broken(spec, data):
+            raise KeyError("x")
+
+        monkeypatch.setattr(cli, "fit_mle", broken)
+        with pytest.raises(KeyError, match="'x'"):
+            main(["fit", "--data", str(data_file), "--model", str(model_file)])
+        assert capsys.readouterr().err == ""
 
     def test_unknown_model_key_is_rejected(self, tmp_path, data_file, capsys):
         model = tmp_path / "model.json"
@@ -231,7 +242,7 @@ class TestScore:
         assert ev["criterion"] == "log_evidence"
         assert delta["estimator"] == "delta"
         assert ev["value"] == -delta["value"]
-        direct = evidence_criterion(default_prior(ModelSpec(0)), ModelSpec(0), read_dataset_csv(data_file))
+        direct = evidence_criterion(default_prior(ModelSpec(0)), read_dataset_csv(data_file))
         assert ev["value"] == direct.value
         # the evidence's own inference may be named; it is the default
         named = {"kind": "evidence", "inference": "prior_predictive"}

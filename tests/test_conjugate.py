@@ -14,7 +14,6 @@ from rpps.conjugate import (
     PriorPredictive,
     _evidence_batch,
     _kernel,
-    _update,
     default_prior,
     log_evidence,
     posterior_mean,
@@ -86,7 +85,7 @@ class TestPosteriorUpdate:
         # lam' = 1.001, mu' = 1/1.001, alpha' = 1, beta' = 0.5 + (1 - 1/1.001)/2,
         # confirmed against the brute-force integration oracle below
         prior = default_prior(ModelSpec(0))
-        post = posterior_update(prior, ModelSpec(0), DataSet([0.0], [1.0]))
+        post = posterior_update(prior, DataSet([0.0], [1.0]))
         assert post.lam[0, 0] == pytest.approx(1.001, abs=1e-12)
         assert post.mu[0] == pytest.approx(0.999001, abs=1e-6)
         assert post.alpha == pytest.approx(1.0, abs=1e-15)
@@ -94,7 +93,7 @@ class TestPosteriorUpdate:
 
     def test_single_datum_against_grid_oracle(self):
         prior = default_prior(ModelSpec(0))
-        post = posterior_update(prior, ModelSpec(0), DataSet([0.0], [1.0]))
+        post = posterior_update(prior, DataSet([0.0], [1.0]))
         grid = posterior_grid_summary([0.0], [[0.001]], 0.5, 0.5, [0.0], [1.0])
         assert post.mu[0] == pytest.approx(grid["mean"][0], abs=1e-6)
 
@@ -102,8 +101,8 @@ class TestPosteriorUpdate:
     def test_sequential_equals_batch(self, seed):
         prior, spec, data = _random_case(seed, degree=1, n=8)
         head, tail = data.subset(range(3)), data.subset(range(3, 8))
-        two_step = posterior_update(posterior_update(prior, spec, head), spec, tail)
-        one_step = posterior_update(prior, spec, data)
+        two_step = posterior_update(posterior_update(prior, head), tail)
+        one_step = posterior_update(prior, data)
         np.testing.assert_allclose(two_step.mu, one_step.mu, atol=1e-10)
         np.testing.assert_allclose(two_step.lam, one_step.lam, atol=1e-10)
         assert two_step.alpha == pytest.approx(one_step.alpha, abs=1e-12)
@@ -121,7 +120,7 @@ class TestPosteriorUpdate:
             beta=0.9,
         )
         spec = ModelSpec(degree)
-        post = posterior_update(prior, spec, DataSet(y1, y2))
+        post = posterior_update(prior, DataSet(y1, y2))
         grid = posterior_grid_summary(prior.mu, prior.lam, prior.alpha, prior.beta, y1, y2)
         closed_var = post.beta / (post.alpha - 1.0) * np.diag(np.linalg.inv(post.lam))
         np.testing.assert_allclose(post.mu, grid["mean"], rtol=1e-6)
@@ -132,7 +131,7 @@ class TestLogEvidence:
     def test_single_datum_against_grid_oracle(self):
         prior = default_prior(ModelSpec(0))
         data = DataSet([0.0], [1.0])
-        value = log_evidence(prior, ModelSpec(0), data) - math.log(0.5)
+        value = log_evidence(prior, data) - math.log(0.5)
         grid = posterior_grid_summary([0.0], [[0.001]], 0.5, 0.5, [0.0], [1.0])
         assert value == pytest.approx(grid["log_evidence"], abs=1e-6)
 
@@ -140,9 +139,9 @@ class TestLogEvidence:
     def test_chain_rule(self, seed):
         prior, spec, data = _random_case(seed, degree=1, n=8)
         head, tail = data.subset(range(5)), data.subset(range(5, 8))
-        post = posterior_update(prior, spec, head)
-        whole = log_evidence(prior, spec, data)
-        chained = log_evidence(prior, spec, head) + log_evidence(post, spec, tail)
+        post = posterior_update(prior, head)
+        whole = log_evidence(prior, data)
+        chained = log_evidence(prior, head) + log_evidence(post, tail)
         assert whole == pytest.approx(chained, abs=1e-9)
 
 
@@ -150,7 +149,7 @@ class TestPriorPredictive:
     def test_equals_evidence_bitwise(self):
         # log_density_batch at R = 1 is log_evidence, bit for bit
         prior, spec, data = _random_case(4, degree=2, n=7)
-        assert _joint(PriorPredictive(prior, spec), data) == log_evidence(prior, spec, data)
+        assert _joint(PriorPredictive(prior), data) == log_evidence(prior, data)
 
     @pytest.mark.parametrize("seed", [0, 5])
     def test_single_point_is_student_t(self, seed):
@@ -164,13 +163,13 @@ class TestPriorPredictive:
             prior.beta / prior.alpha * (1.0 + float(phi @ np.linalg.solve(prior.lam, phi)))
         )
         expected = stats.t.logpdf(y2, df=2 * prior.alpha, loc=loc, scale=scale) + math.log(0.5)
-        value = _joint(PriorPredictive(prior, spec), DataSet([y1], [y2]))
+        value = _joint(PriorPredictive(prior), DataSet([y1], [y2]))
         assert value == pytest.approx(float(expected), abs=1e-10)
 
     @pytest.mark.parametrize("seed,block", [(1, 2), (2, 3)])
     def test_multi_point_block_is_multivariate_student_t(self, seed, block):
         prior, spec, data = _random_case(seed, degree=1, n=block)
-        value = _joint(PriorPredictive(prior, spec), data)
+        value = _joint(PriorPredictive(prior), data)
         expected = _mvt_logpdf(prior, spec, data.y1, data.y2) + block * math.log(0.5)
         assert value == pytest.approx(expected, abs=1e-10)
 
@@ -178,7 +177,7 @@ class TestPriorPredictive:
         prior = default_prior(ModelSpec(0))
         spec = ModelSpec(0)
         pair = DataSet([0.0, 0.5], [0.3, -0.2])
-        predictive = PriorPredictive(prior, spec)
+        predictive = PriorPredictive(prior)
         joint = _joint(predictive, pair)
         marginals = sum(_joint(predictive, pair.subset([i])) for i in range(2))
         assert abs(joint - marginals) > 1e-2
@@ -189,7 +188,7 @@ class TestPriorPredictive:
         spec = ModelSpec(1)
 
         def density(y2, y1):
-            return math.exp(_joint(PriorPredictive(prior, spec), DataSet([y1], [y2])))
+            return math.exp(_joint(PriorPredictive(prior), DataSet([y1], [y2])))
 
         total, err = integrate.dblquad(density, -1.0, 1.0, -np.inf, np.inf, epsabs=1e-6)
         assert total == pytest.approx(1.0, abs=1e-5)
@@ -200,27 +199,27 @@ class TestPosteriorPredictive:
     def test_evidence_ratio_identity(self, seed):
         prior, spec, data = _random_case(seed, degree=1, n=9)
         train, new = data.subset(range(6)), data.subset(range(6, 9))
-        post = posterior_update(prior, spec, train)
-        direct = _joint(PosteriorPredictive(post, spec), new)
-        ratio = log_evidence(prior, spec, data) - log_evidence(prior, spec, train)
+        post = posterior_update(prior, train)
+        direct = _joint(PosteriorPredictive(post), new)
+        ratio = log_evidence(prior, data) - log_evidence(prior, train)
         assert direct == pytest.approx(ratio, abs=1e-9)
 
     def test_single_point_is_student_t(self):
         prior, spec, data = _random_case(13, degree=1, n=6)
-        post = posterior_update(prior, spec, data)
+        post = posterior_update(prior, data)
         y1, y2 = -0.2, 0.9
         phi = np.array([1.0, y1])
         loc = float(post.mu @ phi)
         scale = math.sqrt(post.beta / post.alpha * (1.0 + float(phi @ np.linalg.solve(post.lam, phi))))
         expected = stats.t.logpdf(y2, df=2 * post.alpha, loc=loc, scale=scale) + math.log(0.5)
-        value = _joint(PosteriorPredictive(post, spec), DataSet([y1], [y2]))
+        value = _joint(PosteriorPredictive(post), DataSet([y1], [y2]))
         assert value == pytest.approx(float(expected), abs=1e-10)
 
 
 class TestSamplePosterior:
     def test_moments(self):
         prior, spec, data = _random_case(2, degree=1, n=10)
-        post = posterior_update(prior, spec, data)
+        post = posterior_update(prior, data)
         draws = sample_posterior(post, count=100_000, seed=5)
         coeffs, tau = draws.coeffs, draws.precision
         # coefficient means within 4 standard errors of mu
@@ -232,7 +231,8 @@ class TestSamplePosterior:
         assert abs(tau.mean() - post.alpha / post.beta) < 4 * tau_se
 
     def test_determinism(self):
-        post = posterior_update(*(_random_case(3, degree=0, n=5)))
+        prior, _, data = _random_case(3, degree=0, n=5)
+        post = posterior_update(prior, data)
         a = sample_posterior(post, count=10, seed=1)
         b = sample_posterior(post, count=10, seed=1)
         np.testing.assert_array_equal(a.coeffs, b.coeffs)
@@ -240,19 +240,22 @@ class TestSamplePosterior:
 
     @pytest.mark.parametrize("count", [0, -3, 2.5, True])
     def test_rejects_a_count_that_is_no_count(self, count):
-        post = posterior_update(*(_random_case(3, degree=0, n=5)))
+        prior, _, data = _random_case(3, degree=0, n=5)
+        post = posterior_update(prior, data)
         with pytest.raises(ValueError, match="count must be an integer >= 1"):
             sample_posterior(post, count, seed=1)
 
     def test_posterior_mean_point(self):
-        post = posterior_update(*(_random_case(6, degree=1, n=6)))
+        prior, _, data = _random_case(6, degree=1, n=6)
+        post = posterior_update(prior, data)
         point = posterior_mean(post)
         np.testing.assert_array_equal(point.coeffs, post.mu[None])
         np.testing.assert_array_equal(point.precision, [post.alpha / post.beta])
 
     def test_batch_is_the_scaled_whitened_normal_bit_for_bit(self):
         # mu + L^-T z / sqrt(tau) from the same generator, L = chol(lam)
-        post = posterior_update(*(_random_case(8, degree=3, n=9)))
+        prior, _, data = _random_case(8, degree=3, n=9)
+        post = posterior_update(prior, data)
         draws = sample_posterior(post, count=50, seed=12)
         rng = np.random.default_rng(12)
         tau = rng.gamma(shape=post.alpha, scale=1.0 / post.beta, size=50)
@@ -291,7 +294,7 @@ class TestBatchEvidence:
             prior, spec, _ = _random_case(20 + degree, degree=degree, n=2)
             y1 = rng.uniform(-1, 1, size=(6, 4))
             y2 = rng.normal(0.0, 1.0, size=(6, 4))
-            batch = _evidence_batch(prior, spec, y1, y2)
+            batch = _evidence_batch(prior, y1, y2)
             assert batch.shape == (6,)
             for r in range(6):
                 expected = _mvt_logpdf(prior, spec, y1[r], y2[r]) + 4 * math.log(0.5)
@@ -299,14 +302,11 @@ class TestBatchEvidence:
 
     @pytest.mark.parametrize("degree", range(6))
     def test_updated_precision_is_exactly_symmetric(self, degree):
-        # unweighted and with bootstrap-like multiplicities 0-3
         rng = np.random.default_rng(degree)
-        spec = ModelSpec(degree)
-        y1 = rng.uniform(-1, 1, size=(50, 12))
-        y2 = rng.normal(size=(50, 12))
-        for weights in (None, rng.integers(0, 4, size=(50, 12)).astype(float)):
-            lam_n = _update(default_prior(spec), spec, y1, y2, weights)[0]
-            np.testing.assert_array_equal(lam_n, np.swapaxes(lam_n, 1, 2))
+        prior = default_prior(ModelSpec(degree))
+        for _ in range(50):
+            lam_n = posterior_update(prior, DataSet(rng.uniform(-1, 1, size=12), rng.normal(size=12))).lam
+            np.testing.assert_array_equal(lam_n, lam_n.T)
 
     def test_a_pivot_that_is_not_positive_raises(self):
         # a negative multiplicity makes lam' indefinite at the first or a
@@ -317,9 +317,9 @@ class TestBatchEvidence:
         y2 = np.ones((1, 4))
         for weights in ([[1.0, -5.0, 1.0, 1.0]], [[1.0, 1.0, 1.0, -0.5]]):
             with pytest.raises(np.linalg.LinAlgError):
-                _update(prior, spec, y1, y2, np.array(weights))
+                _kernel(prior, y1, y2, np.array(weights))
         with pytest.raises(np.linalg.LinAlgError):
-            _evidence_batch(prior, spec, np.array([[-0.8, np.nan, 0.5, 0.9]]), y2)
+            _evidence_batch(prior, np.array([[-0.8, np.nan, 0.5, 0.9]]), y2)
 
     def test_nearly_interpolating_data_keeps_beta_positive(self):
         # degree-4 data with sigma = 1e-8 around the prior mean, under a prior
@@ -331,7 +331,7 @@ class TestBatchEvidence:
         prior = NormalGammaParams(mu=truth, lam=0.001 * np.eye(5), alpha=0.5, beta=1e-300)
         y1 = rng.uniform(-1, 1, size=(8, 12))
         y2 = np.polynomial.polynomial.polyval(y1, truth) + 1e-8 * rng.standard_normal((8, 12))
-        _, _, _, beta_n = _update(prior, spec, y1, y2)
+        _, _, _, beta_n = _kernel(prior, y1, y2)
         # beta' - beta is half the minimum over c of the residual sum of
         # squares plus (c - mu)^T lam (c - mu): at least half the least-squares
         # minimum, at most half the sum at c = mu
@@ -340,7 +340,7 @@ class TestBatchEvidence:
         rss_mu = np.sum((y2 - phi @ truth) ** 2, axis=1)
         assert np.all(rss_min > 0)
         assert np.all(0.5 * rss_min * (1 - 1e-4) <= beta_n) and np.all(beta_n <= 0.5 * rss_mu * (1 + 1e-4))
-        evidence = _evidence_batch(prior, spec, y1, y2)
+        evidence = _evidence_batch(prior, y1, y2)
         assert np.all(np.isfinite(evidence))
 
     def test_results_do_not_alias_the_scratch_buffers(self):
@@ -349,12 +349,12 @@ class TestBatchEvidence:
         spec = ModelSpec(4)
         prior = default_prior(spec)
         truth = GeneratorSpec(degree=4, coeffs=(0.5, -3.0, -4.0, 3.0, 6.0), sigma=0.5)
-        kept = posterior_update(prior, spec, sample_dataset(truth, 12, seed=1))
+        kept = posterior_update(prior, sample_dataset(truth, 12, seed=1))
         mu, lam, beta = kept.mu.copy(), kept.lam.copy(), kept.beta
-        exact_score_mc(truth, PosteriorPredictive(kept, spec), 20_001, 12, seed=2)
+        exact_score_mc(truth, PosteriorPredictive(kept), 20_001, 12, seed=2)
         rng = np.random.default_rng(3)
         y1, y2 = rng.uniform(-1, 1, size=(7, 12)), rng.normal(size=(7, 12))
-        _evidence_batch(prior, spec, y1, y2)
+        _evidence_batch(prior, y1, y2)
         np.testing.assert_array_equal(kept.mu, mu)
         np.testing.assert_array_equal(kept.lam, lam)
         assert kept.beta == beta
@@ -362,5 +362,5 @@ class TestBatchEvidence:
         assert pool
         for r in (1, 7):
             for weights in (None, np.full((r, 12), 2.0)):
-                for result in _kernel(prior, spec, y1[:r], y2[:r], weights):
+                for result in _kernel(prior, y1[:r], y2[:r], weights):
                     assert not any(np.shares_memory(result, buf) for buf in pool)

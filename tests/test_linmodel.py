@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,8 +6,8 @@ import pytest
 
 from rpps.datagen import DataSet, GeneratorSpec, sample_dataset
 from rpps.linmodel import (
-    FitResult,
     ModelSpec,
+    PluginGaussian,
     RankDeficient,
     TooFewPoints,
     _least_squares,
@@ -24,7 +25,7 @@ def test_model_spec_validation_and_json():
     assert ModelSpec(np.int64(2)).n_coeffs == 3
     spec = ModelSpec(degree=4)
     assert spec.min_fit_size == 6
-    assert ModelSpec.from_json_dict(spec.to_json_dict()) == spec
+    assert ModelSpec.from_json_dict(dataclasses.asdict(spec)) == spec
 
 
 class TestFitMle:
@@ -33,7 +34,6 @@ class TestFitMle:
         fit = fit_mle(ModelSpec(0), data)
         assert fit.coeffs[0] == pytest.approx(2.0, abs=1e-12)
         assert fit.sigma2 == pytest.approx(2.0 / 3.0, abs=1e-12)
-        assert fit.n_fit == 3
 
     def test_exact_polynomial_recovery(self):
         # degree-2 data on 3 distinct y1 plus one repeat, zero noise
@@ -89,7 +89,7 @@ class TestFitMle:
 @pytest.mark.parametrize("degree", range(6))
 def test_fit_mean_is_polyval_bit_for_bit(degree):
     rng = np.random.default_rng(degree)
-    fit = FitResult(spec=ModelSpec(degree), coeffs=rng.normal(size=degree + 1), sigma2=1.0, n_fit=12)
+    fit = PluginGaussian(coeffs=rng.normal(size=degree + 1), sigma2=1.0)
     for y1 in (-0.7, rng.uniform(-1, 1, size=12), rng.uniform(-1, 1, size=(50, 12))):
         mean = fit.mean_at(y1)
         assert np.shape(mean) == np.shape(y1)
@@ -134,9 +134,27 @@ class TestStackedLeastSquares:
         np.testing.assert_allclose(sigma2, [1 / 6, 1 / 6, 0.0], rtol=1e-15, atol=1e-30)
 
 
+class TestPluginGaussian:
+    @pytest.mark.parametrize(
+        ("coeffs", "sigma2"),
+        [(np.zeros((2, 2)), 1.0), (np.zeros(0), 1.0), (np.zeros(2), -1e-300)],
+        ids=["2d-coeffs", "empty-coeffs", "negative-sigma2"],
+    )
+    def test_rejects(self, coeffs, sigma2):
+        with pytest.raises(ValueError):
+            PluginGaussian(coeffs=coeffs, sigma2=sigma2)
+
+    def test_coeffs_are_read_only_and_contiguous(self):
+        source = np.arange(6.0)[::2]
+        fit = PluginGaussian(coeffs=source, sigma2=0.0)
+        assert fit.coeffs.flags.c_contiguous and not fit.coeffs.flags.writeable
+        source[0] = 9.0
+        assert fit.coeffs.tolist() == [0.0, 2.0, 4.0]
+
+
 class TestPluginLogPredictive:
     def test_standard_normal_at_mode(self):
-        fit = FitResult(spec=ModelSpec(0), coeffs=np.array([0.0]), sigma2=1.0, n_fit=3)
+        fit = PluginGaussian(coeffs=np.array([0.0]), sigma2=1.0)
         value = plugin_log_predictive(fit, DataSet([0.0], [0.0]))
         assert value == pytest.approx(math.log(0.5) - 0.5 * math.log(2 * math.pi), rel=1e-15)
 

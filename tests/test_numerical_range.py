@@ -19,7 +19,7 @@ import pytest
 
 from rpps.conjugate import default_prior, log_evidence
 from rpps.datagen import GeneratorSpec, sample_dataset
-from rpps.linmodel import ModelSpec, PluginGaussian, fit_mle
+from rpps.linmodel import ModelSpec, fit_mle
 from rpps.scores import delta_estimator
 
 N_POINTS = 12
@@ -104,7 +104,7 @@ def test_evidence_and_plugin_delta_match_exact_references(degree):
     prior = default_prior(spec)
     for data in MEASUREMENTS:
         gram, t, yy = _normal_equations(data, spec.n_coeffs)
-        evidence = log_evidence(prior, spec, data)
+        evidence = log_evidence(prior, data)
         assert _error(evidence, _exact_log_evidence(prior, gram, t, yy, N_POINTS)) <= EVIDENCE_TOL
-        delta = delta_estimator(PluginGaussian(fit_mle(spec, data)), data).value
+        delta = delta_estimator(fit_mle(spec, data), data).value
         assert _error(delta, _exact_plugin_delta(gram, t, yy, N_POINTS)) <= DELTA_TOL[degree]

@@ -20,7 +20,7 @@ from rpps.conjugate import (
     sample_posterior,
 )
 from rpps.datagen import DataSet, GeneratorSpec, sample_dataset
-from rpps.linmodel import FitResult, ModelSpec, RankDeficient, TooFewPoints, fit_mle, plugin_log_predictive
+from rpps.linmodel import ModelSpec, RankDeficient, TooFewPoints, fit_mle, plugin_log_predictive
 from rpps.scores import (
     AllResamplesDegenerate,
     Bootstrap,
@@ -50,31 +50,25 @@ def _mle(degree):
     return PredictiveBuilder(InferenceKind.MLE, ModelSpec(degree))
 
 
-def _plugin(coeffs, sigma2, degree=None):
-    degree = len(coeffs) - 1 if degree is None else degree
-    fit = FitResult(spec=ModelSpec(degree), coeffs=np.asarray(coeffs, float), sigma2=sigma2, n_fit=99)
-    return PluginGaussian(fit)
-
-
 class TestExactScoreMc:
     def test_matched_standard_normal(self):
         # truth N(0,1) scored by the same plug-in: per-point score is
         # log 2 + (1/2) log(2 pi e) ~ 2.1121
         truth = GeneratorSpec(degree=0, coeffs=(0.0,), sigma=1.0)
-        est = exact_score_mc(truth, _plugin([0.0], 1.0), n_datasets=40_000, n_points=3, seed=0)
+        est = exact_score_mc(truth, PluginGaussian([0.0], 1.0), n_datasets=40_000, n_points=3, seed=0)
         expected = 3 * (math.log(2.0) + 0.5 * math.log(2 * math.pi * math.e))
         assert est.estimator == EstimatorKind.MONTE_CARLO_ENSEMBLE
         assert abs(est.value - expected) < 3 * est.std_error
         assert est.n_effective == 40_000
 
     def test_agrees_with_quadrature(self):
-        predictive = _plugin([0.3, -1.0], 0.4)
+        predictive = PluginGaussian([0.3, -1.0], 0.4)
         mc = exact_score_mc(QUARTIC, predictive, n_datasets=100_000, n_points=5, seed=3)
         quad = exact_score_quadrature(QUARTIC, predictive, n_points=5)
         assert abs(mc.value - quad.value) < 3 * mc.std_error
 
     def test_se_scales_with_sqrt_r(self):
-        predictive = _plugin([0.0], 1.0)
+        predictive = PluginGaussian([0.0], 1.0)
         ses_r = [
             exact_score_mc(CONSTANT, predictive, 2_000, 4, seed).std_error for seed in range(6)
         ]
@@ -86,7 +80,7 @@ class TestExactScoreMc:
 
     def test_rejects_tiny_ensembles(self):
         with pytest.raises(ValueError):
-            exact_score_mc(CONSTANT, _plugin([0.0], 1.0), n_datasets=1, n_points=3, seed=0)
+            exact_score_mc(CONSTANT, PluginGaussian([0.0], 1.0), n_datasets=1, n_points=3, seed=0)
 
     def test_draws_the_generating_stream_bit_for_bit(self):
         # the oracle's replicate measurements, over all its blocks, are the
@@ -120,9 +114,9 @@ class TestExactScoreMc:
         for truth in (CONSTANT, QUARTIC):
             data = sample_dataset(truth, 12, seed=5)
             for predictive in (
-                PluginGaussian(fit_mle(spec, data)),
-                PriorPredictive(prior, spec),
-                PriorPredictive(posterior_update(prior, spec, data), spec),
+                fit_mle(spec, data),
+                PriorPredictive(prior),
+                PriorPredictive(posterior_update(prior, data)),
             ):
                 y1, y2 = truth.draw(np.random.default_rng(9), (n_datasets, 12))
                 reference = -predictive.log_density_batch(y1, y2)
@@ -135,7 +129,7 @@ class TestExactScoreMc:
         # not the ensemble, set the peak
         spec = ModelSpec(4)
         prior = default_prior(spec)
-        predictive = PriorPredictive(posterior_update(prior, spec, sample_dataset(QUARTIC, 12, seed=1)), spec)
+        predictive = PriorPredictive(posterior_update(prior, sample_dataset(QUARTIC, 12, seed=1)))
         peaks = []
         for n_datasets in (20_000, 200_000):
             tracemalloc.start()
@@ -151,7 +145,7 @@ class TestExactScoreMc:
         # one call a second allocates only its scores and each block's results
         spec = ModelSpec(4)
         prior = default_prior(spec)
-        predictive = PriorPredictive(posterior_update(prior, spec, sample_dataset(QUARTIC, 12, seed=1)), spec)
+        predictive = PriorPredictive(posterior_update(prior, sample_dataset(QUARTIC, 12, seed=1)))
         exact_score_mc(QUARTIC, predictive, 20_000, 12, seed=2)
         tracemalloc.start()
         try:
@@ -165,7 +159,7 @@ class TestExactScoreMc:
         # two concurrent oracles, each equal to its sequential result
         spec = ModelSpec(4)
         prior = default_prior(spec)
-        predictive = PriorPredictive(posterior_update(prior, spec, sample_dataset(QUARTIC, 12, seed=1)), spec)
+        predictive = PriorPredictive(posterior_update(prior, sample_dataset(QUARTIC, 12, seed=1)))
         seeds = (5, 6)
         sequential = [exact_score_mc(QUARTIC, predictive, 20_001, 12, seed) for seed in seeds]
         interval = sys.getswitchinterval()
@@ -180,7 +174,7 @@ class TestExactScoreMc:
 
     def test_bayesian_predictive_supported(self):
         prior = default_prior(ModelSpec(0))
-        predictive = PriorPredictive(prior, ModelSpec(0))
+        predictive = PriorPredictive(prior)
         est = exact_score_mc(CONSTANT, predictive, n_datasets=500, n_points=4, seed=1)
         assert np.isfinite(est.value) and est.std_error > 0
 
@@ -189,7 +183,7 @@ class TestExactScoreQuadrature:
     def test_matched_fit_is_entropy(self):
         sigma = 0.7
         truth = GeneratorSpec(degree=1, coeffs=(0.2, -0.5), sigma=sigma)
-        predictive = _plugin([0.2, -0.5], sigma**2)
+        predictive = PluginGaussian([0.2, -0.5], sigma**2)
         est = exact_score_quadrature(truth, predictive, n_points=12)
         expected = 12 * (math.log(2.0) + 0.5 * math.log(2 * math.pi * math.e * sigma**2))
         assert est.value == pytest.approx(expected, rel=1e-12)
@@ -199,27 +193,27 @@ class TestExactScoreQuadrature:
     def test_constant_offset_adds_quadratic_term(self):
         sigma = 0.6
         truth = GeneratorSpec(degree=0, coeffs=(0.1,), sigma=sigma)
-        base = exact_score_quadrature(truth, _plugin([0.1], sigma**2), n_points=7)
+        base = exact_score_quadrature(truth, PluginGaussian([0.1], sigma**2), n_points=7)
         delta = 0.9
-        off = exact_score_quadrature(truth, _plugin([0.1 + delta], sigma**2), n_points=7)
+        off = exact_score_quadrature(truth, PluginGaussian([0.1 + delta], sigma**2), n_points=7)
         assert off.value - base.value == pytest.approx(7 * delta**2 / (2 * sigma**2), rel=1e-12)
 
     def test_rejects_bayesian_kinds(self):
         prior = default_prior(ModelSpec(0))
         with pytest.raises(NotFactorizing):
-            exact_score_quadrature(CONSTANT, PriorPredictive(prior, ModelSpec(0)), n_points=5)
+            exact_score_quadrature(CONSTANT, PriorPredictive(prior), n_points=5)
 
     @pytest.mark.parametrize("n_points", [0, -3, 2.5, True, "12"])
     def test_rejects_a_point_count_that_is_no_count(self, n_points):
         with pytest.raises(ValueError, match="n_points must be an integer >= 1"):
-            exact_score_quadrature(CONSTANT, _plugin([0.0], 1.0), n_points)
+            exact_score_quadrature(CONSTANT, PluginGaussian([0.0], 1.0), n_points)
 
     def test_true_parameters_are_optimal_on_grid(self):
         truth = GeneratorSpec(degree=0, coeffs=(0.4,), sigma=0.8)
-        best = exact_score_quadrature(truth, _plugin([0.4], 0.64), n_points=1).value
+        best = exact_score_quadrature(truth, PluginGaussian([0.4], 0.64), n_points=1).value
         for dc in (-1.0, -0.3, 0.3, 1.0):
             for scale in (0.25, 0.5, 2.0, 4.0):
-                perturbed = exact_score_quadrature(truth, _plugin([0.4 + dc], 0.64 * scale), 1).value
+                perturbed = exact_score_quadrature(truth, PluginGaussian([0.4 + dc], 0.64 * scale), 1).value
                 assert best <= perturbed + 1e-12
 
 
@@ -228,20 +222,20 @@ class TestDeltaEstimator:
         data = sample_dataset(CONSTANT, n=12, seed=2)
         spec = ModelSpec(0)
         prior = default_prior(spec)
-        est = delta_estimator(PriorPredictive(prior, spec), data)
-        assert est.value == -log_evidence(prior, spec, data)
+        est = delta_estimator(PriorPredictive(prior), data)
+        assert est.value == -log_evidence(prior, data)
         assert est.estimator == EstimatorKind.DELTA and est.std_error is None
 
     def test_plugin_single_point(self):
-        est = delta_estimator(_plugin([0.0], 1.0), DataSet([0.3], [0.0]))
+        est = delta_estimator(PluginGaussian([0.0], 1.0), DataSet([0.3], [0.0]))
         assert est.value == pytest.approx(math.log(2.0) + 0.5 * math.log(2 * math.pi), rel=1e-14)
 
     def test_difference_is_negated_log_odds(self):
         data = sample_dataset(QUARTIC, n=12, seed=6)
-        ev0 = evidence_criterion(default_prior(ModelSpec(0)), ModelSpec(0), data)
-        ev4 = evidence_criterion(default_prior(ModelSpec(4)), ModelSpec(4), data)
-        d0 = delta_estimator(PriorPredictive(default_prior(ModelSpec(0)), ModelSpec(0)), data)
-        d4 = delta_estimator(PriorPredictive(default_prior(ModelSpec(4)), ModelSpec(4)), data)
+        ev0 = evidence_criterion(default_prior(ModelSpec(0)), data)
+        ev4 = evidence_criterion(default_prior(ModelSpec(4)), data)
+        d0 = delta_estimator(PriorPredictive(default_prior(ModelSpec(0))), data)
+        d4 = delta_estimator(PriorPredictive(default_prior(ModelSpec(4))), data)
         assert d0.value - d4.value == -(log_odds(ev0, ev4).value)
 
 
@@ -402,9 +396,9 @@ def test_prior_predictive_folds_take_one_evidence_row_each(monkeypatch, estimate
     shapes = []
     original = scores._evidence_batch
 
-    def recording(params, spec, y1, y2, weights=None):
+    def recording(params, y1, y2, weights=None):
         shapes.append((np.shape(y1), np.shape(weights)))
-        return original(params, spec, y1, y2, weights)
+        return original(params, y1, y2, weights)
 
     monkeypatch.setattr(scores, "_evidence_batch", recording)
     build = PredictiveBuilder(InferenceKind.PRIOR_PREDICTIVE, ModelSpec(2))
@@ -450,7 +444,7 @@ class TestAic:
         data = sample_dataset(QUARTIC, n=12, seed=1)
         fit = fit_mle(ModelSpec(2), data)
         crit = aic(fit, data)
-        est = delta_estimator(PluginGaussian(fit), data)
+        est = delta_estimator(fit, data)
         assert crit.value - est.value == 4.0  # degree + 2 parameters
 
 
@@ -460,15 +454,15 @@ class TestWaicDic:
         truth = GeneratorSpec(degree=degree, coeffs=tuple([0.4] * (degree + 1)), sigma=0.6)
         data = sample_dataset(truth, n=n, seed=seed)
         spec = ModelSpec(degree)
-        posterior = posterior_update(default_prior(spec), spec, data)
+        posterior = posterior_update(default_prior(spec), data)
         return spec, posterior, data
 
     def test_degenerate_posterior_reduces_waic_to_dic(self):
         spec, posterior, data = self._posterior_and_data()
         point = posterior_mean(posterior)
         samples = PosteriorSample(np.repeat(point.coeffs, 10, axis=0), np.repeat(point.precision, 10))
-        w = waic(samples, spec, data)
-        d = dic(samples, point, spec, data)
+        w = waic(samples, data)
+        d = dic(samples, point, data)
         direct = -sum(
             math.log(0.5)
             + float(stats.norm.logpdf(y2, float(point.coeffs[0] @ [1.0, y1]), 1 / math.sqrt(point.precision[0])))
@@ -490,7 +484,7 @@ class TestWaicDic:
             mean_hat = float(np.mean(lik[:, j]))
             se = float(np.std(lik[:, j], ddof=1) / math.sqrt(lik.shape[0]))
             analytic = math.exp(
-                log_evidence(posterior, spec, data.subset([j]))
+                log_evidence(posterior, data.subset([j]))
             )
             assert abs(mean_hat - analytic) < 3 * se
 
@@ -499,27 +493,27 @@ class TestWaicDic:
         samples = sample_posterior(posterior, count=64, seed=6)
         order = np.random.default_rng(0).permutation(64)
         perm = PosteriorSample(samples.coeffs[order], samples.precision[order])
-        assert waic(samples, spec, data).value == pytest.approx(
-            waic(perm, spec, data).value, abs=1e-12
+        assert waic(samples, data).value == pytest.approx(
+            waic(perm, data).value, abs=1e-12
         )
         point = posterior_mean(posterior)
-        assert dic(samples, point, spec, data).value == pytest.approx(
-            dic(perm, point, spec, data).value, abs=1e-12
+        assert dic(samples, point, data).value == pytest.approx(
+            dic(perm, point, data).value, abs=1e-12
         )
 
     def test_requires_two_samples(self):
         spec, posterior, data = self._posterior_and_data(seed=7)
         sample = sample_posterior(posterior, count=1, seed=0)
         with pytest.raises(DegeneratePosterior):
-            waic(sample, spec, data)
+            waic(sample, data)
         with pytest.raises(DegeneratePosterior):
-            dic(sample, posterior_mean(posterior), spec, data)
+            dic(sample, posterior_mean(posterior), data)
 
     def test_dic_rejects_a_point_estimate_of_several_draws(self):
         spec, posterior, data = self._posterior_and_data(seed=8)
         samples = sample_posterior(posterior, count=5, seed=1)
         with pytest.raises(ValueError, match="one draw"):
-            dic(samples, samples, spec, data)
+            dic(samples, samples, data)
 
     def test_criteria_match_per_draw_loops(self):
         # S = 5 draws, one scipy log density per (draw, point)
@@ -538,8 +532,8 @@ class TestWaicDic:
         lppd = sum(math.log(sum(math.exp(v) for v in column) / 5) for column in per_draw.T)
         p_waic = sum(float(np.var(column, ddof=1)) for column in per_draw.T)
         p_dic = 2 * sum(at_hat[j] - sum(per_draw[:, j]) / 5 for j in range(len(data)))
-        assert waic(samples, spec, data).value == pytest.approx(-(lppd - p_waic), abs=1e-12)
-        assert dic(samples, point, spec, data).value == pytest.approx(-(sum(at_hat) - p_dic), abs=1e-12)
+        assert waic(samples, data).value == pytest.approx(-(lppd - p_waic), abs=1e-12)
+        assert dic(samples, point, data).value == pytest.approx(-(sum(at_hat) - p_dic), abs=1e-12)
 
     def test_dic_penalty_nonnegative_in_expectation(self):
         # reported, not asserted: the penalty at the posterior mean
@@ -557,7 +551,7 @@ class TestWaicDic:
                 )
                 for y1, y2 in zip(data.y1, data.y2)
             )
-            penalties.append(dic(samples, point, spec, data).value - base)
+            penalties.append(dic(samples, point, data).value - base)
         print(f"DIC penalty across seeds (expected nonnegative): {penalties}")
 
 
@@ -571,5 +565,5 @@ class TestSerialization:
 
     def test_criterion_record(self):
         data = sample_dataset(CONSTANT, n=12, seed=3)
-        crit = evidence_criterion(default_prior(ModelSpec(0)), ModelSpec(0), data)
+        crit = evidence_criterion(default_prior(ModelSpec(0)), data)
         assert crit.to_json_dict() == {"criterion": "log_evidence", "value": crit.value}
