@@ -7,6 +7,7 @@ its flags and the files they name, nothing else.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -163,7 +164,10 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one `rpps` parser of this process, built at the first call.  Each
+    `parse_args` makes a fresh namespace, so nothing carries between calls."""
     parser = argparse.ArgumentParser(
         prog="rpps",
         description="Relative predictive performance scores: simulate data, fit, score, and run estimator-error experiments.",
@@ -198,8 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, RuntimeError, OSError) as exc:

@@ -42,8 +42,9 @@ class NormalGammaParams:
     logdet_lam: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mu = np.ascontiguousarray(self.mu, dtype=float)
-        lam = np.ascontiguousarray(self.lam, dtype=float)
+        # copies: freezing them leaves the caller's arrays writeable
+        mu = np.array(self.mu, dtype=float, order="C")
+        lam = np.array(self.lam, dtype=float, order="C")
         mu.setflags(write=False)
         lam.setflags(write=False)
         object.__setattr__(self, "mu", mu)
@@ -75,8 +76,9 @@ class PosteriorSample:
     precision: np.ndarray
 
     def __post_init__(self):
-        coeffs = np.ascontiguousarray(self.coeffs, dtype=float)
-        precision = np.ascontiguousarray(self.precision, dtype=float)
+        # copies: freezing them leaves the caller's arrays writeable
+        coeffs = np.array(self.coeffs, dtype=float, order="C")
+        precision = np.array(self.precision, dtype=float, order="C")
         if coeffs.ndim != 2 or precision.shape != coeffs.shape[:1]:
             raise ValueError("expected (S, p) coeffs and (S,) precision")
         if not np.all(precision > 0):

@@ -191,8 +191,9 @@ class DataSet:
     __slots__ = ("y1", "y2")
 
     def __init__(self, y1, y2):
-        y1 = np.ascontiguousarray(y1, dtype=float)
-        y2 = np.ascontiguousarray(y2, dtype=float)
+        # copies: freezing them leaves the caller's arrays writeable
+        y1 = np.array(y1, dtype=float, order="C")
+        y2 = np.array(y2, dtype=float, order="C")
         if y1.ndim != 1 or y2.ndim != 1 or y1.shape != y2.shape:
             raise ValueError("y1 and y2 must be 1-D arrays of equal length")
         if y1.size < 1:

@@ -100,7 +100,8 @@ class PluginGaussian:
     sigma2: float
 
     def __post_init__(self):
-        coeffs = np.ascontiguousarray(self.coeffs, dtype=float)
+        # a copy: freezing it leaves the caller's array writeable
+        coeffs = np.array(self.coeffs, dtype=float, order="C")
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
         if coeffs.ndim != 1 or not coeffs.size:

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .conjugate import (
     _BLOCK,
@@ -32,7 +31,7 @@ from .conjugate import (
     log_evidence,
     posterior_update,
 )
-from .datagen import LOG_HALF, DataSet, GeneratorSpec, horner, normal_logpdf, require_count
+from .datagen import _HALF_LOG_2PI, LOG_HALF, DataSet, GeneratorSpec, horner, normal_logpdf, require_count
 from .linmodel import (
     ModelSpec,
     PluginGaussian,
@@ -429,11 +428,26 @@ def aic(fit: PluginGaussian, data: DataSet) -> Criterion:
 
 
 def _pointwise_loglik(samples: PosteriorSample, data: DataSet) -> np.ndarray:
-    """Matrix of log pi(y_n | x_s): rows are posterior draws, columns data
-    points; the conditional likelihood carries the uniform y1 factor.  The
-    degree is the draws' width less one."""
-    mean = samples.coeffs @ ModelSpec(samples.coeffs.shape[1] - 1).design_matrix(data.y1).T
-    return normal_logpdf(data.y2, mean, 1.0 / samples.precision[:, None]) + LOG_HALF
+    """Point-major (N, S) matrix of log pi(y_n | x_s): row n holds point n
+    under every posterior draw, so reductions over the draws run along the
+    contiguous axis; the conditional likelihood carries the uniform y1
+    factor.  The Gaussian is taken in its precision form, in place on the
+    matrix of means.  The degree is the draws' width less one."""
+    tau = samples.precision
+    loglik = ModelSpec(samples.coeffs.shape[1] - 1).design_matrix(data.y1) @ samples.coeffs.T
+    np.subtract(data.y2[:, None], loglik, out=loglik)
+    loglik *= loglik
+    loglik *= -0.5 * tau
+    loglik += 0.5 * np.log(tau) + (LOG_HALF - _HALF_LOG_2PI)
+    return loglik
+
+
+def _log_mean_exp(loglik: np.ndarray) -> np.ndarray:
+    """log mean exp of each row of a 2-D array, as top + log mean exp(row -
+    top) with `top` the row's largest entry, so neither an underflow to a
+    zero sum nor an overflow reaches the logarithm."""
+    top = loglik.max(axis=1, keepdims=True)
+    return top[:, 0] + np.log(np.mean(np.exp(loglik - top), axis=1))
 
 
 def waic(posterior_samples: PosteriorSample, data: DataSet) -> Criterion:
@@ -446,10 +460,9 @@ def waic(posterior_samples: PosteriorSample, data: DataSet) -> Criterion:
     if len(posterior_samples) < 2:
         raise DegeneratePosterior("WAIC needs at least 2 posterior samples")
     loglik = _pointwise_loglik(posterior_samples, data)
-    s_count = loglik.shape[0]
-    lppd = float(np.sum(logsumexp(loglik, axis=0) - math.log(s_count)))
-    penalty = float(np.sum(np.var(loglik, axis=0, ddof=1)))
-    return Criterion(kind=CriterionKind.WAIC, value=-(lppd - penalty), n_samples=s_count)
+    lppd = float(np.sum(_log_mean_exp(loglik)))
+    penalty = float(np.sum(np.var(loglik, axis=1, ddof=1)))
+    return Criterion(kind=CriterionKind.WAIC, value=-(lppd - penalty), n_samples=loglik.shape[1])
 
 
 def dic(posterior_samples: PosteriorSample, point_estimate: PosteriorSample, data: DataSet) -> Criterion:
@@ -465,8 +478,8 @@ def dic(posterior_samples: PosteriorSample, point_estimate: PosteriorSample, dat
     if len(point_estimate) != 1:
         raise ValueError(f"the point estimate must be one draw, got {len(point_estimate)}")
     loglik = _pointwise_loglik(posterior_samples, data)
-    at_hat = _pointwise_loglik(point_estimate, data)[0]
-    penalty = 2.0 * float(np.sum(at_hat - np.mean(loglik, axis=0)))
+    at_hat = _pointwise_loglik(point_estimate, data)[:, 0]
+    penalty = 2.0 * float(np.sum(at_hat - np.mean(loglik, axis=1)))
     value = -(float(np.sum(at_hat)) - penalty)
     return Criterion(kind=CriterionKind.DIC, value=value, n_samples=len(posterior_samples))
 

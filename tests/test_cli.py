@@ -157,6 +157,38 @@ def test_missing_required_flag_is_usage_error(tmp_path, spec_file, model_file, d
     assert not out.exists()
 
 
+def test_one_parser_per_process_carries_nothing_between_calls(tmp_path, model_file, data_file, capsys):
+    # in one process, each call prints what a fresh `python -m rpps.cli` prints
+    assert cli.build_parser() is cli.build_parser()
+    config = json.loads((Path(__file__).resolve().parent.parent / "configs" / "misfit.json").read_text())
+    config_path = tmp_path / "misfit.json"
+    config_path.write_text(json.dumps(dict(config, replications=2)))
+    est = tmp_path / "est.json"
+    est.write_text(json.dumps([{"kind": "delta"}, {"kind": "jackknife", "k_folds": 4}, {"kind": "waic"}]))
+    calls = [
+        (2, ["experiment"]),  # usage error: --config is required
+        (0, ["experiment", "--config", str(config_path), "--dry-run"]),
+        (0, ["experiment", "--config", str(config_path), "--out", str(tmp_path / "out")]),
+        (0, ["score", "--data", str(data_file), "--model", str(model_file), "--estimators", str(est)]),
+    ]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    for code, argv in calls:
+        try:
+            in_process = main(argv)
+        except SystemExit as exc:
+            in_process = exc.code
+        captured = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "rpps.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert in_process == fresh.returncode == code, argv
+        assert (captured.out, captured.err) == (fresh.stdout, fresh.stderr), argv
+
+
 class TestFit:
     def test_thin_adapter_byte_identity(self, data_file, model_file, capsys):
         assert main(["fit", "--data", str(data_file), "--model", str(model_file)]) == 0

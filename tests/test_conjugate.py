@@ -75,6 +75,13 @@ class TestParamsValidation:
         with pytest.raises(ValueError, match="symmetric"):
             NormalGammaParams(mu=np.zeros(2), lam=np.array([[1.0, np.nan], [np.nan, 1.0]]), alpha=1.0, beta=1.0)
 
+    def test_freezes_copies_not_the_callers_arrays(self):
+        mu, lam = np.array([0.3, -1.7]), np.array([[2.0, 0.5], [0.5, 1.0]])  # C-contiguous float64
+        params = NormalGammaParams(mu=mu, lam=lam, alpha=1.0, beta=1.0)
+        assert mu.flags.writeable and lam.flags.writeable
+        assert not params.mu.flags.writeable and not params.lam.flags.writeable
+        assert params.mu.tobytes() == mu.tobytes() and params.lam.tobytes() == lam.tobytes()
+
     def test_keeps_log_determinant(self):
         prior, _, _ = _random_case(4, degree=3)
         assert prior.logdet_lam == pytest.approx(np.linalg.slogdet(prior.lam)[1], rel=1e-13)
@@ -283,6 +290,13 @@ class TestPosteriorSampleValidation:
     def test_rejects(self, coeffs, precision):
         with pytest.raises(ValueError):
             PosteriorSample(coeffs=coeffs, precision=precision)
+
+    def test_freezes_copies_not_the_callers_arrays(self):
+        coeffs, precision = np.array([[0.3, -1.7], [0.2, 0.9]]), np.array([2.0, 0.5])  # C-contiguous float64
+        draws = PosteriorSample(coeffs=coeffs, precision=precision)
+        assert coeffs.flags.writeable and precision.flags.writeable
+        assert not draws.coeffs.flags.writeable and not draws.precision.flags.writeable
+        assert draws.coeffs.tobytes() == coeffs.tobytes() and draws.precision.tobytes() == precision.tobytes()
 
 
 class TestBatchEvidence:

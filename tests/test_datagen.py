@@ -234,6 +234,13 @@ class TestDataSet:
         with pytest.raises(ValueError):
             data.y1[0] = 0.5
 
+    def test_freezes_a_copy_not_the_callers_arrays(self):
+        y1, y2 = np.array([0.1, -0.2, 0.5]), np.array([1.0, 2.0, 3.0])  # C-contiguous float64
+        data = DataSet(y1, y2)
+        assert y1.flags.writeable and y2.flags.writeable
+        assert not data.y1.flags.writeable and not data.y2.flags.writeable
+        assert data.y1.tobytes() == y1.tobytes() and data.y2.tobytes() == y2.tobytes()
+
 
 class TestCsvRoundTrip:
     def test_bitwise_round_trip(self, tmp_path):

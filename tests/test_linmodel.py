@@ -151,6 +151,12 @@ class TestPluginGaussian:
         source[0] = 9.0
         assert fit.coeffs.tolist() == [0.0, 2.0, 4.0]
 
+    def test_freezes_a_copy_not_the_callers_coeffs(self):
+        source = np.array([0.3, -1.7])  # C-contiguous float64
+        fit = PluginGaussian(coeffs=source, sigma2=1.0)
+        assert source.flags.writeable and not fit.coeffs.flags.writeable
+        assert fit.coeffs.tobytes() == source.tobytes()
+
 
 class TestPluginLogPredictive:
     def test_standard_normal_at_mode(self):

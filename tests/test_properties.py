@@ -2,8 +2,9 @@
 out by hand, and delta equals the density functions it stands for, over
 random data of up to 40 points, degrees 0-6 and every inference kind; the
 stacked kernels under them equal numpy's per-row routines and the explicit
-algebra, and the batch evidence equals the scalar one over random priors
-and degrees 0-6."""
+algebra, the batch evidence equals the scalar one over random priors and
+degrees 0-6, and so do WAIC, DIC and the plug-in log likelihood at a
+degenerate posterior."""
 
 import math
 
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from gridref import _mvt_logpdf
 from rpps.conjugate import (
@@ -18,10 +20,12 @@ from rpps.conjugate import (
     NormalGammaParams,
     PluginGaussian,
     PosteriorPredictive,
+    PosteriorSample,
     PriorPredictive,
     _kernel,
     default_prior,
     log_evidence,
+    posterior_mean,
     posterior_update,
 )
 from rpps.datagen import DataSet, GeneratorSpec, sample_dataset
@@ -33,8 +37,10 @@ from rpps.scores import (
     PredictiveBuilder,
     bootstrap_estimator,
     delta_estimator,
+    dic,
     holdout_estimator,
     jackknife_estimator,
+    waic,
 )
 
 PROPERTY = settings(max_examples=40, deadline=None, database=None)
@@ -177,6 +183,15 @@ def test_plugin_batch_is_plugin_log_predictive(seed, degree):
     assert batch.tolist() == [plugin_log_predictive(fit, DataSet(a, b)) for a, b in zip(y1, y2)]
 
 
+def _random_prior(rng, p):
+    """A Normal-Gamma prior with a random SPD lam scaled over 1e-3..1e3 and
+    random mu, alpha and beta."""
+    a = rng.normal(size=(p + 2, p))
+    lam = 10.0 ** rng.uniform(-3, 3) * (a.T @ a + rng.uniform(0.01, 2.0) * np.eye(p))
+    alpha, beta = rng.uniform(0.1, 5.0, size=2)
+    return NormalGammaParams(mu=rng.normal(size=p), lam=lam, alpha=float(alpha), beta=float(beta))
+
+
 @PROPERTY
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -185,15 +200,10 @@ def test_plugin_batch_is_plugin_log_predictive(seed, degree):
     r=st.integers(1, 5),
 )
 def test_conjugate_batch_is_scalar_evidence_over_random_priors(seed, degree, n, r):
-    # random SPD lam scaled over 1e-3..1e3, random alpha and beta: each row
-    # of the batch is the scalar evidence of that dataset and the direct
-    # multivariate-t assembly plus the y1 factor, counted once per point
+    # each row of the batch is the scalar evidence of that dataset and the
+    # direct multivariate-t assembly plus the y1 factor, counted once per point
     rng = np.random.default_rng(seed)
-    p = degree + 1
-    a = rng.normal(size=(p + 2, p))
-    lam = 10.0 ** rng.uniform(-3, 3) * (a.T @ a + rng.uniform(0.01, 2.0) * np.eye(p))
-    alpha, beta = rng.uniform(0.1, 5.0, size=2)
-    params = NormalGammaParams(mu=rng.normal(size=p), lam=lam, alpha=float(alpha), beta=float(beta))
+    params = _random_prior(rng, degree + 1)
     spec = ModelSpec(degree)
     y1 = rng.uniform(-1, 1, size=(r, n))
     y2 = rng.normal(scale=rng.uniform(0.1, 10.0), size=(r, n))
@@ -204,6 +214,32 @@ def test_conjugate_batch_is_scalar_evidence_over_random_priors(seed, degree, n, 
         assert value == pytest.approx(scalar, rel=1e-12, abs=1e-12)
         direct = _mvt_logpdf(params, spec, row1, row2) + n * math.log(0.5)
         assert value == pytest.approx(direct, rel=1e-9, abs=1e-9)
+
+
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    degree=st.integers(0, 6),
+    n=st.integers(1, 40),
+    s_count=st.integers(2, 50),
+)
+def test_waic_equals_dic_at_a_degenerate_posterior(seed, degree, n, s_count):
+    # S identical draws at the posterior mean under a random prior: no spread
+    # over the draws, so both penalties vanish and each criterion is the
+    # negated plug-in log likelihood of that draw, the y1 factor counted
+    # once per point
+    rng = np.random.default_rng(seed)
+    prior = _random_prior(rng, degree + 1)
+    data = DataSet(rng.uniform(-1, 1, size=n), rng.normal(scale=rng.uniform(0.1, 10.0), size=n))
+    point = posterior_mean(posterior_update(prior, data))
+    samples = PosteriorSample(np.repeat(point.coeffs, s_count, axis=0), np.repeat(point.precision, s_count))
+    mean = np.polynomial.polynomial.polyval(data.y1, point.coeffs[0])
+    loglik = stats.norm.logpdf(data.y2, mean, 1.0 / math.sqrt(point.precision[0]))
+    direct = -(float(np.sum(loglik)) + n * math.log(0.5))
+    w, d = waic(samples, data).value, dic(samples, point, data).value
+    assert abs(w - d) < 1e-10
+    assert abs(w - direct) < 1e-10
+    assert abs(d - direct) < 1e-10
 
 
 def _updated(prior, y1, y2, weights):

@@ -7,6 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import logsumexp
 
 from rpps import scores
 from rpps.conjugate import (
@@ -516,9 +517,10 @@ class TestWaicDic:
             dic(samples, samples, data)
 
     def test_criteria_match_per_draw_loops(self):
-        # S = 5 draws, one scipy log density per (draw, point)
+        # S = 1000 draws, one scipy log density per (draw, point)
         spec, posterior, data = self._posterior_and_data(seed=9, degree=2)
-        samples = sample_posterior(posterior, count=5, seed=2)
+        s_count = 1000
+        samples = sample_posterior(posterior, count=s_count, seed=2)
         point = posterior_mean(posterior)
 
         def loglik(coeffs, tau):
@@ -529,11 +531,25 @@ class TestWaicDic:
 
         per_draw = np.array([loglik(c, t) for c, t in zip(samples.coeffs, samples.precision)])
         at_hat = np.array(loglik(point.coeffs[0], point.precision[0]))
-        lppd = sum(math.log(sum(math.exp(v) for v in column) / 5) for column in per_draw.T)
+        lppd = sum(math.log(sum(math.exp(v) for v in column) / s_count) for column in per_draw.T)
         p_waic = sum(float(np.var(column, ddof=1)) for column in per_draw.T)
-        p_dic = 2 * sum(at_hat[j] - sum(per_draw[:, j]) / 5 for j in range(len(data)))
+        p_dic = 2 * sum(at_hat[j] - sum(per_draw[:, j]) / s_count for j in range(len(data)))
         assert waic(samples, data).value == pytest.approx(-(lppd - p_waic), abs=1e-12)
         assert dic(samples, point, data).value == pytest.approx(-(sum(at_hat) - p_dic), abs=1e-12)
+
+    @pytest.mark.parametrize("s_count", [2, 1000])
+    def test_log_mean_exp_is_logsumexp_less_log_s(self, s_count):
+        # each row's draws spread over 740 nats below a level where a plain
+        # exp underflows (-1500, -800) or overflows (800, 1500); so wide a
+        # spread also overflows exp(row - min), a shift by the wrong extreme
+        rng = np.random.default_rng(s_count)
+        levels = np.repeat([-1500.0, -800.0, 800.0, 1500.0], 5)[:, None]
+        loglik = levels - rng.uniform(0.0, 740.0, size=(levels.size, s_count))
+        loglik[:, 0], loglik[:, -1] = levels[:, 0], levels[:, 0] - 740.0
+        with np.errstate(over="ignore", divide="ignore"):
+            assert not np.isfinite(np.log(np.mean(np.exp(loglik), axis=1))).any()
+        reference = logsumexp(loglik, axis=1) - math.log(s_count)
+        np.testing.assert_allclose(scores._log_mean_exp(loglik), reference, rtol=1e-12, atol=0)
 
     def test_dic_penalty_nonnegative_in_expectation(self):
         # reported, not asserted: the penalty at the posterior mean
