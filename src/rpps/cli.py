@@ -12,13 +12,12 @@ import json
 import sys
 from pathlib import Path
 
-from .datagen import DataSet, GeneratorSpec, read_dataset_csv, sample_dataset, write_dataset_csv
+from .datagen import DataSet, GeneratorSpec, read_dataset_csv, require_count, sample_dataset, write_dataset_csv
 from .harness import (
     CRITERION_INFERENCE,
     EstimatorRequest,
     ExperimentConfig,
     emit_outputs,
-    require_count,
     run_estimator,
     run_experiment,
 )

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import gammaln
 
-from .datagen import LOG_HALF, DataSet, horner, require_count, scratch
+from .datagen import LOG_HALF, DataSet, frozen_copy, horner, require_count, scratch
 from .linmodel import ModelSpec, PluginGaussian
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -33,20 +33,18 @@ _LOG_2PI = math.log(2.0 * math.pi)
 @dataclass(frozen=True)
 class NormalGammaParams:
     """Prior or posterior hyperparameters over (coefficients, precision);
-    `logdet_lam` is log det(lam), kept from the validating Cholesky."""
+    the validating Cholesky factor of lam is kept as the read-only lower
+    triangle `chol`, and `logdet_lam` is log det(lam) read from it."""
 
     mu: np.ndarray
     lam: np.ndarray
     alpha: float
     beta: float
+    chol: np.ndarray = field(init=False, repr=False, compare=False)
     logdet_lam: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # copies: freezing them leaves the caller's arrays writeable
-        mu = np.array(self.mu, dtype=float, order="C")
-        lam = np.array(self.lam, dtype=float, order="C")
-        mu.setflags(write=False)
-        lam.setflags(write=False)
+        mu, lam = frozen_copy("mu", self.mu), frozen_copy("lam", self.lam)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "lam", lam)
         p = mu.shape[0]
@@ -55,12 +53,13 @@ class NormalGammaParams:
         if not np.abs(lam - lam.T).max() <= 1e-10 * max(1.0, float(np.abs(lam).max())):
             raise ValueError("lam must be symmetric")
         try:
-            chol = np.linalg.cholesky(lam)
+            chol = frozen_copy("chol", np.linalg.cholesky(lam))
         except np.linalg.LinAlgError as exc:
             raise ValueError("lam must be positive definite") from exc
+        object.__setattr__(self, "chol", chol)
         object.__setattr__(self, "logdet_lam", 2.0 * float(np.log(chol.diagonal()).sum()))
-        if not self.alpha > 0 or not self.beta > 0:
-            raise ValueError("alpha and beta must be > 0")
+        if not (0 < self.alpha < math.inf and 0 < self.beta < math.inf):
+            raise ValueError("alpha and beta must be finite and > 0")
 
     @property
     def p(self) -> int:
@@ -76,15 +75,11 @@ class PosteriorSample:
     precision: np.ndarray
 
     def __post_init__(self):
-        # copies: freezing them leaves the caller's arrays writeable
-        coeffs = np.array(self.coeffs, dtype=float, order="C")
-        precision = np.array(self.precision, dtype=float, order="C")
+        coeffs, precision = frozen_copy("coeffs", self.coeffs), frozen_copy("precision", self.precision)
         if coeffs.ndim != 2 or precision.shape != coeffs.shape[:1]:
             raise ValueError("expected (S, p) coeffs and (S,) precision")
         if not np.all(precision > 0):
             raise ValueError("every precision must be > 0")
-        coeffs.setflags(write=False)
-        precision.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "precision", precision)
 
@@ -243,9 +238,8 @@ def sample_posterior(posterior: NormalGammaParams, count: int, seed: int) -> Pos
     rng = np.random.default_rng(seed)
     tau = rng.gamma(shape=posterior.alpha, scale=1.0 / posterior.beta, size=count)
     z = rng.standard_normal(size=(count, posterior.p))
-    chol = np.linalg.cholesky(posterior.lam)
     # x = L^-T z has covariance lam^-1
-    x = solve_triangular(chol.T, z.T, lower=False).T
+    x = solve_triangular(posterior.chol.T, z.T, lower=False).T
     coeffs = posterior.mu + x / np.sqrt(tau)[:, None]
     return PosteriorSample(coeffs=coeffs, precision=tau)
 

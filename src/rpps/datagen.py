@@ -33,6 +33,17 @@ def require_count(name: str, value, minimum: int = 1) -> None:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+def frozen_copy(name: str, values) -> np.ndarray:
+    """A read-only, C-contiguous float64 copy of `values` (so freezing it
+    leaves the caller's array writeable); ValueError if an entry is NaN or
+    inf.  The one rule for every array a value of this package holds."""
+    out = np.array(values, dtype=float, order="C")
+    if not np.isfinite(out).all():
+        raise ValueError(f"{name} must be finite")
+    out.setflags(write=False)
+    return out
+
+
 def load_json_object(cls, what: str, d, **nested):
     """Build the dataclass `cls` from the JSON object `d`, named `what` in
     errors.  Its keys are fields of `cls` (anything else is a typo), and it
@@ -184,24 +195,19 @@ class GeneratorSpec:
 class DataSet:
     """An ordered measurement y in (R x R)^N with index-based partitioning.
 
-    Points are stored as parallel read-only float64 arrays; the order is part
-    of the value (partitions are index-based), and equality is bitwise.
+    Points are stored as parallel finite, read-only float64 arrays; the
+    order is part of the value (partitions are index-based), and equality is
+    bitwise.
     """
 
     __slots__ = ("y1", "y2")
 
     def __init__(self, y1, y2):
-        # copies: freezing them leaves the caller's arrays writeable
-        y1 = np.array(y1, dtype=float, order="C")
-        y2 = np.array(y2, dtype=float, order="C")
+        y1, y2 = frozen_copy("y1", y1), frozen_copy("y2", y2)
         if y1.ndim != 1 or y2.ndim != 1 or y1.shape != y2.shape:
             raise ValueError("y1 and y2 must be 1-D arrays of equal length")
         if y1.size < 1:
             raise ValueError("a DataSet holds at least one point")
-        if not (np.all(np.isfinite(y1)) and np.all(np.isfinite(y2))):
-            raise ValueError("points must be finite")
-        y1.setflags(write=False)
-        y2.setflags(write=False)
         self.y1 = y1
         self.y2 = y2
 

@@ -78,11 +78,10 @@ class EstimatorRequest:
     n_samples: int | None = None
     label: str | None = None
 
-    KINDS = tuple(KIND_FIELDS)
-
     def __post_init__(self):
-        if self.kind not in self.KINDS:
-            raise ValueError(f"unknown estimator kind {self.kind!r}; expected one of {self.KINDS}")
+        kinds = tuple(KIND_FIELDS)  # a tuple: an unhashable kind is an unknown one, not a TypeError
+        if self.kind not in kinds:
+            raise ValueError(f"unknown estimator kind {self.kind!r}; expected one of {kinds}")
         uses = KIND_FIELDS[self.kind]
         if "n_samples" in uses and self.n_samples is None:
             object.__setattr__(self, "n_samples", 1000)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import LOG_HALF, DataSet, horner, load_json_object, normal_logpdf, require_count
+from .datagen import LOG_HALF, DataSet, frozen_copy, horner, load_json_object, normal_logpdf, require_count
 
 
 class TooFewPoints(ValueError):
@@ -100,14 +100,12 @@ class PluginGaussian:
     sigma2: float
 
     def __post_init__(self):
-        # a copy: freezing it leaves the caller's array writeable
-        coeffs = np.array(self.coeffs, dtype=float, order="C")
-        coeffs.setflags(write=False)
+        coeffs = frozen_copy("coeffs", self.coeffs)
         object.__setattr__(self, "coeffs", coeffs)
         if coeffs.ndim != 1 or not coeffs.size:
             raise ValueError("coeffs must be a nonempty vector")
-        if self.sigma2 < 0:
-            raise ValueError("sigma2 must be >= 0")
+        if not 0 <= self.sigma2 < np.inf:
+            raise ValueError("sigma2 must be finite and >= 0")
 
     def mean_at(self, y1):
         return horner(y1, self.coeffs)

@@ -31,7 +31,7 @@ from .conjugate import (
     log_evidence,
     posterior_update,
 )
-from .datagen import _HALF_LOG_2PI, LOG_HALF, DataSet, GeneratorSpec, horner, normal_logpdf, require_count
+from .datagen import _HALF_LOG_2PI, LOG_HALF, DataSet, GeneratorSpec, frozen_copy, horner, normal_logpdf, require_count
 from .linmodel import (
     ModelSpec,
     PluginGaussian,
@@ -267,10 +267,8 @@ def exact_score_mc(
 @functools.cache
 def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     """The 64 read-only Gauss-Legendre nodes and weights, computed once."""
-    nodes_weights = np.polynomial.legendre.leggauss(64)
-    for a in nodes_weights:
-        a.setflags(write=False)
-    return nodes_weights
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    return frozen_copy("nodes", nodes), frozen_copy("weights", weights)
 
 
 def exact_score_quadrature(spec_true: GeneratorSpec, predictive: PluginGaussian, n_points: int) -> ScoreEstimate:
@@ -340,7 +338,7 @@ def holdout_estimator(
         raise TooFewPoints(f"training partition of {n_train} below model minimum {build.min_train_size}")
     # the head of the shuffled measurement trains, its tail validates
     idx = np.random.default_rng(seed).permutation(n)
-    shuffled = DataSet(data.y1[idx], data.y2[idx])
+    shuffled = data.subset(idx)
     valid = np.arange(n)[None] >= n_train
     log_density, floored, usable = build.score_folds(shuffled, np.arange(n_train)[None], valid)
     if not usable[0]:

@@ -72,8 +72,28 @@ class TestParamsValidation:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
             NormalGammaParams(mu=np.zeros(2), lam=np.array([[1.0, 0.5], [0.0, 1.0]]), alpha=1.0, beta=1.0)
-        with pytest.raises(ValueError, match="symmetric"):
+        # a NaN lam fails the finiteness rule before the symmetry check
+        with pytest.raises(ValueError, match="lam must be finite"):
             NormalGammaParams(mu=np.zeros(2), lam=np.array([[1.0, np.nan], [np.nan, 1.0]]), alpha=1.0, beta=1.0)
+
+    @pytest.mark.parametrize(
+        ("mu", "alpha", "beta", "complaint"),
+        [
+            ([0.0, math.nan], 1.0, 1.0, "mu must be finite"),
+            ([0.0, 0.0], math.inf, 1.0, "alpha and beta must be finite"),
+            ([0.0, 0.0], 1.0, math.inf, "alpha and beta must be finite"),
+            ([0.0, 0.0], math.nan, 1.0, "alpha and beta must be finite"),
+        ],
+        ids=["nan-mu", "inf-alpha", "inf-beta", "nan-alpha"],
+    )
+    def test_rejects_non_finite(self, mu, alpha, beta, complaint):
+        with pytest.raises(ValueError, match=complaint):
+            NormalGammaParams(mu=np.array(mu), lam=np.eye(2), alpha=alpha, beta=beta)
+
+    def test_keeps_the_read_only_cholesky_factor(self):
+        prior, _, _ = _random_case(4, degree=3)
+        assert prior.chol.tobytes() == np.linalg.cholesky(prior.lam).tobytes()
+        assert not prior.chol.flags.writeable
 
     def test_freezes_copies_not_the_callers_arrays(self):
         mu, lam = np.array([0.3, -1.7]), np.array([[2.0, 0.5], [0.5, 1.0]])  # C-contiguous float64
@@ -290,6 +310,11 @@ class TestPosteriorSampleValidation:
     def test_rejects(self, coeffs, precision):
         with pytest.raises(ValueError):
             PosteriorSample(coeffs=coeffs, precision=precision)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_a_non_finite_coefficient(self, bad):
+        with pytest.raises(ValueError, match="coeffs must be finite"):
+            PosteriorSample(coeffs=np.array([[0.0, 1.0], [bad, 1.0]]), precision=np.ones(2))
 
     def test_freezes_copies_not_the_callers_arrays(self):
         coeffs, precision = np.array([[0.3, -1.7], [0.2, 0.9]]), np.array([2.0, 0.5])  # C-contiguous float64

@@ -7,6 +7,7 @@ from rpps.datagen import (
     DataSet,
     GeneratorSpec,
     OutsideSupport,
+    frozen_copy,
     horner,
     read_dataset_csv,
     sample_dataset,
@@ -229,6 +230,13 @@ class TestDataSet:
         with pytest.raises(ValueError):
             DataSet([0.0], [float("nan")])
 
+    @pytest.mark.parametrize("field", ["y1", "y2"])
+    def test_names_the_non_finite_array(self, field):
+        points = {"y1": [0.1, 0.2], "y2": [1.0, 2.0]}
+        points[field] = [0.1, math.inf]
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            DataSet(**points)
+
     def test_arrays_are_read_only(self):
         data = DataSet([0.1], [1.0])
         with pytest.raises(ValueError):
@@ -240,6 +248,21 @@ class TestDataSet:
         assert y1.flags.writeable and y2.flags.writeable
         assert not data.y1.flags.writeable and not data.y2.flags.writeable
         assert data.y1.tobytes() == y1.tobytes() and data.y2.tobytes() == y2.tobytes()
+
+
+class TestFrozenCopy:
+    def test_is_a_read_only_contiguous_float64_copy(self):
+        source = np.arange(6)[::2]  # strided int64
+        out = frozen_copy("x", source)
+        assert out.dtype == np.float64 and out.flags.c_contiguous and not out.flags.writeable
+        assert out.tolist() == [0.0, 2.0, 4.0] and source.flags.writeable
+        source[0] = 9
+        assert out[0] == 0.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_names_the_array_with_a_non_finite_entry(self, bad):
+        with pytest.raises(ValueError, match="^x must be finite$"):
+            frozen_copy("x", [[0.0, 1.0], [bad, 2.0]])
 
 
 class TestCsvRoundTrip:

@@ -157,6 +157,21 @@ class TestPluginGaussian:
         assert source.flags.writeable and not fit.coeffs.flags.writeable
         assert fit.coeffs.tobytes() == source.tobytes()
 
+    @pytest.mark.parametrize(
+        ("coeffs", "sigma2", "field"),
+        [
+            ([0.0, math.nan], 1.0, "coeffs"),
+            ([math.inf], 1.0, "coeffs"),
+            ([0.0], math.nan, "sigma2"),
+            ([0.0], math.inf, "sigma2"),
+        ],
+        ids=["nan-coeff", "inf-coeff", "nan-sigma2", "inf-sigma2"],
+    )
+    def test_rejects_non_finite(self, coeffs, sigma2, field):
+        # a non-finite parameter is no predictive, so it never yields a NaN score
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            PluginGaussian(coeffs=np.array(coeffs), sigma2=sigma2)
+
 
 class TestPluginLogPredictive:
     def test_standard_normal_at_mode(self):

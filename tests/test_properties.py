@@ -1,9 +1,10 @@
 """Property tests: the partition estimators equal explicit splits written
-out by hand, and delta equals the density functions it stands for, over
-random data of up to 40 points, degrees 0-6 and every inference kind; the
-stacked kernels under them equal numpy's per-row routines and the explicit
-algebra, the batch evidence equals the scalar one over random priors and
-degrees 0-6, and so do WAIC, DIC and the plug-in log likelihood at a
+out by hand, delta equals the density functions it stands for, and both
+count the y1 factor once per scored point, over random data of up to 40
+points, degrees 0-6 and every inference kind; the stacked kernels under them
+equal numpy's per-row routines and the explicit algebra, the batch evidence
+equals the scalar one and obeys the chain rule over random priors and
+degrees 0-6, and WAIC, DIC and the plug-in log likelihood agree at a
 degenerate posterior."""
 
 import math
@@ -31,6 +32,7 @@ from rpps.conjugate import (
 from rpps.datagen import DataSet, GeneratorSpec, sample_dataset
 from rpps.linmodel import ModelSpec, RankDeficient, TooFewPoints, _least_squares, fit_mle, plugin_log_predictive
 from rpps.scores import (
+    SIGMA2_FLOOR,
     AllResamplesDegenerate,
     Bootstrap,
     InferenceKind,
@@ -167,6 +169,50 @@ def test_delta_is_the_density_it_stands_for(seed, degree, kind):
     assert delta_estimator(predictive, data).value == expected
 
 
+def _y2_log_density(kind, spec, data, train, valid):
+    """Log density of the y2 values of data[valid] given their y1 and
+    data[train], from y2 densities alone (no y1 factor): scipy's normal at
+    the floored MLE fit, or the direct multivariate t at the prior or the
+    posterior given data[train]."""
+    held = data.subset(valid)
+    if kind == InferenceKind.MLE:
+        fit = fit_mle(spec, data.subset(train))
+        scale = math.sqrt(max(fit.sigma2, SIGMA2_FLOOR))
+        return float(np.sum(stats.norm.logpdf(held.y2, fit.mean_at(held.y1), scale)))
+    params = default_prior(spec)
+    if kind == InferenceKind.POSTERIOR_PREDICTIVE:
+        params = posterior_update(params, data.subset(train))
+    return _mvt_logpdf(params, spec, held.y1, held.y2)
+
+
+@PROPERTY
+@CASES
+def test_estimators_count_the_y1_factor_once_per_point(seed, degree, kind):
+    # delta, hold-out (rescaled by N / n_valid) and the K = N jackknife each
+    # exceed their y2-only reference by exactly N log 2; the tolerance is
+    # relative to the estimate, as in the partition properties, because an
+    # MLE fold that nearly interpolates drives it to 1e11
+    rng, spec, data = _case(seed, degree)
+    n = len(data)
+    build = PredictiveBuilder(kind, spec)
+    every = np.arange(n)
+    n_train = int(rng.integers(max(build.min_train_size, 1), n))
+    idx = np.random.default_rng(seed).permutation(n)
+    pairs = [
+        (delta_estimator(build(data), data), -_y2_log_density(kind, spec, data, every, every)),
+        (
+            holdout_estimator(build, data, n_train, n - n_train, seed=seed),
+            -(n / (n - n_train)) * _y2_log_density(kind, spec, data, idx[:n_train], idx[n_train:]),
+        ),
+        (
+            jackknife_estimator(build, data, k_folds=n, seed=seed),
+            -sum(_y2_log_density(kind, spec, data, np.delete(every, i), [i]) for i in range(n)),
+        ),
+    ]
+    for est, reference in pairs:
+        assert est.value == pytest.approx(reference + n * math.log(2.0), rel=1e-9, abs=1e-9)
+
+
 KERNEL_CASES = given(seed=st.integers(0, 2**32 - 1), degree=st.integers(0, 4))
 
 
@@ -240,6 +286,20 @@ def test_waic_equals_dic_at_a_degenerate_posterior(seed, degree, n, s_count):
     assert abs(w - d) < 1e-10
     assert abs(w - direct) < 1e-10
     assert abs(d - direct) < 1e-10
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), degree=st.integers(0, 6), n=st.integers(2, 40))
+def test_evidence_obeys_the_chain_rule_over_random_priors(seed, degree, n):
+    # a measurement cut at a random point into nonempty W and V: the
+    # evidence of V under the posterior given W is p(W + V) / p(W)
+    rng = np.random.default_rng(seed)
+    prior = _random_prior(rng, degree + 1)
+    data = DataSet(rng.uniform(-1, 1, size=n), rng.normal(scale=rng.uniform(0.1, 10.0), size=n))
+    cut = int(rng.integers(1, n))
+    w, v = data.subset(np.arange(cut)), data.subset(np.arange(cut, n))
+    chained = log_evidence(posterior_update(prior, w), v)
+    assert abs(chained - (log_evidence(prior, data) - log_evidence(prior, w))) < 1e-10
 
 
 def _updated(prior, y1, y2, weights):
