@@ -4,10 +4,8 @@ criteria, and desk-scale estimator-error experiments."""
 
 from .conjugate import (
     NormalGammaParams,
-    PosteriorPredictive,
     PosteriorSample,
     Predictive,
-    PriorPredictive,
     default_prior,
     log_evidence,
     posterior_mean,

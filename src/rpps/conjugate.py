@@ -21,8 +21,6 @@ from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import gammaln
 
 from .datagen import LOG_HALF, DataSet, frozen_copy, horner, require_count, scratch
 from .linmodel import ModelSpec, PluginGaussian
@@ -32,9 +30,9 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 @dataclass(frozen=True)
 class NormalGammaParams:
-    """Prior or posterior hyperparameters over (coefficients, precision);
-    the validating Cholesky factor of lam is kept as the read-only lower
-    triangle `chol`, and `logdet_lam` is log det(lam) read from it."""
+    """Prior or posterior hyperparameters over (coefficients, precision) and
+    the predictive they weight; the validating Cholesky factor of lam is the
+    read-only lower triangle `chol`, and `logdet_lam` is log det(lam)."""
 
     mu: np.ndarray
     lam: np.ndarray
@@ -64,6 +62,13 @@ class NormalGammaParams:
     @property
     def p(self) -> int:
         return int(self.mu.shape[0])
+
+    def log_density_batch(self, y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
+        """Joint log density per replicate for (R, n) arrays of points of the
+        small-world average weighted by this distribution: its evidence.  At
+        a posterior's parameters this is the posterior predictive, at a
+        prior's the prior predictive."""
+        return _evidence_batch(self, y1, y2)
 
 
 @dataclass(frozen=True)
@@ -205,12 +210,14 @@ def _evidence_batch(
     _, logdet_n, _, beta_n = _kernel(params, y1, y2, weights)
     n = np.shape(y1)[1] if weights is None else np.sum(weights, axis=1)
     alpha_n = params.alpha + 0.5 * n
+    # alpha_n is a float, or (R,) with weights
+    lgamma_n = np.array([math.lgamma(a) for a in np.atleast_1d(alpha_n).tolist()])
     return (
         -0.5 * n * _LOG_2PI
         + 0.5 * (params.logdet_lam - logdet_n)
         + params.alpha * math.log(params.beta)
         - alpha_n * np.log(beta_n)
-        + (gammaln(alpha_n) - gammaln(params.alpha))
+        + (lgamma_n - math.lgamma(params.alpha))
         + n * LOG_HALF
     )
 
@@ -239,7 +246,7 @@ def sample_posterior(posterior: NormalGammaParams, count: int, seed: int) -> Pos
     tau = rng.gamma(shape=posterior.alpha, scale=1.0 / posterior.beta, size=count)
     z = rng.standard_normal(size=(count, posterior.p))
     # x = L^-T z has covariance lam^-1
-    x = solve_triangular(posterior.chol.T, z.T, lower=False).T
+    x = np.linalg.solve(posterior.chol.T, z.T).T
     coeffs = posterior.mu + x / np.sqrt(tau)[:, None]
     return PosteriorSample(coeffs=coeffs, precision=tau)
 
@@ -252,21 +259,8 @@ def posterior_mean(params: NormalGammaParams) -> PosteriorSample:
 # ---------------------------------------------------------------------------
 # Predictive distributions
 
+# A Normal-Gamma distribution is its own predictive.  perfbench/tracer.py
+# still traces the methods under these two older names.
+PriorPredictive = PosteriorPredictive = NormalGammaParams
 
-@dataclass(frozen=True)
-class PosteriorPredictive:
-    """Small-world average weighted by the Normal-Gamma distribution
-    `params`: the posterior predictive, and at the prior's parameters
-    (a posterior given no data) the prior predictive."""
-
-    params: NormalGammaParams
-
-    def log_density_batch(self, y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
-        """Joint log density per replicate for (R, n) arrays of points."""
-        return _evidence_batch(self.params, y1, y2)
-
-
-# the prior predictive is the one conjugate class at the prior's parameters
-PriorPredictive = PosteriorPredictive
-
-Predictive = Union[PluginGaussian, PosteriorPredictive]
+Predictive = Union[PluginGaussian, NormalGammaParams]

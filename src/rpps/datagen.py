@@ -235,6 +235,7 @@ def sample_dataset(spec: GeneratorSpec, n: int, seed: int) -> DataSet:
     identical DataSet.
     """
     require_count("n", n)
+    require_count("seed", seed, minimum=0)
     return DataSet(*spec.draw(np.random.default_rng(seed), n))
 
 
@@ -265,14 +266,14 @@ def write_dataset_csv(data: DataSet, path) -> None:
 
 
 def read_dataset_csv(path) -> DataSet:
-    """Read a y1,y2 CSV.  A non-blank row without two numeric fields, or
-    with a y2 that is not finite, is a ValueError, and a y1 outside [-1, 1]
-    is OutsideSupport; each names the line."""
+    """Read a CSV whose header is exactly y1,y2.  A non-blank row without
+    two numeric fields, or with a y2 that is not finite, is a ValueError,
+    and a y1 outside [-1, 1] is OutsideSupport; each names the line."""
     path = Path(path)
     with path.open("r", encoding="utf-8", newline="") as f:
         r = csv.reader(f)
         header = next(r, None)
-        if header is None or [h.strip() for h in header[:2]] != ["y1", "y2"]:
+        if header is None or [h.strip() for h in header] != ["y1", "y2"]:
             raise ValueError(f"{path}: expected CSV header 'y1,y2'")
         y1, y2 = [], []
         for row in r:

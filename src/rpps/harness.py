@@ -279,10 +279,10 @@ def run_estimator(
         return delta_estimator(predictive, measurement)
     if kind == "aic":
         return aic(predictive, measurement)
-    samples = sample_posterior(predictive.params, request.n_samples, seed)
+    samples = sample_posterior(predictive, request.n_samples, seed)
     if kind == "waic":
         return waic(samples, measurement)
-    return dic(samples, posterior_mean(predictive.params), measurement)
+    return dic(samples, posterior_mean(predictive), measurement)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:

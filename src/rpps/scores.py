@@ -23,7 +23,6 @@ import numpy as np
 from .conjugate import (
     _BLOCK,
     NormalGammaParams,
-    PosteriorPredictive,
     PosteriorSample,
     Predictive,
     _evidence_batch,
@@ -179,10 +178,9 @@ class PredictiveBuilder:
     def __call__(self, train: DataSet) -> Predictive:
         if self.inference == InferenceKind.MLE:
             return fit_mle(self.spec, train)
-        params = self.prior  # the prior predictive ignores the training set
         if self.inference == InferenceKind.POSTERIOR_PREDICTIVE:
-            params = posterior_update(self.prior, train)
-        return PosteriorPredictive(params)
+            return posterior_update(self.prior, train)
+        return self.prior  # the prior predictive ignores the training set
 
     def score_folds(self, data: DataSet, train, valid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The fold kernel: fold r trains on the points `train[r]` of an (R, m)

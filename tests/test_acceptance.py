@@ -18,9 +18,7 @@ from rpps.cli import main
 from rpps.conjugate import (
     NormalGammaParams,
     PluginGaussian,
-    PosteriorPredictive,
     PosteriorSample,
-    PriorPredictive,
     default_prior,
     log_evidence,
     posterior_mean,
@@ -104,12 +102,12 @@ def test_criterion_2_evidence_identities():
         cut = int(rng.integers(1, n))
         head, tail = data.subset(range(cut)), data.subset(range(cut, n))
         whole = log_evidence(prior, data)
-        predictive = PosteriorPredictive(posterior_update(prior, head))
+        predictive = posterior_update(prior, head)
         tail_density = predictive.log_density_batch(tail.y1[None], tail.y2[None])[0]
         chained = log_evidence(prior, head) + float(tail_density)
         worst = max(worst, abs(whole - chained))
         assert abs(whole - chained) < 1e-9
-        est = delta_estimator(PriorPredictive(prior), data)
+        est = delta_estimator(prior, data)
         assert est.value == -whole  # bitwise
     elapsed = time.time() - started
     assert elapsed < 5.0
@@ -293,7 +291,7 @@ def test_criterion_9_score_difference_invariance():
     }
     scores = {
         "delta_plugin": delta_estimator(fit, data).value,
-        "delta_prior": delta_estimator(PriorPredictive(prior), data).value,
+        "delta_prior": delta_estimator(prior, data).value,
         "holdout": holdout_estimator(build, data, 6, 6, seed=2).value,
         "jackknife": jackknife_estimator(build, data, 6, seed=2).value,
         "exact_quadrature": exact_score_quadrature(truth, fit, n_points=n).value,

@@ -2,9 +2,10 @@
 TARGETS) must still exist, so a refactor that drops or renames one fails
 here instead of breaking a traced benchmark run; the tracer must put back
 every object it replaced; the benchmark's reference import launch must
-import every outside module that rpps.cli does; its setup launch must run
-on both of its inputs; and its replication marker and oracle-SE collector,
-patched onto `rpps.harness`, must see the calls of a run."""
+import every outside module that rpps.cli does, and rpps.cli no scipy
+module; its setup launch must run on both of its inputs; and its
+replication marker and oracle-SE collector, patched onto `rpps.harness`,
+must see the calls of a run."""
 
 import ast
 import importlib
@@ -110,6 +111,13 @@ def test_setup_reference_launch_imports_what_rpps_cli_imports():
     rpps_cli = _modules_loaded_by("import rpps.cli")
     outside = {name for name in rpps_cli - reference if name != "rpps" and not name.startswith("rpps.")}
     assert not outside
+
+
+def test_rpps_cli_loads_no_scipy():
+    # numpy is the one runtime dependency; scipy serves the tests only
+    loaded = _modules_loaded_by("import rpps.cli")
+    assert "numpy" in loaded
+    assert not {name for name in loaded if name == "scipy" or name.startswith("scipy.")}
 
 
 def test_setup_launch_validates_a_config():

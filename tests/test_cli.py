@@ -59,6 +59,12 @@ class TestSimulate:
         assert main(["simulate", "--spec", str(spec_file), "--seed", "0", "--out", str(out)]) == 0
         assert len(read_dataset_csv(out)) == 12
 
+    def test_negative_seed_is_an_error_naming_the_seed(self, tmp_path, spec_file, capsys):
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", "--spec", str(spec_file), "--seed", "-1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: seed must be an integer >= 0, got -1\n"
+        assert not out.exists()
+
     def test_bad_spec_file_fails_with_diagnostics(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -210,6 +216,14 @@ class TestFit:
         with pytest.raises(KeyError, match="'x'"):
             main(["fit", "--data", str(data_file), "--model", str(model_file)])
         assert capsys.readouterr().err == ""
+
+    def test_a_third_header_field_is_rejected(self, tmp_path, model_file, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("y1,y2,z\n0.1,0.2\n0.3,0.4\n0.5,0.6\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--data", str(data), "--model", str(model_file)])
+        assert "expected CSV header 'y1,y2'" in str(exc.value.code)
+        assert capsys.readouterr().out == ""
 
     def test_unknown_model_key_is_rejected(self, tmp_path, data_file, capsys):
         model = tmp_path / "model.json"

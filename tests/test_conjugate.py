@@ -9,9 +9,7 @@ from gridref import _mvt_logpdf, posterior_grid_summary
 from rpps import datagen
 from rpps.conjugate import (
     NormalGammaParams,
-    PosteriorPredictive,
     PosteriorSample,
-    PriorPredictive,
     _evidence_batch,
     _kernel,
     default_prior,
@@ -176,7 +174,7 @@ class TestPriorPredictive:
     def test_equals_evidence_bitwise(self):
         # log_density_batch at R = 1 is log_evidence, bit for bit
         prior, spec, data = _random_case(4, degree=2, n=7)
-        assert _joint(PriorPredictive(prior), data) == log_evidence(prior, data)
+        assert _joint(prior, data) == log_evidence(prior, data)
 
     @pytest.mark.parametrize("seed", [0, 5])
     def test_single_point_is_student_t(self, seed):
@@ -190,13 +188,13 @@ class TestPriorPredictive:
             prior.beta / prior.alpha * (1.0 + float(phi @ np.linalg.solve(prior.lam, phi)))
         )
         expected = stats.t.logpdf(y2, df=2 * prior.alpha, loc=loc, scale=scale) + math.log(0.5)
-        value = _joint(PriorPredictive(prior), DataSet([y1], [y2]))
+        value = _joint(prior, DataSet([y1], [y2]))
         assert value == pytest.approx(float(expected), abs=1e-10)
 
     @pytest.mark.parametrize("seed,block", [(1, 2), (2, 3)])
     def test_multi_point_block_is_multivariate_student_t(self, seed, block):
         prior, spec, data = _random_case(seed, degree=1, n=block)
-        value = _joint(PriorPredictive(prior), data)
+        value = _joint(prior, data)
         expected = _mvt_logpdf(prior, spec, data.y1, data.y2) + block * math.log(0.5)
         assert value == pytest.approx(expected, abs=1e-10)
 
@@ -204,9 +202,8 @@ class TestPriorPredictive:
         prior = default_prior(ModelSpec(0))
         spec = ModelSpec(0)
         pair = DataSet([0.0, 0.5], [0.3, -0.2])
-        predictive = PriorPredictive(prior)
-        joint = _joint(predictive, pair)
-        marginals = sum(_joint(predictive, pair.subset([i])) for i in range(2))
+        joint = _joint(prior, pair)
+        marginals = sum(_joint(prior, pair.subset([i])) for i in range(2))
         assert abs(joint - marginals) > 1e-2
 
     def test_single_point_density_normalizes(self):
@@ -215,7 +212,7 @@ class TestPriorPredictive:
         spec = ModelSpec(1)
 
         def density(y2, y1):
-            return math.exp(_joint(PriorPredictive(prior), DataSet([y1], [y2])))
+            return math.exp(_joint(prior, DataSet([y1], [y2])))
 
         total, err = integrate.dblquad(density, -1.0, 1.0, -np.inf, np.inf, epsabs=1e-6)
         assert total == pytest.approx(1.0, abs=1e-5)
@@ -227,7 +224,7 @@ class TestPosteriorPredictive:
         prior, spec, data = _random_case(seed, degree=1, n=9)
         train, new = data.subset(range(6)), data.subset(range(6, 9))
         post = posterior_update(prior, train)
-        direct = _joint(PosteriorPredictive(post), new)
+        direct = _joint(post, new)
         ratio = log_evidence(prior, data) - log_evidence(prior, train)
         assert direct == pytest.approx(ratio, abs=1e-9)
 
@@ -239,7 +236,7 @@ class TestPosteriorPredictive:
         loc = float(post.mu @ phi)
         scale = math.sqrt(post.beta / post.alpha * (1.0 + float(phi @ np.linalg.solve(post.lam, phi))))
         expected = stats.t.logpdf(y2, df=2 * post.alpha, loc=loc, scale=scale) + math.log(0.5)
-        value = _joint(PosteriorPredictive(post), DataSet([y1], [y2]))
+        value = _joint(post, DataSet([y1], [y2]))
         assert value == pytest.approx(float(expected), abs=1e-10)
 
 
@@ -390,7 +387,7 @@ class TestBatchEvidence:
         truth = GeneratorSpec(degree=4, coeffs=(0.5, -3.0, -4.0, 3.0, 6.0), sigma=0.5)
         kept = posterior_update(prior, sample_dataset(truth, 12, seed=1))
         mu, lam, beta = kept.mu.copy(), kept.lam.copy(), kept.beta
-        exact_score_mc(truth, PosteriorPredictive(kept), 20_001, 12, seed=2)
+        exact_score_mc(truth, kept, 20_001, 12, seed=2)
         rng = np.random.default_rng(3)
         y1, y2 = rng.uniform(-1, 1, size=(7, 12)), rng.normal(size=(7, 12))
         _evidence_batch(prior, y1, y2)

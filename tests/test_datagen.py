@@ -161,6 +161,11 @@ class TestSampleDataset:
         with pytest.raises(ValueError):
             sample_dataset(QUARTIC, n=0, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, True])
+    def test_rejects_a_seed_that_is_no_count(self, seed):
+        with pytest.raises(ValueError, match=f"seed must be an integer >= 0, got {seed!r}"):
+            sample_dataset(QUARTIC, n=12, seed=seed)
+
     def test_conditional_mean_by_bins(self):
         # residuals y2 - poly(y1) must average to zero in every y1 bin
         data = sample_dataset(QUARTIC, n=200_000, seed=11)
@@ -278,6 +283,19 @@ class TestCsvRoundTrip:
         path.write_text("a,b\n0.0,0.0\n")
         with pytest.raises(ValueError):
             read_dataset_csv(path)
+
+    @pytest.mark.parametrize("header", ["y1,y2,z", "y1,y2,"])
+    def test_rejects_a_header_that_is_not_exactly_y1_y2(self, tmp_path, header):
+        # the rows have the two fields that a y1,y2 header names
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{header}\n0.1,0.2\n")
+        with pytest.raises(ValueError, match="expected CSV header 'y1,y2'"):
+            read_dataset_csv(path)
+
+    def test_header_fields_may_carry_spaces(self, tmp_path):
+        path = tmp_path / "spaced.csv"
+        path.write_text(" y1 , y2 \n0.1,0.2\n")
+        assert read_dataset_csv(path) == DataSet([0.1], [0.2])
 
     @pytest.mark.parametrize(
         ("text", "line", "fields"),

@@ -20,9 +20,7 @@ from rpps.conjugate import (
     _BLOCK,
     NormalGammaParams,
     PluginGaussian,
-    PosteriorPredictive,
     PosteriorSample,
-    PriorPredictive,
     _kernel,
     default_prior,
     log_evidence,
@@ -157,8 +155,7 @@ def test_delta_is_the_density_it_stands_for(seed, degree, kind):
     # evidence under the posterior of the measurement itself
     _, spec, data = _case(seed, degree)
     predictive = PredictiveBuilder(kind, spec)(data)
-    assert PriorPredictive is PosteriorPredictive
-    assert type(predictive) is (PluginGaussian if kind == InferenceKind.MLE else PosteriorPredictive)
+    assert type(predictive) is (PluginGaussian if kind == InferenceKind.MLE else NormalGammaParams)
     prior = default_prior(spec)
     if kind == InferenceKind.MLE:
         expected = -plugin_log_predictive(fit_mle(spec, data), data)
@@ -253,7 +250,7 @@ def test_conjugate_batch_is_scalar_evidence_over_random_priors(seed, degree, n, 
     spec = ModelSpec(degree)
     y1 = rng.uniform(-1, 1, size=(r, n))
     y2 = rng.normal(scale=rng.uniform(0.1, 10.0), size=(r, n))
-    batch = PosteriorPredictive(params).log_density_batch(y1, y2)
+    batch = params.log_density_batch(y1, y2)
     assert batch.shape == (r,)
     for value, row1, row2 in zip(batch, y1, y2):
         scalar = log_evidence(params, DataSet(row1, row2))

@@ -13,7 +13,6 @@ from rpps import scores
 from rpps.conjugate import (
     PluginGaussian,
     PosteriorSample,
-    PriorPredictive,
     default_prior,
     log_evidence,
     posterior_mean,
@@ -116,8 +115,8 @@ class TestExactScoreMc:
             data = sample_dataset(truth, 12, seed=5)
             for predictive in (
                 fit_mle(spec, data),
-                PriorPredictive(prior),
-                PriorPredictive(posterior_update(prior, data)),
+                prior,
+                posterior_update(prior, data),
             ):
                 y1, y2 = truth.draw(np.random.default_rng(9), (n_datasets, 12))
                 reference = -predictive.log_density_batch(y1, y2)
@@ -130,7 +129,7 @@ class TestExactScoreMc:
         # not the ensemble, set the peak
         spec = ModelSpec(4)
         prior = default_prior(spec)
-        predictive = PriorPredictive(posterior_update(prior, sample_dataset(QUARTIC, 12, seed=1)))
+        predictive = posterior_update(prior, sample_dataset(QUARTIC, 12, seed=1))
         peaks = []
         for n_datasets in (20_000, 200_000):
             tracemalloc.start()
@@ -146,7 +145,7 @@ class TestExactScoreMc:
         # one call a second allocates only its scores and each block's results
         spec = ModelSpec(4)
         prior = default_prior(spec)
-        predictive = PriorPredictive(posterior_update(prior, sample_dataset(QUARTIC, 12, seed=1)))
+        predictive = posterior_update(prior, sample_dataset(QUARTIC, 12, seed=1))
         exact_score_mc(QUARTIC, predictive, 20_000, 12, seed=2)
         tracemalloc.start()
         try:
@@ -160,7 +159,7 @@ class TestExactScoreMc:
         # two concurrent oracles, each equal to its sequential result
         spec = ModelSpec(4)
         prior = default_prior(spec)
-        predictive = PriorPredictive(posterior_update(prior, sample_dataset(QUARTIC, 12, seed=1)))
+        predictive = posterior_update(prior, sample_dataset(QUARTIC, 12, seed=1))
         seeds = (5, 6)
         sequential = [exact_score_mc(QUARTIC, predictive, 20_001, 12, seed) for seed in seeds]
         interval = sys.getswitchinterval()
@@ -175,8 +174,7 @@ class TestExactScoreMc:
 
     def test_bayesian_predictive_supported(self):
         prior = default_prior(ModelSpec(0))
-        predictive = PriorPredictive(prior)
-        est = exact_score_mc(CONSTANT, predictive, n_datasets=500, n_points=4, seed=1)
+        est = exact_score_mc(CONSTANT, prior, n_datasets=500, n_points=4, seed=1)
         assert np.isfinite(est.value) and est.std_error > 0
 
 
@@ -202,7 +200,7 @@ class TestExactScoreQuadrature:
     def test_rejects_bayesian_kinds(self):
         prior = default_prior(ModelSpec(0))
         with pytest.raises(NotFactorizing):
-            exact_score_quadrature(CONSTANT, PriorPredictive(prior), n_points=5)
+            exact_score_quadrature(CONSTANT, prior, n_points=5)
 
     @pytest.mark.parametrize("n_points", [0, -3, 2.5, True, "12"])
     def test_rejects_a_point_count_that_is_no_count(self, n_points):
@@ -223,7 +221,7 @@ class TestDeltaEstimator:
         data = sample_dataset(CONSTANT, n=12, seed=2)
         spec = ModelSpec(0)
         prior = default_prior(spec)
-        est = delta_estimator(PriorPredictive(prior), data)
+        est = delta_estimator(prior, data)
         assert est.value == -log_evidence(prior, data)
         assert est.estimator == EstimatorKind.DELTA and est.std_error is None
 
@@ -235,8 +233,8 @@ class TestDeltaEstimator:
         data = sample_dataset(QUARTIC, n=12, seed=6)
         ev0 = evidence_criterion(default_prior(ModelSpec(0)), data)
         ev4 = evidence_criterion(default_prior(ModelSpec(4)), data)
-        d0 = delta_estimator(PriorPredictive(default_prior(ModelSpec(0))), data)
-        d4 = delta_estimator(PriorPredictive(default_prior(ModelSpec(4))), data)
+        d0 = delta_estimator(default_prior(ModelSpec(0)), data)
+        d4 = delta_estimator(default_prior(ModelSpec(4)), data)
         assert d0.value - d4.value == -(log_odds(ev0, ev4).value)
 
 
