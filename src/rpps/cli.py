@@ -134,7 +134,10 @@ def cmd_score(args: argparse.Namespace) -> int:
     for request, build, seed in parsed:
         if build.inference not in predictives:
             predictives[build.inference] = build(data)
-        _print_record(run_estimator(request, predictives[build.inference], build, data, seed).to_json_dict())
+        record = run_estimator(request, predictives[build.inference], build, data, seed).to_json_dict()
+        if request.label is not None:
+            record["label"] = request.label
+        _print_record(record)
     return 0
 
 

@@ -63,12 +63,27 @@ class NormalGammaParams:
     def p(self) -> int:
         return int(self.mu.shape[0])
 
-    def log_density_batch(self, y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
+    def log_density_batch(self, y1: np.ndarray, y2: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
         """Joint log density per replicate for (R, n) arrays of points of the
-        small-world average weighted by this distribution: its evidence.  At
-        a posterior's parameters this is the posterior predictive, at a
-        prior's the prior predictive."""
-        return _evidence_batch(self, y1, y2)
+        small-world average weighted by this distribution: its evidence, the
+        ratio of Normal-Gamma normalizing constants before and after the
+        conjugate update, through the stacked `_kernel`, plus n log(1/2) for
+        the uniform y1 factors; with `weights`, of row r's points repeated
+        weights[r] times.  At a posterior's parameters this is the posterior
+        predictive, at a prior's the prior predictive."""
+        _, logdet_n, _, beta_n = _kernel(self, y1, y2, weights)
+        n = np.shape(y1)[1] if weights is None else np.sum(weights, axis=1)
+        alpha_n = self.alpha + 0.5 * n
+        # alpha_n is a float, or (R,) with weights
+        lgamma_n = np.array([math.lgamma(a) for a in np.atleast_1d(alpha_n).tolist()])
+        return (
+            -0.5 * n * _LOG_2PI
+            + 0.5 * (self.logdet_lam - logdet_n)
+            + self.alpha * math.log(self.beta)
+            - alpha_n * np.log(beta_n)
+            + (lgamma_n - math.lgamma(self.alpha))
+            + n * LOG_HALF
+        )
 
 
 @dataclass(frozen=True)
@@ -199,29 +214,6 @@ def posterior_update(prior: NormalGammaParams, data: DataSet) -> NormalGammaPara
     return NormalGammaParams(mu=mu_n[0], lam=lam_n, alpha=prior.alpha + 0.5 * len(data), beta=float(beta_n[0]))
 
 
-def _evidence_batch(
-    params: NormalGammaParams, y1: np.ndarray, y2: np.ndarray, weights: np.ndarray | None = None
-) -> np.ndarray:
-    """Log evidence of each of R datasets of n points, given as (R, n)
-    arrays: the ratio of Normal-Gamma normalizing constants before and after
-    the conjugate update, through the stacked `_kernel`, plus n log(1/2) for
-    the uniform y1 factors; with `weights`, of row r's points repeated
-    weights[r] times."""
-    _, logdet_n, _, beta_n = _kernel(params, y1, y2, weights)
-    n = np.shape(y1)[1] if weights is None else np.sum(weights, axis=1)
-    alpha_n = params.alpha + 0.5 * n
-    # alpha_n is a float, or (R,) with weights
-    lgamma_n = np.array([math.lgamma(a) for a in np.atleast_1d(alpha_n).tolist()])
-    return (
-        -0.5 * n * _LOG_2PI
-        + 0.5 * (params.logdet_lam - logdet_n)
-        + params.alpha * math.log(params.beta)
-        - alpha_n * np.log(beta_n)
-        + (lgamma_n - math.lgamma(params.alpha))
-        + n * LOG_HALF
-    )
-
-
 def log_evidence(prior: NormalGammaParams, data: DataSet) -> float:
     """Log marginal likelihood of `data`: log of the likelihood integrated
     against the Normal-Gamma distribution `prior`, on (y1, y2)^n.
@@ -232,7 +224,7 @@ def log_evidence(prior: NormalGammaParams, data: DataSet) -> float:
     log_evidence(prior, train + new) - log_evidence(prior, train) by the
     probability chain rule (asserted in tests).
     """
-    return float(_evidence_batch(prior, data.y1[None], data.y2[None])[0])
+    return float(prior.log_density_batch(data.y1[None], data.y2[None])[0])
 
 
 def sample_posterior(posterior: NormalGammaParams, count: int, seed: int) -> PosteriorSample:

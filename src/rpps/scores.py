@@ -25,7 +25,6 @@ from .conjugate import (
     NormalGammaParams,
     PosteriorSample,
     Predictive,
-    _evidence_batch,
     default_prior,
     log_evidence,
     posterior_update,
@@ -205,7 +204,7 @@ class PredictiveBuilder:
             chain = self.inference == InferenceKind.POSTERIOR_PREDICTIVE
             weights = (np.concatenate([counts + valid, counts]) if chain else valid).astype(float)
             y1, y2 = (np.broadcast_to(y, weights.shape) for y in (data.y1, data.y2))
-            evidence = _evidence_batch(self.prior, y1, y2, weights)
+            evidence = self.prior.log_density_batch(y1, y2, weights)
             log_density = evidence[:r] - evidence[r:] if chain else evidence
             return log_density, np.zeros(r, dtype=bool), usable
         coeffs, sigma2, rank = _least_squares(self.spec.design_matrix(data.y1)[train], data.y2[train])
@@ -321,62 +320,62 @@ def delta_estimator(predictive: Predictive, data: DataSet) -> ScoreEstimate:
     )
 
 
+def _cross_validate(
+    build: PredictiveBuilder, data: DataSet, train: np.ndarray, valid: np.ndarray, estimator: EstimatorKind
+) -> ScoreEstimate:
+    """Cross-validation over R folds: fold r trains on the m points of the
+    (R, m) index array `train` and scores the points that the (R, N) mask
+    `valid` selects.  The value is the negated sum of the held-out log
+    densities rescaled by N / |V| to the measurement size, |V| counting the
+    scored points of all folds; every fold must be usable."""
+    n, (r, m) = len(data), train.shape
+    if m < build.min_train_size:
+        raise TooFewPoints(f"training sets of {m} points below model minimum {build.min_train_size}")
+    log_density, floored, usable = build.score_folds(data, train, valid)
+    if not usable.all():
+        raise RankDeficient(f"fold {np.argmin(usable)} of {r} trains on a rank-deficient design matrix")
+    return ScoreEstimate(
+        value=-(n / int(np.count_nonzero(valid))) * float(np.sum(log_density)),
+        std_error=None,
+        estimator=estimator,
+        n_effective=r,
+        floor_engaged=int(np.count_nonzero(floored)),
+    )
+
+
 def holdout_estimator(
     build: PredictiveBuilder, data: DataSet, n_train: int, n_valid: int, seed: int = 0
 ) -> ScoreEstimate:
-    """Fit on a seeded training partition of n_train points, score the
-    n_valid held-out points, and rescale by N / n_valid to the full
-    measurement size."""
+    """Cross-validation with one fold: fit on a seeded training partition
+    of n_train points, score the n_valid held-out points, and rescale by
+    N / n_valid to the full measurement size."""
     n = len(data)
     if n_train + n_valid != n:
         raise ValueError(f"n_train + n_valid must equal {n}")
     if n_train < 1 or n_valid < 1:
         raise ValueError("both partitions need at least one point")
-    if n_train < build.min_train_size:
-        raise TooFewPoints(f"training partition of {n_train} below model minimum {build.min_train_size}")
     # the head of the shuffled measurement trains, its tail validates
-    idx = np.random.default_rng(seed).permutation(n)
-    shuffled = data.subset(idx)
+    shuffled = data.subset(np.random.default_rng(seed).permutation(n))
     valid = np.arange(n)[None] >= n_train
-    log_density, floored, usable = build.score_folds(shuffled, np.arange(n_train)[None], valid)
-    if not usable[0]:
-        raise RankDeficient("the training partition has a rank-deficient design matrix")
-    return ScoreEstimate(
-        value=-(n / n_valid) * float(log_density[0]),
-        std_error=None,
-        estimator=EstimatorKind.HOLD_OUT,
-        n_effective=1,
-        floor_engaged=int(floored[0]),
-    )
+    return _cross_validate(build, shuffled, np.arange(n_train)[None], valid, EstimatorKind.HOLD_OUT)
 
 
 def jackknife_estimator(build: PredictiveBuilder, data: DataSet, k_folds: int, seed: int = 0) -> ScoreEstimate:
-    """Sum the held-out log densities over k_folds disjoint folds.
+    """Cross-validation with k_folds disjoint folds that cover every point
+    once, so the held-out log densities are summed with no rescaling.
 
-    Folds are contiguous blocks after one seeded shuffle; no extra scaling
-    is applied because the K folds cover every point exactly once.
+    Folds are contiguous blocks after one seeded shuffle.
     """
     n = len(data)
     if k_folds < 1 or n % k_folds != 0:
         raise ValueError(f"k_folds must divide the measurement size {n}")
     fold_size = n // k_folds
-    if n - fold_size < build.min_train_size:
-        raise TooFewPoints(f"fold complements of {n - fold_size} below model minimum {build.min_train_size}")
     idx = np.random.default_rng(seed).permutation(n)
     in_fold = np.eye(k_folds, dtype=bool).repeat(fold_size, axis=1)  # over positions of idx
     train = np.broadcast_to(idx, (k_folds, n))[~in_fold].reshape(k_folds, n - fold_size)
     valid = np.zeros((k_folds, n), dtype=bool)
     valid[np.arange(k_folds)[:, None], idx.reshape(k_folds, fold_size)] = True
-    log_density, floored, usable = build.score_folds(data, train, valid)
-    if not usable.all():
-        raise RankDeficient(f"fold complement {np.argmin(usable)} has a rank-deficient design matrix")
-    return ScoreEstimate(
-        value=-float(np.sum(log_density)),
-        std_error=None,
-        estimator=EstimatorKind.JACKKNIFE,
-        n_effective=k_folds,
-        floor_engaged=int(np.count_nonzero(floored)),
-    )
+    return _cross_validate(build, data, train, valid, EstimatorKind.JACKKNIFE)
 
 
 def bootstrap_estimator(build: PredictiveBuilder, data: DataSet, scheme: Bootstrap) -> ScoreEstimate:

@@ -315,6 +315,22 @@ class TestScore:
         assert waic_record["criterion"] == "waic"
         assert waic_record["n_samples"] == 200
 
+    def test_a_labelled_request_s_record_carries_its_label(self, data_file, model_file, tmp_path, capsys):
+        # two jackknives that differ in k_folds are told apart by their labels;
+        # a record without a label is the one its unlabelled request gives
+        requests = [
+            {"kind": "jackknife", "k_folds": 6, "seed": 1, "label": "k6"},
+            {"kind": "jackknife", "k_folds": 12, "seed": 1, "label": "loo"},
+            {"kind": "aic", "label": "penalized"},
+        ]
+        records = self._run(data_file, model_file, tmp_path, requests, capsys)
+        assert [record["label"] for record in records] == ["k6", "loo", "penalized"]
+        for request, record in zip(requests, records):
+            unlabelled = {key: value for key, value in request.items() if key != "label"}
+            alone = self._run(data_file, model_file, tmp_path, [unlabelled], capsys)
+            assert alone == [{key: value for key, value in record.items() if key != "label"}]
+            assert "label" not in alone[0]
+
     def test_requests_share_the_whole_measurement_predictive(
         self, data_file, model_file, tmp_path, capsys, monkeypatch
     ):

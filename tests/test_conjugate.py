@@ -10,7 +10,6 @@ from rpps import datagen
 from rpps.conjugate import (
     NormalGammaParams,
     PosteriorSample,
-    _evidence_batch,
     _kernel,
     default_prior,
     log_evidence,
@@ -330,7 +329,7 @@ class TestBatchEvidence:
             prior, spec, _ = _random_case(20 + degree, degree=degree, n=2)
             y1 = rng.uniform(-1, 1, size=(6, 4))
             y2 = rng.normal(0.0, 1.0, size=(6, 4))
-            batch = _evidence_batch(prior, y1, y2)
+            batch = prior.log_density_batch(y1, y2)
             assert batch.shape == (6,)
             for r in range(6):
                 expected = _mvt_logpdf(prior, spec, y1[r], y2[r]) + 4 * math.log(0.5)
@@ -355,7 +354,7 @@ class TestBatchEvidence:
             with pytest.raises(np.linalg.LinAlgError):
                 _kernel(prior, y1, y2, np.array(weights))
         with pytest.raises(np.linalg.LinAlgError):
-            _evidence_batch(prior, np.array([[-0.8, np.nan, 0.5, 0.9]]), y2)
+            prior.log_density_batch(np.array([[-0.8, np.nan, 0.5, 0.9]]), y2)
 
     def test_nearly_interpolating_data_keeps_beta_positive(self):
         # degree-4 data with sigma = 1e-8 around the prior mean, under a prior
@@ -376,7 +375,7 @@ class TestBatchEvidence:
         rss_mu = np.sum((y2 - phi @ truth) ** 2, axis=1)
         assert np.all(rss_min > 0)
         assert np.all(0.5 * rss_min * (1 - 1e-4) <= beta_n) and np.all(beta_n <= 0.5 * rss_mu * (1 + 1e-4))
-        evidence = _evidence_batch(prior, y1, y2)
+        evidence = prior.log_density_batch(y1, y2)
         assert np.all(np.isfinite(evidence))
 
     def test_results_do_not_alias_the_scratch_buffers(self):
@@ -390,7 +389,7 @@ class TestBatchEvidence:
         exact_score_mc(truth, kept, 20_001, 12, seed=2)
         rng = np.random.default_rng(3)
         y1, y2 = rng.uniform(-1, 1, size=(7, 12)), rng.normal(size=(7, 12))
-        _evidence_batch(prior, y1, y2)
+        prior.log_density_batch(y1, y2)
         np.testing.assert_array_equal(kept.mu, mu)
         np.testing.assert_array_equal(kept.lam, lam)
         assert kept.beta == beta

@@ -1,7 +1,8 @@
 """Property tests: the partition estimators equal explicit splits written
 out by hand, delta equals the density functions it stands for, and both
 count the y1 factor once per scored point, over random data of up to 40
-points, degrees 0-6 and every inference kind; the stacked kernels under them
+points, degrees 0-6 and every inference kind, the partition estimators'
+Bayes kinds under random SPD priors; the stacked kernels under them
 equal numpy's per-row routines and the explicit algebra, the batch evidence
 equals the scalar one and obeys the chain rule over random priors and
 degrees 0-6, and WAIC, DIC and the plug-in log likelihood agree at a
@@ -58,12 +59,30 @@ def _case(seed, degree, n_min=None):
     return rng, ModelSpec(degree), sample_dataset(truth, n=n, seed=seed)
 
 
-def _held_out_log_density(kind, spec, data, train, valid):
+def _random_prior(rng, p):
+    """A Normal-Gamma prior with a random SPD lam scaled over 1e-3..1e3 and
+    random mu, alpha and beta."""
+    a = rng.normal(size=(p + 2, p))
+    lam = 10.0 ** rng.uniform(-3, 3) * (a.T @ a + rng.uniform(0.01, 2.0) * np.eye(p))
+    alpha, beta = rng.uniform(0.1, 5.0, size=2)
+    return NormalGammaParams(mu=rng.normal(size=p), lam=lam, alpha=float(alpha), beta=float(beta))
+
+
+def _builder(rng, kind, spec):
+    """The builder of `kind` for `spec` and its prior: a Bayes kind's is a
+    random SPD prior, set on the builder, which takes none."""
+    build = PredictiveBuilder(kind, spec)
+    if kind != InferenceKind.MLE:
+        object.__setattr__(build, "prior", _random_prior(rng, spec.n_coeffs))
+    return build, build.prior
+
+
+def _held_out_log_density(kind, spec, prior, data, train, valid):
     """Log density of data[valid] given data[train], without the builder:
-    the posterior predictive goes through the evidence chain rule."""
+    the posterior predictive goes through the evidence chain rule under
+    `prior`."""
     if kind == InferenceKind.MLE:
         return plugin_log_predictive(fit_mle(spec, data.subset(train)), data.subset(valid))
-    prior = default_prior(spec)
     if kind == InferenceKind.PRIOR_PREDICTIVE:
         return log_evidence(prior, data.subset(valid))
     both = data.subset(np.concatenate([train, valid]))
@@ -73,11 +92,12 @@ def _held_out_log_density(kind, spec, data, train, valid):
 @PROPERTY
 @CASES
 def test_full_jackknife_is_explicit_leave_one_out(seed, degree, kind):
-    _, spec, data = _case(seed, degree)
+    rng, spec, data = _case(seed, degree)
     n = len(data)
-    est = jackknife_estimator(PredictiveBuilder(kind, spec), data, k_folds=n, seed=seed)
+    build, prior = _builder(rng, kind, spec)
+    est = jackknife_estimator(build, data, k_folds=n, seed=seed)
     explicit = -sum(
-        _held_out_log_density(kind, spec, data, np.delete(np.arange(n), i), np.array([i])) for i in range(n)
+        _held_out_log_density(kind, spec, prior, data, np.delete(np.arange(n), i), np.array([i])) for i in range(n)
     )
     assert est.n_effective == n and est.floor_engaged == 0
     assert est.value == pytest.approx(explicit, rel=1e-9, abs=1e-9)
@@ -88,14 +108,14 @@ def test_full_jackknife_is_explicit_leave_one_out(seed, degree, kind):
 def test_jackknife_is_explicit_folds(seed, degree, kind):
     rng, spec, data = _case(seed, degree)
     n = len(data)
-    build = PredictiveBuilder(kind, spec)
+    build, prior = _builder(rng, kind, spec)
     ks = [k for k in range(2, n) if n % k == 0 and n - n // k >= build.min_train_size]
     assume(ks)
     k = ks[int(rng.integers(len(ks)))]
     est = jackknife_estimator(build, data, k_folds=k, seed=seed)
     folds = np.random.default_rng(seed).permutation(n).reshape(k, n // k)
     explicit = -sum(
-        _held_out_log_density(kind, spec, data, np.setdiff1d(np.arange(n), fold), fold) for fold in folds
+        _held_out_log_density(kind, spec, prior, data, np.setdiff1d(np.arange(n), fold), fold) for fold in folds
     )
     assert est.n_effective == k and est.floor_engaged == 0
     assert est.value == pytest.approx(explicit, rel=1e-9, abs=1e-9)
@@ -108,7 +128,7 @@ def test_bootstrap_is_explicit_resample_loop(seed, degree, kind):
     # an empty out-of-bag set or too few distinct training points
     rng, spec, data = _case(seed, degree, n_min=2)
     n = len(data)
-    build = PredictiveBuilder(kind, spec)
+    build, prior = _builder(rng, kind, spec)
     b = int(rng.integers(1, 40))
     draws = np.random.default_rng(seed)
     values = []
@@ -118,7 +138,7 @@ def test_bootstrap_is_explicit_resample_loop(seed, degree, kind):
         if oob.size == 0 or np.unique(draw).size < build.min_train_size:
             continue
         try:
-            values.append(-(n / oob.size) * _held_out_log_density(kind, spec, data, draw, oob))
+            values.append(-(n / oob.size) * _held_out_log_density(kind, spec, prior, data, draw, oob))
         except (TooFewPoints, RankDeficient):
             continue
     if not values:
@@ -140,11 +160,11 @@ def test_bootstrap_is_explicit_resample_loop(seed, degree, kind):
 def test_holdout_is_explicit_split(seed, degree, kind):
     rng, spec, data = _case(seed, degree)
     n = len(data)
-    build = PredictiveBuilder(kind, spec)
+    build, prior = _builder(rng, kind, spec)
     n_train = int(rng.integers(max(build.min_train_size, 1), n))
     est = holdout_estimator(build, data, n_train, n - n_train, seed=seed)
     idx = np.random.default_rng(seed).permutation(n)
-    explicit = -(n / (n - n_train)) * _held_out_log_density(kind, spec, data, idx[:n_train], idx[n_train:])
+    explicit = -(n / (n - n_train)) * _held_out_log_density(kind, spec, prior, data, idx[:n_train], idx[n_train:])
     assert est.value == pytest.approx(explicit, rel=1e-9, abs=1e-9)
 
 
@@ -166,19 +186,19 @@ def test_delta_is_the_density_it_stands_for(seed, degree, kind):
     assert delta_estimator(predictive, data).value == expected
 
 
-def _y2_log_density(kind, spec, data, train, valid):
+def _y2_log_density(kind, spec, prior, data, train, valid):
     """Log density of the y2 values of data[valid] given their y1 and
     data[train], from y2 densities alone (no y1 factor): scipy's normal at
-    the floored MLE fit, or the direct multivariate t at the prior or the
+    the floored MLE fit, or the direct multivariate t at `prior` or the
     posterior given data[train]."""
     held = data.subset(valid)
     if kind == InferenceKind.MLE:
         fit = fit_mle(spec, data.subset(train))
         scale = math.sqrt(max(fit.sigma2, SIGMA2_FLOOR))
         return float(np.sum(stats.norm.logpdf(held.y2, fit.mean_at(held.y1), scale)))
-    params = default_prior(spec)
+    params = prior
     if kind == InferenceKind.POSTERIOR_PREDICTIVE:
-        params = posterior_update(params, data.subset(train))
+        params = posterior_update(prior, data.subset(train))
     return _mvt_logpdf(params, spec, held.y1, held.y2)
 
 
@@ -191,19 +211,19 @@ def test_estimators_count_the_y1_factor_once_per_point(seed, degree, kind):
     # MLE fold that nearly interpolates drives it to 1e11
     rng, spec, data = _case(seed, degree)
     n = len(data)
-    build = PredictiveBuilder(kind, spec)
+    build, prior = _builder(rng, kind, spec)
     every = np.arange(n)
     n_train = int(rng.integers(max(build.min_train_size, 1), n))
     idx = np.random.default_rng(seed).permutation(n)
     pairs = [
-        (delta_estimator(build(data), data), -_y2_log_density(kind, spec, data, every, every)),
+        (delta_estimator(build(data), data), -_y2_log_density(kind, spec, prior, data, every, every)),
         (
             holdout_estimator(build, data, n_train, n - n_train, seed=seed),
-            -(n / (n - n_train)) * _y2_log_density(kind, spec, data, idx[:n_train], idx[n_train:]),
+            -(n / (n - n_train)) * _y2_log_density(kind, spec, prior, data, idx[:n_train], idx[n_train:]),
         ),
         (
             jackknife_estimator(build, data, k_folds=n, seed=seed),
-            -sum(_y2_log_density(kind, spec, data, np.delete(every, i), [i]) for i in range(n)),
+            -sum(_y2_log_density(kind, spec, prior, data, np.delete(every, i), [i]) for i in range(n)),
         ),
     ]
     for est, reference in pairs:
@@ -224,15 +244,6 @@ def test_plugin_batch_is_plugin_log_predictive(seed, degree):
     y2 = rng.normal(scale=rng.uniform(0.1, 10.0), size=(r, n))
     batch = fit.log_density_batch(y1, y2)
     assert batch.tolist() == [plugin_log_predictive(fit, DataSet(a, b)) for a, b in zip(y1, y2)]
-
-
-def _random_prior(rng, p):
-    """A Normal-Gamma prior with a random SPD lam scaled over 1e-3..1e3 and
-    random mu, alpha and beta."""
-    a = rng.normal(size=(p + 2, p))
-    lam = 10.0 ** rng.uniform(-3, 3) * (a.T @ a + rng.uniform(0.01, 2.0) * np.eye(p))
-    alpha, beta = rng.uniform(0.1, 5.0, size=2)
-    return NormalGammaParams(mu=rng.normal(size=p), lam=lam, alpha=float(alpha), beta=float(beta))
 
 
 @PROPERTY

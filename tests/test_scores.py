@@ -11,6 +11,7 @@ from scipy.special import logsumexp
 
 from rpps import scores
 from rpps.conjugate import (
+    NormalGammaParams,
     PluginGaussian,
     PosteriorSample,
     default_prior,
@@ -393,16 +394,35 @@ def test_prior_predictive_folds_take_one_evidence_row_each(monkeypatch, estimate
     # the prior predictive trains on nothing: fold r is the evidence of its
     # validation points alone, one kernel row, with no training-only rows
     shapes = []
-    original = scores._evidence_batch
+    original = NormalGammaParams.log_density_batch
 
     def recording(params, y1, y2, weights=None):
         shapes.append((np.shape(y1), np.shape(weights)))
         return original(params, y1, y2, weights)
 
-    monkeypatch.setattr(scores, "_evidence_batch", recording)
+    monkeypatch.setattr(NormalGammaParams, "log_density_batch", recording)
     build = PredictiveBuilder(InferenceKind.PRIOR_PREDICTIVE, ModelSpec(2))
     estimate(build, sample_dataset(QUARTIC, n=12, seed=3))
     assert shapes == [((rows, 12), (rows, 12))]
+
+
+@pytest.mark.parametrize(
+    "estimate",
+    [
+        lambda build, data: holdout_estimator(build, data, 7, 5, seed=1),
+        lambda build, data: holdout_estimator(build, data, 1, 11, seed=2),
+        lambda build, data: jackknife_estimator(build, data, 4, seed=1),
+        lambda build, data: jackknife_estimator(build, data, 12, seed=1),
+    ],
+    ids=["holdout-7-5", "holdout-1-11", "jackknife-4", "jackknife-12"],
+)
+def test_cross_validation_rescales_to_the_measurement_size(estimate):
+    # a constant per-point density of -1 scores exactly N whatever the
+    # folds, and the value is a Python float, as a record needs
+    data = sample_dataset(CONSTANT, n=12, seed=0)
+    est = estimate(_ConstantPerPointBuilder(), data)
+    assert type(est.value) is float and est.value == 12.0
+    assert est.std_error is None and est.floor_engaged == 0
 
 
 class TestUnusableFold:
@@ -412,6 +432,14 @@ class TestUnusableFold:
     def test_jackknife_raises(self):
         with pytest.raises(RankDeficient):
             jackknife_estimator(_mle(1), self.DATA, k_folds=4, seed=0)
+
+    def test_holdout_raises(self):
+        # seed 0 holds out the last point, so the three y1 = 0.5 points train
+        assert np.random.default_rng(0).permutation(4)[3] == 3
+        with pytest.raises(RankDeficient):
+            holdout_estimator(_mle(1), self.DATA, n_train=3, n_valid=1, seed=0)
+        # any other held-out point leaves two distinct y1 values to train on
+        assert np.isfinite(holdout_estimator(_mle(1), self.DATA, n_train=3, n_valid=1, seed=2).value)
 
     def test_bootstrap_skips_the_resample(self):
         est = bootstrap_estimator(_mle(1), self.DATA, Bootstrap(b_resamples=100, seed=0))
