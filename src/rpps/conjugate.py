@@ -118,58 +118,48 @@ def default_prior(spec: ModelSpec) -> NormalGammaParams:
 # spread over many rows while a block's powers (1.4 MB at degree 4 and 12
 # points) stay in cache.
 _BLOCK = 1024
+_TRUST = 32.0  # see `_kernel`: how far the sums form of beta' is trusted
 
 
 def _kernel(
     params: NormalGammaParams, y1: np.ndarray, y2: np.ndarray, weights: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The conjugate update of `params` by each of R datasets of n points,
-    given as (R, n) arrays; returns the stacked (power sums, log det lam',
-    mu', beta').
+    """The conjugate update of `params` by R datasets of n points, (R, n)
+    arrays: the stacked (power sums, a `scratch` array the next call
+    overwrites, log det lam', mu', beta').  lam' = lam + Phi^T W Phi,
+    mu' = lam'^-1 (lam mu + Phi^T W t), W the optional (R, n) `weights`.
 
-    lam' = lam + Phi^T W Phi, mu' = lam'^-1 (lam mu + Phi^T W t),
-    alpha' = alpha + sum(W)/2 (left to callers), and beta' grows by half the
-    fitted weighted residual sum of squares plus a prior-shrinkage term, a
-    rearrangement of (t^T W t + mu^T lam mu - mu'^T lam' mu')/2 that is
-    positive by construction.  W holds the optional (R, n) per-point
-    `weights` (point multiplicities; None means one each).
-
-    On the monomial basis Phi^T W Phi is a Hankel matrix: entry (j, k) is
-    the power sum S[j + k] = sum(w y1^(j+k)), so the (2p - 1, R) power sums
-    describe it whole.  The powers w y1^m come from running products, the
-    right-hand sides sum(w t y1^k) reuse the first p of them, and one matvec
-    per block of `_BLOCK` datasets sums them all.  The p x p algebra runs
-    with the stack on the last axis: a column-by-column Cholesky of lam'
-    carries the right-hand side as an extra row, which so becomes L^-1 rhs;
-    back substitution gives mu', and the diagonal gives log det lam'.  A
-    second pass over the blocks sums the weighted squared residuals, the fit
-    evaluated by Horner's rule.  A pivot that is not positive (or is NaN)
-    raises LinAlgError.
-
-    The buffers, power sums and Cholesky factors live in `scratch` arrays
-    that the next call overwrites, so every returned array is a fresh one.
+    Per block of `_BLOCK` datasets one matvec sums the powers w y1^m (running
+    products; Phi^T W Phi is their Hankel matrix) and w t y1^k, a second
+    t^T W t (so the first keeps its bits).  A column Cholesky of lam', stack
+    last, carries the right-hand side as row p, which ends as L^-1 rhs (a
+    pivot that is not positive raises LinAlgError).  beta' = beta +
+    (T - |L^-1 rhs|^2)/2, T = t^T W t + mu^T lam mu, errs by some ulps of
+    T + sum_j mu'_j^2 lam'_jj, which cancellation and large alternating
+    coefficients raise.  Where that exceeds `_TRUST` times 2 beta', or
+    beta' <= beta, a row takes the residual pass instead, positive by design:
+    beta + (weighted rss at mu' + (mu' - mu)^T lam (mu' - mu))/2.
     """
-    y1 = np.asarray(y1, dtype=float)
-    y2 = np.asarray(y2, dtype=float)
+    y1, y2 = np.asarray(y1, dtype=float), np.asarray(y2, dtype=float)
     if y1.ndim != 2 or y1.shape != y2.shape or (weights is not None and np.shape(weights) != y1.shape):
         raise ValueError("expected matching (R, n) arrays")
     p, (r, n) = params.p, y1.shape
-    n_pow = 2 * p - 1
-    ones = np.ones(n)
-    buf = scratch("kernel.buf", ((n_pow + p) * min(r, _BLOCK) * n,))
-    sums = scratch("kernel.sums", (n_pow + p, r))  # the power sums, then the right-hand sides
+    n_pow, ones = 2 * p - 1, np.ones(n)
+    buf = scratch("kernel.buf", ((n_pow + p + 1) * min(r, _BLOCK) * n,))
+    sums = scratch("kernel.sums", (n_pow + p + 1, r))  # power sums, right-hand sides, t^T W t
     for start in range(0, r, _BLOCK):
-        blk = slice(start, start + _BLOCK)
-        x = y1[blk]
-        powers = buf[: (n_pow + p) * x.size].reshape(n_pow + p, *x.shape)
+        blk, x = slice(start, start + _BLOCK), y1[start : start + _BLOCK]
+        powers = buf[: (n_pow + p + 1) * x.size].reshape(n_pow + p + 1, *x.shape)
         powers[0] = 1.0 if weights is None else weights[blk]
         for m in range(1, n_pow):
             np.multiply(powers[m - 1], x, out=powers[m])
-        np.multiply(powers[:p], y2[blk], out=powers[n_pow:])
-        sums[:, blk] = (powers.reshape(-1, n) @ ones).reshape(n_pow + p, -1)
+        np.multiply(powers[:p], y2[blk], out=powers[n_pow:-1])
+        np.multiply(powers[n_pow], y2[blk], out=powers[-1])
+        sums[:-1, blk] = (powers[:-1].reshape(-1, n) @ ones).reshape(n_pow + p, -1)
+        sums[-1, blk] = powers[-1] @ ones
 
     chol = scratch("kernel.chol", (p + 1, p, r))  # L[i, j] at i >= j; row p ends as L^-1 rhs
-    np.add((params.lam @ params.mu)[:, None], sums[n_pow:], out=chol[p])
+    np.add((params.lam @ params.mu)[:, None], sums[n_pow:-1], out=chol[p])
     for j in range(p):
         col = chol[j:, j]
         np.add(params.lam[j:, j, None], sums[2 * j : j + p], out=col[:-1])
@@ -183,26 +173,35 @@ def _kernel(
     diag = chol[:p].diagonal(axis1=0, axis2=1).T
     logdet_n = 2.0 * np.log(diag).sum(axis=0)
     mu_n = chol[p].copy()
-    mu_n[p - 1] /= diag[p - 1]
-    for i in range(p - 1, 0, -1):  # L^T mu' = L^-1 rhs, from the last row up
+    for i in range(p - 1, -1, -1):  # L^T mu' = L^-1 rhs, from the last row up
+        mu_n[i] /= diag[i]
         mu_n[:i] -= chol[i, :i] * mu_n[i]
-        mu_n[i - 1] /= diag[i - 1]
 
-    rss = np.empty(r)
-    for start in range(0, r, _BLOCK):
-        blk = slice(start, start + _BLOCK)
-        x = y1[blk]
-        resid = horner(x, mu_n[:, blk, None], out=buf[: x.size].reshape(x.shape))
-        np.subtract(y2[blk], resid, out=resid)
-        np.square(resid, out=resid)
-        if weights is not None:
-            resid *= weights[blk]
-        rss[blk] = resid @ ones
-    # the factors are spent: rows p and 0 of chol hold mu' - mu and lam (mu' - mu)
-    shift = np.subtract(mu_n, params.mu[:, None], out=chol[p])
-    lam_shift = np.matmul(params.lam, shift, out=chol[0])
-    beta_n = params.beta + 0.5 * rss + 0.5 * np.einsum("jr,jr->r", lam_shift, shift)
-    return sums[:n_pow].copy(), logdet_n, mu_n.T, beta_n
+    total = sums[-1] + float(params.mu @ params.lam @ params.mu)
+    gain = total - np.einsum("jr,jr->r", chol[p], chol[p])
+    beta_n = params.beta + 0.5 * gain
+    lam_diag = np.add(params.lam.diagonal()[:, None], sums[0:n_pow:2], out=chol[0])  # chol is spent
+    size = np.einsum("jr,jr,jr->r", mu_n, mu_n, lam_diag) + total  # gain errs by some ulps of it
+    trusted = (gain > 0) & (size <= _TRUST * 2.0 * beta_n)
+    if not trusted.all():  # rows p and 0 of the spent chol then hold mu' - mu and lam (mu' - mu)
+        shift = np.subtract(mu_n, params.mu[:, None], out=chol[p])
+        shrink = np.einsum("jr,jr->r", np.matmul(params.lam, shift, out=chol[0]), shift)
+        rows, rss = np.flatnonzero(~trusted), np.zeros(r)
+        dense = 3 * rows.size > r  # most rows: each block as a whole, in place
+        if not dense:  # a few: their residuals at once, each then summed in its place in its block, so its bits
+            resid = np.square(y2[rows] - horner(y1[rows], mu_n[:, rows, None]))
+            resid *= 1.0 if weights is None else weights[rows]
+        for start in range(0, r, _BLOCK) if dense else _BLOCK * np.unique(rows // _BLOCK):
+            blk, place = slice(start, start + _BLOCK), buf[: y1[start : start + _BLOCK].size].reshape(-1, n)
+            if dense:
+                np.square(np.subtract(y2[blk], horner(y1[blk], mu_n[:, blk, None], out=place), out=place), out=place)
+                place *= 1.0 if weights is None else weights[blk]
+            else:
+                part = slice(*np.searchsorted(rows, (start, start + _BLOCK)))
+                place[rows[part] - start] = resid[part]
+            rss[blk] = place @ ones
+        beta_n = np.where(trusted, beta_n, params.beta + 0.5 * rss + 0.5 * shrink)
+    return sums[:n_pow], logdet_n, mu_n.T, beta_n
 
 
 def posterior_update(prior: NormalGammaParams, data: DataSet) -> NormalGammaParams:

@@ -251,7 +251,8 @@ def exact_score_mc(
         np.negative(predictive.log_density_batch(y1, y2), out=scores[start : start + len(y1)])
         start += len(y1)
     value = float(np.mean(scores))
-    std_error = float(np.std(scores, ddof=1) / math.sqrt(n_datasets))
+    scores -= value  # np.std(scores, ddof=1) bit for bit, its deviations formed in place
+    std_error = math.sqrt(float(np.square(scores, out=scores).sum()) / (n_datasets - 1)) / math.sqrt(n_datasets)
     return ScoreEstimate(
         value=value,
         std_error=std_error,

@@ -380,7 +380,8 @@ class TestBatchEvidence:
 
     def test_results_do_not_alias_the_scratch_buffers(self):
         # a kept posterior survives later oracle and kernel calls, which
-        # reuse the kernel's work arrays
+        # reuse the kernel's work arrays; of the kernel's results only the
+        # power sums, which `posterior_update` copies, are the pool's
         spec = ModelSpec(4)
         prior = default_prior(spec)
         truth = GeneratorSpec(degree=4, coeffs=(0.5, -3.0, -4.0, 3.0, 6.0), sigma=0.5)
@@ -397,5 +398,7 @@ class TestBatchEvidence:
         assert pool
         for r in (1, 7):
             for weights in (None, np.full((r, 12), 2.0)):
-                for result in _kernel(prior, y1[:r], y2[:r], weights):
+                sums, *fresh = _kernel(prior, y1[:r], y2[:r], weights)
+                assert any(np.shares_memory(sums, buf) for buf in pool)
+                for result in fresh:
                     assert not any(np.shares_memory(result, buf) for buf in pool)

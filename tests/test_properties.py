@@ -6,7 +6,10 @@ Bayes kinds under random SPD priors; the stacked kernels under them
 equal numpy's per-row routines and the explicit algebra, the batch evidence
 equals the scalar one and obeys the chain rule over random priors and
 degrees 0-6, and WAIC, DIC and the plug-in log likelihood agree at a
-degenerate posterior."""
+degenerate posterior.  The kernel's beta' from its sums agrees with a
+written-out residual pass within 1e-13, and bit for bit on the rows its rule
+sends to that pass, and so do the Monte Carlo oracle's scores on the same
+draws."""
 
 import math
 
@@ -19,6 +22,7 @@ from scipy import stats
 from gridref import _mvt_logpdf
 from rpps.conjugate import (
     _BLOCK,
+    _TRUST,
     NormalGammaParams,
     PluginGaussian,
     PosteriorSample,
@@ -28,7 +32,7 @@ from rpps.conjugate import (
     posterior_mean,
     posterior_update,
 )
-from rpps.datagen import DataSet, GeneratorSpec, sample_dataset
+from rpps.datagen import DataSet, GeneratorSpec, horner, sample_dataset
 from rpps.linmodel import ModelSpec, RankDeficient, TooFewPoints, _least_squares, fit_mle, plugin_log_predictive
 from rpps.scores import (
     SIGMA2_FLOOR,
@@ -39,6 +43,7 @@ from rpps.scores import (
     bootstrap_estimator,
     delta_estimator,
     dic,
+    exact_score_mc,
     holdout_estimator,
     jackknife_estimator,
     waic,
@@ -388,3 +393,118 @@ def test_stacked_least_squares_is_lstsq(seed, degree):
             tol = max(1e-12, 10 * eps * s[0] / s[-1]) * max(1.0, float(np.abs(expected).max()))
             np.testing.assert_allclose(coeffs[j], expected, rtol=0, atol=tol)
             assert sigma2[j] == pytest.approx(np.mean((y2[j] - phi[j] @ expected) ** 2), rel=1e-9, abs=1e-12)
+
+
+def _residual_pass_kernel(params, y1, y2, weights):
+    """(log det lam', beta', L^-1 rhs, mu', diagonal of lam') by the kernel's
+    residual-pass formula, written out as one block: the same power sums,
+    right-hand sides and column Cholesky, then mu' by back substitution and
+    beta' = beta + rss(mu')/2 + (mu' - mu)^T lam (mu' - mu)/2.  Up to
+    `_BLOCK` rows this is the kernel's arithmetic, so a row the kernel gives
+    the residual pass must match it bit for bit."""
+    p, (r, n) = params.p, y1.shape
+    n_pow, ones = 2 * p - 1, np.ones(n)
+    powers = np.empty((n_pow + p, r, n))
+    powers[0] = 1.0 if weights is None else weights
+    for m in range(1, n_pow):
+        powers[m] = powers[m - 1] * y1
+    powers[n_pow:] = powers[:p] * y2
+    sums = (powers.reshape(-1, n) @ ones).reshape(n_pow + p, r)
+    chol = np.zeros((p + 1, p, r))
+    chol[p] = (params.lam @ params.mu)[:, None] + sums[n_pow:]
+    for j in range(p):
+        col = chol[j:, j]
+        col[:-1] = params.lam[j:, j, None] + sums[2 * j : j + p]
+        if j:
+            col -= np.einsum("ikr,kr->ir", chol[j:, :j], chol[j, :j])
+        col[0] = np.sqrt(col[0])
+        col[1:] /= col[0]
+    diag = chol[:p].diagonal(axis1=0, axis2=1).T
+    mu_n = chol[p].copy()
+    for i in range(p - 1, -1, -1):
+        mu_n[i] /= diag[i]
+        mu_n[:i] -= chol[i, :i] * mu_n[i]
+    resid = np.square(y2 - horner(y1, mu_n[:, :, None]))
+    if weights is not None:
+        resid *= weights
+    shift = mu_n - params.mu[:, None]
+    beta_n = params.beta + 0.5 * (resid @ ones) + 0.5 * np.einsum("jr,jr->r", params.lam @ shift, shift)
+    lam_diag = params.lam.diagonal()[:, None] + sums[0:n_pow:2]
+    return 2.0 * np.log(diag).sum(axis=0), beta_n, chol[p], mu_n, lam_diag
+
+
+def _residual_pass_log_density(params, y1, y2, weights=None):
+    """`NormalGammaParams.log_density_batch` written out on the reference's
+    (log det lam', beta'), in the same arithmetic."""
+    logdet, beta_n, *_ = _residual_pass_kernel(params, y1, y2, weights)
+    n = y1.shape[1] if weights is None else weights.sum(axis=1)
+    alpha_n = params.alpha + 0.5 * np.broadcast_to(n, beta_n.shape)
+    lgamma_n = np.array([math.lgamma(a) for a in alpha_n])
+    return (
+        -0.5 * n * math.log(2.0 * math.pi)
+        + 0.5 * (params.logdet_lam - logdet)
+        + params.alpha * math.log(params.beta)
+        - alpha_n * np.log(beta_n)
+        + (lgamma_n - math.lgamma(params.alpha))
+        + n * math.log(0.5)
+    )
+
+
+def _near_fit(rng, degree, r, n, sigma):
+    """(R, n) points around a random polynomial of the model's degree: a
+    small sigma nearly interpolates."""
+    y1 = rng.uniform(-1, 1, size=(r, n))
+    return y1, np.polynomial.polynomial.polyval(y1, rng.normal(size=degree + 1)) + sigma * rng.normal(size=(r, n))
+
+
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    degree=st.integers(0, 6),
+    n=st.integers(1, 40),
+    r=st.integers(1, 5),
+    log_sigma=st.floats(-3, 0),
+)
+def test_beta_from_the_sums_is_the_residual_pass(seed, degree, n, r, log_sigma):
+    # random SPD prior, integer multiplicities 0-3 or none, noise down to
+    # 1e-3: log det lam' is unchanged, beta' from the sums agrees with the
+    # residual pass within 1e-13 relative, and the densities within 1e-12
+    # relative (absolute below 1: a log density may cross zero); a row the
+    # kernel's rule sends to the residual pass takes it, and its density,
+    # bit for bit
+    rng = np.random.default_rng(seed)
+    params = _random_prior(rng, degree + 1)
+    y1, y2 = _near_fit(rng, degree, r, n, 10.0**log_sigma)
+    weights = None if rng.uniform() < 0.5 else rng.integers(0, 4, size=(r, n)).astype(float)
+    expected_logdet, expected_beta, l_inv_rhs, mu_n, lam_diag = _residual_pass_kernel(params, y1, y2, weights)
+    _, logdet, _, beta_n = _kernel(params, y1, y2, weights)
+    assert logdet.tobytes() == expected_logdet.tobytes()
+    np.testing.assert_allclose(beta_n, expected_beta, rtol=1e-13, atol=0)
+    densities = params.log_density_batch(y1, y2, weights)
+    expected = _residual_pass_log_density(params, y1, y2, weights)
+    np.testing.assert_allclose(densities, expected, rtol=1e-12, atol=1e-12)
+    # the rule, clear of its threshold by 1%: the sums form's error scale
+    # T + sum_j mu'_j^2 lam'_jj against 2 beta', and beta' > beta
+    total = ((1.0 if weights is None else weights) * y2 * y2) @ np.ones(n) + float(params.mu @ params.lam @ params.mu)
+    gain = total - np.einsum("jr,jr->r", l_inv_rhs, l_inv_rhs)
+    scale = np.einsum("jr,jr,jr->r", mu_n, mu_n, lam_diag) + total
+    fallback = ~(gain > 0) | (scale > 1.01 * _TRUST * (2 * params.beta + gain))
+    assert beta_n[fallback].tobytes() == expected_beta[fallback].tobytes()
+    assert densities[fallback].tobytes() == expected[fallback].tobytes()
+
+
+@pytest.mark.parametrize("kind", ["prior", "posterior"])
+@pytest.mark.parametrize("sigma", [0.5, 1e-3])
+@pytest.mark.parametrize("degree", [0, 4, 10])
+def test_oracle_matches_the_residual_pass_reference(degree, sigma, kind, monkeypatch):
+    # the Monte Carlo oracle on the same 20,000 draws, scored once by the
+    # kernel and once by the residual-pass reference; at sigma = 1e-3 the
+    # models that contain the truth send most rows to the residual pass
+    truth = GeneratorSpec(degree=4, coeffs=(0.5, -3.0, -4.0, 3.0, 6.0), sigma=sigma)
+    prior = default_prior(ModelSpec(degree))
+    predictive = prior if kind == "prior" else posterior_update(prior, sample_dataset(truth, 12, seed=1))
+    est = exact_score_mc(truth, predictive, 20_000, 12, seed=2)
+    monkeypatch.setattr(NormalGammaParams, "log_density_batch", _residual_pass_log_density)
+    ref = exact_score_mc(truth, predictive, 20_000, 12, seed=2)
+    assert abs(est.value - ref.value) <= 1e-12 * abs(ref.value)
+    assert abs(est.std_error - ref.std_error) <= 1e-12
