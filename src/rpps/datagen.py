@@ -154,13 +154,16 @@ class GeneratorSpec:
         `normals` if given, into the C-contiguous float64 pair `out` if
         given.  y1 is 2u - 1, bit for bit `rng.uniform(-1, 1, shape)`, and
         y2 is mean + sigma * z, formed in place with z in a `scratch`
-        buffer: bit for bit `rng.normal(self.mean_at(y1), self.sigma)`."""
+        buffer (a constant mean is added to sigma * z in one pass): bit for
+        bit `rng.normal(self.mean_at(y1), self.sigma)`."""
         y1, y2 = (np.empty(shape), np.empty(shape)) if out is None else out
         rng.random(out=y1)
         y1 *= 2.0
         y1 -= 1.0
         z = (rng if normals is None else normals).standard_normal(out=scratch("draw.z", y1.shape))
         z *= self.sigma
+        if not self.degree:
+            return y1, np.add(z, self.coeffs[0], out=y2)
         horner(y1, self.coeffs, out=y2)
         y2 += z
         return y1, y2

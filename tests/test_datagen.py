@@ -147,15 +147,23 @@ class TestSampleDataset:
 
     @pytest.mark.parametrize("n_rows", [1, 15, 16, 17, 31, 32, 33, 47, 48, 100])
     def test_blocks_are_one_draw_bit_for_bit(self, n_rows):
-        # each block is overwritten by the next, so keep copies
-        draws = QUARTIC.draw_blocks(np.random.default_rng(4), n_rows, 3, block=16)
-        blocks = [(y1.copy(), y2.copy()) for y1, y2 in draws]
-        # whole blocks, a shorter tail joining the last
-        assert [len(y1) for y1, _ in blocks[:-1]] == [16] * (len(blocks) - 1)
-        assert len(blocks) == max(1, n_rows // 16)
-        y1, y2 = QUARTIC.draw(np.random.default_rng(4), (n_rows, 3))
-        np.testing.assert_array_equal(np.concatenate([b[0] for b in blocks]), y1)
-        np.testing.assert_array_equal(np.concatenate([b[1] for b in blocks]), y2)
+        # the quartic truth and constant ones, whose mean is added to the
+        # noise in one pass, with zeros of both signs among them
+        for truth in (QUARTIC, *(GeneratorSpec(degree=0, coeffs=(c,), sigma=0.5) for c in (0.5, 0.0, -0.0))):
+            # each block is overwritten by the next, so keep copies
+            draws = truth.draw_blocks(np.random.default_rng(4), n_rows, 3, block=16)
+            blocks = [(y1.copy(), y2.copy()) for y1, y2 in draws]
+            # whole blocks, a shorter tail joining the last
+            assert [len(y1) for y1, _ in blocks[:-1]] == [16] * (len(blocks) - 1)
+            assert len(blocks) == max(1, n_rows // 16)
+            y1, y2 = truth.draw(np.random.default_rng(4), (n_rows, 3))
+            assert np.concatenate([b[0] for b in blocks]).tobytes() == y1.tobytes()
+            assert np.concatenate([b[1] for b in blocks]).tobytes() == y2.tobytes()
+            # and the one draw is numpy's uniform-then-normal stream
+            rng = np.random.default_rng(4)
+            expected_y1 = rng.uniform(-1.0, 1.0, (n_rows, 3))
+            assert y1.tobytes() == expected_y1.tobytes()
+            assert y2.tobytes() == rng.normal(truth.mean_at(expected_y1), truth.sigma).tobytes()
 
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):

@@ -6,12 +6,15 @@ Bayes kinds under random SPD priors; the stacked kernels under them
 equal numpy's per-row routines and the explicit algebra, the batch evidence
 equals the scalar one and obeys the chain rule over random priors and
 degrees 0-6, and WAIC, DIC and the plug-in log likelihood agree at a
-degenerate posterior.  The kernel's beta' from its sums agrees with a
-written-out residual pass within 1e-13, and bit for bit on the rows its rule
-sends to that pass, and so do the Monte Carlo oracle's scores on the same
-draws."""
+degenerate posterior.  The kernel's sums are exact within their rounding
+bound at degrees 0-10 and the same bits for a row alone as in a 4,096-row
+call; its beta' from them agrees with a written-out residual pass within
+1e-13, and bit for bit on the rows its rule sends to that pass, whichever
+branch of the pass a call takes, and so do the Monte Carlo oracle's scores
+on the same draws."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,7 +35,7 @@ from rpps.conjugate import (
     posterior_mean,
     posterior_update,
 )
-from rpps.datagen import DataSet, GeneratorSpec, horner, sample_dataset
+from rpps.datagen import DataSet, GeneratorSpec, horner, sample_dataset, scratch
 from rpps.linmodel import ModelSpec, RankDeficient, TooFewPoints, _least_squares, fit_mle, plugin_log_predictive
 from rpps.scores import (
     SIGMA2_FLOOR,
@@ -395,21 +398,34 @@ def test_stacked_least_squares_is_lstsq(seed, degree):
             assert sigma2[j] == pytest.approx(np.mean((y2[j] - phi[j] @ expected) ** 2), rel=1e-9, abs=1e-12)
 
 
+def _rowsum(*factors):
+    """sum_j of the product of the (R, n) `factors`, one row at a time."""
+    return np.einsum(",".join(["ij"] * len(factors)) + "->i", *factors)
+
+
 def _residual_pass_kernel(params, y1, y2, weights):
     """(log det lam', beta', L^-1 rhs, mu', diagonal of lam') by the kernel's
-    residual-pass formula, written out as one block: the same power sums,
-    right-hand sides and column Cholesky, then mu' by back substitution and
-    beta' = beta + rss(mu')/2 + (mu' - mu)^T lam (mu' - mu)/2.  Up to
-    `_BLOCK` rows this is the kernel's arithmetic, so a row the kernel gives
-    the residual pass must match it bit for bit."""
+    residual-pass formula, written out: the same sums, each a row-wise sum
+    of products, sum w x^m = (w x^a) . x^(m - a) with a = min(m, p - 1) (n
+    without weights at m = 0), sum w t x^k = (w x^k) . t and sum w t^2, the
+    same column Cholesky, then mu' by back substitution and beta' = beta +
+    rss(mu')/2 + (mu' - mu)^T lam (mu' - mu)/2.  This is the kernel's
+    arithmetic, so a row the kernel gives the residual pass must match it
+    bit for bit."""
     p, (r, n) = params.p, y1.shape
-    n_pow, ones = 2 * p - 1, np.ones(n)
-    powers = np.empty((n_pow + p, r, n))
-    powers[0] = 1.0 if weights is None else weights
+    n_pow = 2 * p - 1
+    xk = [None, y1]  # x^k; x^0 is never a factor
+    for _ in range(2, p):
+        xk.append(xk[-1] * y1)
+    wxk = xk if weights is None else [weights, *(weights * xk[k] for k in range(1, p))]
+    sums = np.empty((n_pow + p, r))
+    sums[0] = n if weights is None else _rowsum(weights)
     for m in range(1, n_pow):
-        powers[m] = powers[m - 1] * y1
-    powers[n_pow:] = powers[:p] * y2
-    sums = (powers.reshape(-1, n) @ ones).reshape(n_pow + p, r)
+        a = min(m, p - 1)
+        sums[m] = _rowsum(wxk[a], xk[m - a]) if m > a else _rowsum(wxk[a])
+    sums[n_pow] = _rowsum(y2) if weights is None else _rowsum(weights, y2)
+    for k in range(1, p):
+        sums[n_pow + k] = _rowsum(wxk[k], y2)
     chol = np.zeros((p + 1, p, r))
     chol[p] = (params.lam @ params.mu)[:, None] + sums[n_pow:]
     for j in range(p):
@@ -428,9 +444,20 @@ def _residual_pass_kernel(params, y1, y2, weights):
     if weights is not None:
         resid *= weights
     shift = mu_n - params.mu[:, None]
-    beta_n = params.beta + 0.5 * (resid @ ones) + 0.5 * np.einsum("jr,jr->r", params.lam @ shift, shift)
+    beta_n = params.beta + 0.5 * _rowsum(resid) + 0.5 * np.einsum("jr,jr->r", params.lam @ shift, shift)
     lam_diag = params.lam.diagonal()[:, None] + sums[0:n_pow:2]
     return 2.0 * np.log(diag).sum(axis=0), beta_n, chol[p], mu_n, lam_diag
+
+
+def _trust_ratio(params, y1, y2, weights):
+    """The kernel's rule written out on the reference, per row: the sums
+    form's error scale T + sum_j mu'_j^2 lam'_jj over `_TRUST` times 2 beta'
+    (inf where beta' <= beta); a row above 1 takes the residual pass."""
+    _, _, l_inv_rhs, mu_n, lam_diag = _residual_pass_kernel(params, y1, y2, weights)
+    total = _rowsum(y2, y2 if weights is None else weights * y2) + float(params.mu @ params.lam @ params.mu)
+    gain = total - np.einsum("jr,jr->r", l_inv_rhs, l_inv_rhs)
+    scale = np.einsum("jr,jr,jr->r", mu_n, mu_n, lam_diag) + total
+    return np.where(gain > 0, scale / (_TRUST * (2 * params.beta + np.maximum(gain, 0.0))), np.inf)
 
 
 def _residual_pass_log_density(params, y1, y2, weights=None):
@@ -476,21 +503,83 @@ def test_beta_from_the_sums_is_the_residual_pass(seed, degree, n, r, log_sigma):
     params = _random_prior(rng, degree + 1)
     y1, y2 = _near_fit(rng, degree, r, n, 10.0**log_sigma)
     weights = None if rng.uniform() < 0.5 else rng.integers(0, 4, size=(r, n)).astype(float)
-    expected_logdet, expected_beta, l_inv_rhs, mu_n, lam_diag = _residual_pass_kernel(params, y1, y2, weights)
+    expected_logdet, expected_beta, *_ = _residual_pass_kernel(params, y1, y2, weights)
     _, logdet, _, beta_n = _kernel(params, y1, y2, weights)
     assert logdet.tobytes() == expected_logdet.tobytes()
     np.testing.assert_allclose(beta_n, expected_beta, rtol=1e-13, atol=0)
     densities = params.log_density_batch(y1, y2, weights)
     expected = _residual_pass_log_density(params, y1, y2, weights)
     np.testing.assert_allclose(densities, expected, rtol=1e-12, atol=1e-12)
-    # the rule, clear of its threshold by 1%: the sums form's error scale
-    # T + sum_j mu'_j^2 lam'_jj against 2 beta', and beta' > beta
-    total = ((1.0 if weights is None else weights) * y2 * y2) @ np.ones(n) + float(params.mu @ params.lam @ params.mu)
-    gain = total - np.einsum("jr,jr->r", l_inv_rhs, l_inv_rhs)
-    scale = np.einsum("jr,jr,jr->r", mu_n, mu_n, lam_diag) + total
-    fallback = ~(gain > 0) | (scale > 1.01 * _TRUST * (2 * params.beta + gain))
+    # the rule, clear of its threshold by 1%
+    fallback = _trust_ratio(params, y1, y2, weights) > 1.01
     assert beta_n[fallback].tobytes() == expected_beta[fallback].tobytes()
     assert densities[fallback].tobytes() == expected[fallback].tobytes()
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("degree", range(11))
+def test_kernel_sums_are_exact_within_their_rounding_bound(degree, weighted):
+    # every sum the kernel forms (power sums, right-hand sides, t^T W t, the
+    # `scratch` array it fills) against exact rationals: a term of order m
+    # (w x^m, w t x^(m-1), w t t at m = 2) is rounded at most m times and the
+    # sum of n terms n - 1 more, so the sum is off by at most
+    # (m + n) u sum|terms|, u the unit roundoff
+    rng = np.random.default_rng(degree)
+    p, r, n = degree + 1, 6, 12
+    y1, y2 = rng.uniform(-1, 1, size=(r, n)), rng.normal(scale=3.0, size=(r, n))
+    weights = rng.integers(0, 4, size=(r, n)).astype(float) if weighted else None
+    _kernel(default_prior(ModelSpec(degree)), y1, y2, weights)
+    sums = scratch("kernel.sums", (3 * p, r)).copy()
+    u = np.finfo(float).eps / 2
+    for i in range(r):
+        x, t = [Fraction(v) for v in y1[i]], [Fraction(v) for v in y2[i]]
+        w = [Fraction(1)] * n if weights is None else [Fraction(v) for v in weights[i]]
+        terms = [(m, [wj * xj**m for wj, xj in zip(w, x)]) for m in range(2 * p - 1)]
+        terms += [(k + 1, [wj * tj * xj**k for wj, tj, xj in zip(w, t, x)]) for k in range(p)]
+        terms += [(2, [wj * tj * tj for wj, tj in zip(w, t)])]
+        for row, (m, ts) in enumerate(terms):
+            assert abs(Fraction(sums[row, i]) - sum(ts)) <= (m + n) * u * sum(map(abs, ts))
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("degree", [0, 1, 4, 10])
+def test_a_rows_sums_do_not_depend_on_its_call(degree, weighted):
+    # every sum is a row's own reduction, so a dataset's sums (the power
+    # sums the kernel returns and the rest of its `scratch` array) are the
+    # same bits alone and anywhere in a 4,096-row call; the Cholesky, and so
+    # log det, mu' and beta', may still depend on a row's place
+    rng = np.random.default_rng(degree)
+    p, r = degree + 1, 4 * _BLOCK
+    prior = _random_prior(rng, p)
+    y1, y2 = rng.uniform(-1, 1, size=(r, 12)), rng.normal(size=(r, 12))
+    weights = rng.integers(0, 4, size=y1.shape).astype(float) if weighted else None
+    _kernel(prior, y1, y2, weights)
+    stacked = scratch("kernel.sums", (3 * p, r)).copy()
+    for i in range(0, r, 7):
+        alone = _kernel(prior, y1[i : i + 1], y2[i : i + 1], None if weights is None else weights[i : i + 1])[0]
+        assert alone[:, 0].tobytes() == stacked[: 2 * p - 1, i].tobytes()
+        assert scratch("kernel.sums", (3 * p, 1))[:, 0].tobytes() == stacked[:, i].tobytes()
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("r, row", [(12, 0), (12, 7), (_BLOCK + 9, _BLOCK + 2)])
+def test_a_fallback_rows_beta_does_not_depend_on_the_branch(r, row, weighted):
+    # one nearly interpolating row among rows the rule trusts (the few-rows
+    # branch) or among rows that fall back too (the block-by-block branch):
+    # its beta' is the same bits, and the reference's
+    rng = np.random.default_rng(r + row)
+    degree, n = 2, 12
+    prior = NormalGammaParams(mu=np.zeros(degree + 1), lam=1e-3 * np.eye(degree + 1), alpha=0.5, beta=1e-6)
+    y1, dense = _near_fit(rng, degree, r, n, 1e-6)
+    sparse = rng.normal(size=(r, n))
+    sparse[row] = dense[row]
+    weights = rng.integers(1, 4, size=(r, n)).astype(float) if weighted else None
+    ratios = {name: _trust_ratio(prior, y1, y2, weights) for name, y2 in (("sparse", sparse), ("dense", dense))}
+    # clear of the rule's threshold: every row falls back, or at most a third may
+    assert ratios["dense"].min() > 2 and 3 * np.count_nonzero(ratios["sparse"] > 0.5) <= r
+    betas = [_kernel(prior, y1, y2, weights)[3][row] for y2 in (sparse, dense)]
+    expected = _residual_pass_kernel(prior, y1, dense, weights)[1][row]
+    assert betas[0].tobytes() == betas[1].tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["prior", "posterior"])
