@@ -115,8 +115,8 @@ def default_prior(spec: ModelSpec) -> NormalGammaParams:
 
 
 # Datasets per block of each pass over the data: numpy's per-call cost is
-# spread over many rows while a block's powers (0.4 MB at degree 4 and 12
-# points, 0.9 MB with weights) stay in cache.
+# spread over many rows while a block's powers (0.5 MB at degree 4 and 12
+# points, 1.5 MB with weights) stay in cache.
 _BLOCK = 1024
 _TRUST = 32.0  # see `_kernel`: how far the sums form of beta' is trusted
 
@@ -129,13 +129,14 @@ def _kernel(
     overwrites, log det lam', mu', beta').  lam' = lam + Phi^T W Phi,
     mu' = lam'^-1 (lam mu + Phi^T W t), W the optional (R, n) `weights`.
 
-    Per block of `_BLOCK` datasets it forms x^1 .. x^(p-1), x = y1 (and w x^k
-    with weights), and takes every sum as a row's own sum of products, so
-    its bits do not depend on the other rows: sum w x^m = (w x^a) . x^(m-a)
-    with a = min(m, p - 1) (Phi^T W Phi is their Hankel matrix), sum w t x^k
-    = (w x^k) . t, and t^T W t.  A column Cholesky of lam', stack last,
-    carries the right-hand side as row p, which ends as L^-1 rhs (a pivot
-    that is not positive raises LinAlgError).  beta' = beta +
+    Per block of `_BLOCK` datasets it stacks x^1 .. x^(p-1), x = y1, and t,
+    and takes each sum as a row's own sum of products, the same bits alone
+    as in any call: sum x^m = x^a . x^(m-a) with a = min(m, p - 1) (Phi^T Phi
+    is their Hankel matrix), sum t x^k = x^k . t, and t^T t.  With weights
+    (the fold evidences) two matvecs sum the running products w x^m, w t x^k
+    and w t^2, bits that depend on a row's place.  A column Cholesky of lam',
+    stack last, carries the right-hand side as row p, which ends as L^-1 rhs
+    (a pivot that is not positive raises LinAlgError).  beta' = beta +
     (T - |L^-1 rhs|^2)/2, T = t^T W t + mu^T lam mu, errs by some ulps of
     T + sum_j mu'_j^2 lam'_jj, which cancellation and large alternating
     coefficients raise.  Where that exceeds `_TRUST` times 2 beta', or
@@ -146,31 +147,31 @@ def _kernel(
     if y1.ndim != 2 or y1.shape != y2.shape or (weights is not None and np.shape(weights) != y1.shape):
         raise ValueError("expected matching (R, n) arrays")
     p, (r, n) = params.p, y1.shape
-    n_pow, n_buf = 2 * p - 1, p - 1 if weights is None else 2 * p - 1
-    buf = scratch("kernel.buf", (max(n_buf, 1) * min(r, _BLOCK) * n,))
+    n_pow, n_buf, ones = 2 * p - 1, p if weights is None else 3 * p, np.ones(n)
+    buf = scratch("kernel.buf", (n_buf * min(r, _BLOCK) * n,))
     sums = scratch("kernel.sums", (n_pow + p + 1, r))  # power sums, right-hand sides, t^T W t
     sums[0] = n
     for start in range(0, r, _BLOCK):
         blk, x, t = slice(start, start + _BLOCK), y1[start : start + _BLOCK], y2[start : start + _BLOCK]
-        work = buf[: n_buf * x.size].reshape(n_buf, *x.shape)
-        xs = work[: p - 1]  # x^1 .. x^(p-1)
-        xs[:1] = x  # (none at p = 1)
-        for k in range(1, p - 1):
-            np.multiply(xs[k - 1], x, out=xs[k])
-        if weights is None:  # w = 1: ws is x^k from k = 1, and sum w = n
-            ws, lo = xs, 1
-            np.einsum("ij->i", t, out=sums[n_pow, blk])
-            np.einsum("ij,ij->i", t, t, out=sums[-1, blk])
-        else:
-            ws, lo = work[p - 1 :], 0
-            np.copyto(ws[0], weights[blk])
-            np.multiply(ws[0], xs, out=ws[1:])
-            np.einsum("ij,ij,ij->i", ws[0], t, t, out=sums[-1, blk])
-        if p > lo:
-            np.einsum("kij->ki", ws, out=sums[lo:p, blk])
-            np.einsum("kij,ij->ki", ws, t, out=sums[n_pow + lo : -1, blk])
-        if p > 1:  # sum w x^m = (w x^(p-1)) . x^(m-p+1) from m = p
-            np.einsum("kij,ij->ki", xs, ws[-1], out=sums[p:n_pow, blk])
+        stack = buf[: n_buf * x.size].reshape(n_buf, *x.shape) if n_buf > 1 else t[None]  # t alone at p = 1
+        if weights is not None:  # w x^m, w t x^k and w t^2 (running products), then two matvecs
+            stack[0] = weights[blk]
+            for m in range(1, n_pow):
+                np.multiply(stack[m - 1], x, out=stack[m])
+            np.multiply(stack[:p], t, out=stack[n_pow:-1])
+            np.multiply(stack[n_pow], t, out=stack[-1])
+            sums[:-1, blk] = (stack[:-1].reshape(-1, n) @ ones).reshape(n_pow + p, -1)
+            sums[-1, blk] = stack[-1] @ ones
+            continue
+        if p > 1:  # x^1 .. x^(p-1), t
+            stack[0], stack[-1] = x, t
+            for k in range(1, p - 1):
+                np.multiply(stack[k - 1], x, out=stack[k])
+        np.einsum("kij->ki", stack, out=sums[1 : p + 1, blk])  # sum x^k, then sum t in row p
+        np.einsum("kij,ij->ki", stack, t, out=sums[n_pow + 1 :, blk])  # sum t x^k, then t^T t
+        if p > 1:  # sum t to its row, and sum x^m = x^(p-1) . x^(m-p+1) from m = p
+            sums[n_pow, blk] = sums[p, blk]
+            np.einsum("kij,ij->ki", stack[:-1], stack[-2], out=sums[p:n_pow, blk])
 
     chol = scratch("kernel.chol", (p + 1, p, r))  # L[i, j] at i >= j; row p ends as L^-1 rhs
     np.add((params.lam @ params.mu)[:, None], sums[n_pow:-1], out=chol[p])
@@ -201,9 +202,10 @@ def _kernel(
         shift = np.subtract(mu_n, params.mu[:, None], out=chol[p])
         shrink = np.einsum("jr,jr->r", np.matmul(params.lam, shift, out=chol[0]), shift)
         rows, rss = np.flatnonzero(~trusted), np.zeros(r)
-        dense = 3 * rows.size > r  # most rows: each block as a whole, in place; a few: those rows at once
-        for sel in (slice(start, start + _BLOCK) for start in range(0, r, _BLOCK)) if dense else [rows]:
-            out = buf[: y1[sel].size].reshape(-1, n) if dense else None
+        dense = 3 * rows.size > r  # most rows: whole blocks, in place; a few: `_BLOCK` of those rows at a time
+        for start in range(0, r if dense else rows.size, _BLOCK):
+            sel = slice(start, start + _BLOCK) if dense else rows[start : start + _BLOCK]
+            out = buf[: y1[sel].size].reshape(-1, n) if dense else None  # either way each row's own sum
             resid = np.square(np.subtract(y2[sel], horner(y1[sel], mu_n[:, sel, None], out=out), out=out), out=out)
             resid *= 1.0 if weights is None else weights[sel]
             rss[sel] = np.einsum("ij->i", resid)

@@ -162,10 +162,7 @@ class GeneratorSpec:
         y1 -= 1.0
         z = (rng if normals is None else normals).standard_normal(out=scratch("draw.z", y1.shape))
         z *= self.sigma
-        if not self.degree:
-            return y1, np.add(z, self.coeffs[0], out=y2)
-        horner(y1, self.coeffs, out=y2)
-        y2 += z
+        np.add(horner(y1, self.coeffs, out=y2) if self.degree else self.coeffs[0], z, out=y2)
         return y1, y2
 
     def draw_blocks(self, rng: np.random.Generator, n_rows: int, n_points: int, block: int):
