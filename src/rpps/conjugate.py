@@ -116,7 +116,7 @@ def default_prior(spec: ModelSpec) -> NormalGammaParams:
 
 # Datasets per block of each pass over the data: numpy's per-call cost is
 # spread over many rows while a block's powers (0.5 MB at degree 4 and 12
-# points, 1.5 MB with weights) stay in cache.
+# points) stay in cache.
 _BLOCK = 1024
 _TRUST = 32.0  # see `_kernel`: how far the sums form of beta' is trusted
 
@@ -132,9 +132,9 @@ def _kernel(
     Per block of `_BLOCK` datasets it stacks x^1 .. x^(p-1), x = y1, and t,
     and takes each sum as a row's own sum of products, the same bits alone
     as in any call: sum x^m = x^a . x^(m-a) with a = min(m, p - 1) (Phi^T Phi
-    is their Hankel matrix), sum t x^k = x^k . t, and t^T t.  With weights
-    (the fold evidences) two matvecs sum the running products w x^m, w t x^k
-    and w t^2, bits that depend on a row's place.  A column Cholesky of lam',
+    is their Hankel matrix), sum t x^k = x^k . t, and t^T t, each with the
+    row's weights as one more factor when there are weights (the fold
+    evidences); sum x^0 is n, or sum w.  A column Cholesky of lam',
     stack last, carries the right-hand side as row p, which ends as L^-1 rhs
     (a pivot that is not positive raises LinAlgError).  beta' = beta +
     (T - |L^-1 rhs|^2)/2, T = t^T W t + mu^T lam mu, errs by some ulps of
@@ -147,31 +147,23 @@ def _kernel(
     if y1.ndim != 2 or y1.shape != y2.shape or (weights is not None and np.shape(weights) != y1.shape):
         raise ValueError("expected matching (R, n) arrays")
     p, (r, n) = params.p, y1.shape
-    n_pow, n_buf, ones = 2 * p - 1, p if weights is None else 3 * p, np.ones(n)
-    buf = scratch("kernel.buf", (n_buf * min(r, _BLOCK) * n,))
+    n_pow, w = 2 * p - 1, "" if weights is None else ",ij"  # weights: one more factor of every sum
+    buf = scratch("kernel.buf", (p * min(r, _BLOCK) * n,))
     sums = scratch("kernel.sums", (n_pow + p + 1, r))  # power sums, right-hand sides, t^T W t
-    sums[0] = n
+    sums[0] = n if weights is None else np.einsum("ij->i", weights)
     for start in range(0, r, _BLOCK):
         blk, x, t = slice(start, start + _BLOCK), y1[start : start + _BLOCK], y2[start : start + _BLOCK]
-        stack = buf[: n_buf * x.size].reshape(n_buf, *x.shape) if n_buf > 1 else t[None]  # t alone at p = 1
-        if weights is not None:  # w x^m, w t x^k and w t^2 (running products), then two matvecs
-            stack[0] = weights[blk]
-            for m in range(1, n_pow):
-                np.multiply(stack[m - 1], x, out=stack[m])
-            np.multiply(stack[:p], t, out=stack[n_pow:-1])
-            np.multiply(stack[n_pow], t, out=stack[-1])
-            sums[:-1, blk] = (stack[:-1].reshape(-1, n) @ ones).reshape(n_pow + p, -1)
-            sums[-1, blk] = stack[-1] @ ones
-            continue
+        ws = () if weights is None else (weights[blk],)
+        stack = buf[: p * x.size].reshape(p, *x.shape) if p > 1 else t[None]  # t alone at p = 1
         if p > 1:  # x^1 .. x^(p-1), t
             stack[0], stack[-1] = x, t
             for k in range(1, p - 1):
                 np.multiply(stack[k - 1], x, out=stack[k])
-        np.einsum("kij->ki", stack, out=sums[1 : p + 1, blk])  # sum x^k, then sum t in row p
-        np.einsum("kij,ij->ki", stack, t, out=sums[n_pow + 1 :, blk])  # sum t x^k, then t^T t
+        np.einsum("kij" + w + "->ki", stack, *ws, out=sums[1 : p + 1, blk])  # sum x^k, then sum t in row p
+        np.einsum("kij,ij" + w + "->ki", stack, t, *ws, out=sums[n_pow + 1 :, blk])  # sum t x^k, then t^T t
         if p > 1:  # sum t to its row, and sum x^m = x^(p-1) . x^(m-p+1) from m = p
             sums[n_pow, blk] = sums[p, blk]
-            np.einsum("kij,ij->ki", stack[:-1], stack[-2], out=sums[p:n_pow, blk])
+            np.einsum("kij,ij" + w + "->ki", stack[:-1], stack[-2], *ws, out=sums[p:n_pow, blk])
 
     chol = scratch("kernel.chol", (p + 1, p, r))  # L[i, j] at i >= j; row p ends as L^-1 rhs
     np.add((params.lam @ params.mu)[:, None], sums[n_pow:-1], out=chol[p])

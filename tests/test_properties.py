@@ -7,8 +7,8 @@ equal numpy's per-row routines and the explicit algebra, the batch evidence
 equals the scalar one and obeys the chain rule over random priors and
 degrees 0-6, and WAIC, DIC and the plug-in log likelihood agree at a
 degenerate posterior.  The kernel's sums are within 8 ulps of exact at
-degrees 0-10 and, without weights, the same bits for a row alone as in a
-4,096-row call; its beta' from them agrees with a written-out residual pass
+degrees 0-10 and, with weights or without, the same bits for a row alone
+as in a 4,096-row call; its beta' from them agrees with a written-out residual pass
 within 1e-13, and bit for bit on the rows its rule sends to that pass,
 however many of a call's rows go there, and so do the Monte Carlo oracle's
 scores on the same draws."""
@@ -399,40 +399,33 @@ def test_stacked_least_squares_is_lstsq(seed, degree):
 
 
 def _rowsum(*factors):
-    """sum_j of the product of the (R, n) `factors`, one row at a time."""
+    """sum_j of the product of the (R, n) `factors` that are not None (a
+    missing weights array), one row at a time."""
+    factors = [f for f in factors if f is not None]
     return np.einsum(",".join(["ij"] * len(factors)) + "->i", *factors)
 
 
 def _residual_pass_kernel(params, y1, y2, weights):
     """(log det lam', beta', L^-1 rhs, mu', diagonal of lam') by the kernel's
-    residual-pass formula, written out: the same sums (without weights each
-    a row-wise sum of products, sum x^m = x^a . x^(m - a) with a = min(m,
-    p - 1) and sum t x^k = x^k . t; with weights the running products w x^m
-    and w t x^k summed in one matvec, the kernel's block up to `_BLOCK`
-    rows), the same column Cholesky, then mu' by back substitution and
+    residual-pass formula, written out: the same sums (each a row-wise sum
+    of products, sum x^m = x^a . x^(m - a) with a = min(m, p - 1) and
+    sum t x^k = x^k . t, with the weights as a last factor when there are
+    weights), the same column Cholesky, then mu' by back substitution and
     beta' = beta + rss(mu')/2 + (mu' - mu)^T lam (mu' - mu)/2.  This is the
     kernel's arithmetic, so a row the kernel gives the residual pass must
     match it bit for bit."""
     p, (r, n) = params.p, y1.shape
     n_pow = 2 * p - 1
-    if weights is None:
-        xk = [None, y1]  # x^k; x^0 is never a factor
-        for _ in range(2, p):
-            xk.append(xk[-1] * y1)
-        sums = np.empty((n_pow + p, r))
-        sums[0], sums[n_pow] = n, _rowsum(y2)
-        for m in range(1, n_pow):
-            a = min(m, p - 1)
-            sums[m] = _rowsum(xk[a], xk[m - a]) if m > a else _rowsum(xk[a])
-        for k in range(1, p):
-            sums[n_pow + k] = _rowsum(xk[k], y2)
-    else:
-        powers = np.empty((n_pow + p, r, n))
-        powers[0] = weights
-        for m in range(1, n_pow):
-            powers[m] = powers[m - 1] * y1
-        powers[n_pow:] = powers[:p] * y2
-        sums = (powers.reshape(-1, n) @ np.ones(n)).reshape(n_pow + p, r)
+    xk = [None, y1]  # x^k; x^0 is never a factor
+    for _ in range(2, p):
+        xk.append(xk[-1] * y1)
+    sums = np.empty((n_pow + p, r))
+    sums[0], sums[n_pow] = n if weights is None else _rowsum(weights), _rowsum(y2, weights)
+    for m in range(1, n_pow):
+        a = min(m, p - 1)
+        sums[m] = _rowsum(xk[a], xk[m - a], weights) if m > a else _rowsum(xk[a], weights)
+    for k in range(1, p):
+        sums[n_pow + k] = _rowsum(xk[k], y2, weights)
     chol = np.zeros((p + 1, p, r))
     chol[p] = (params.lam @ params.mu)[:, None] + sums[n_pow:]
     for j in range(p):
@@ -461,7 +454,7 @@ def _trust_ratio(params, y1, y2, weights):
     form's error scale T + sum_j mu'_j^2 lam'_jj over `_TRUST` times 2 beta'
     (inf where beta' <= beta); a row above 1 takes the residual pass."""
     _, _, l_inv_rhs, mu_n, lam_diag = _residual_pass_kernel(params, y1, y2, weights)
-    total = _rowsum(y2, y2 if weights is None else weights * y2) + float(params.mu @ params.lam @ params.mu)
+    total = _rowsum(y2, y2, weights) + float(params.mu @ params.lam @ params.mu)
     gain = total - np.einsum("jr,jr->r", l_inv_rhs, l_inv_rhs)
     scale = np.einsum("jr,jr,jr->r", mu_n, mu_n, lam_diag) + total
     return np.where(gain > 0, scale / (_TRUST * (2 * params.beta + np.maximum(gain, 0.0))), np.inf)
@@ -528,9 +521,11 @@ def test_beta_from_the_sums_is_the_residual_pass(seed, degree, n, r, log_sigma):
 def test_kernel_sums_are_exact_within_their_rounding_bound(degree, weighted):
     # every sum the kernel forms (power sums, right-hand sides, t^T W t, the
     # `scratch` array it fills) against exact rationals, within 8 u sum|terms|,
-    # u the unit roundoff: over 11 seeds a degree the worst seen is 6.8 u
-    # without weights (at degree 10; the a-priori bound is (m + n) u for a
-    # term rounded m times) and 4.8 u with weights, so a looser summation fails
+    # u the unit roundoff: over 33 seeds a degree the worst seen is 7.3 u
+    # without weights and 7.9 u with weights (both at degree 10; the a-priori
+    # bound is (m + n) u for a term rounded m times, and a weighted sum of
+    # three factors is numpy's plain running sum, where the matvec it replaced
+    # reached 4.9 u), so a looser summation fails
     rng = np.random.default_rng(degree)
     p, r, n = degree + 1, 6, 12
     y1, y2 = rng.uniform(-1, 1, size=(r, n)), rng.normal(scale=3.0, size=(r, n))
@@ -548,21 +543,25 @@ def test_kernel_sums_are_exact_within_their_rounding_bound(degree, weighted):
             assert abs(Fraction(sums[row, i]) - sum(ts)) <= 8 * u * sum(map(abs, ts))
 
 
-@pytest.mark.parametrize("degree", [0, 1, 4, 10])
-def test_a_rows_sums_do_not_depend_on_its_call(degree):
-    # without weights every sum is a row's own reduction, so a dataset's sums
-    # (the power sums the kernel returns and the rest of its `scratch` array)
-    # are the same bits alone and anywhere in a 4,096-row call; the Cholesky,
-    # and so log det, mu' and beta', may still depend on a row's place, and
-    # so may weighted sums, which a block's matvec takes
+@pytest.mark.parametrize(
+    "degree, weighted",
+    [pytest.param(d, w, id=f"{d}-weighted" if w else str(d)) for w in (False, True) for d in (0, 1, 4, 10)],
+)
+def test_a_rows_sums_do_not_depend_on_its_call(degree, weighted):
+    # every sum is a row's own reduction, its weights (integers 0-3) one more
+    # factor, so a dataset's sums (the power sums the kernel returns and the
+    # rest of its `scratch` array) are the same bits alone and anywhere in a
+    # 4,096-row call; the Cholesky, and so log det, mu' and beta', may still
+    # depend on a row's place
     rng = np.random.default_rng(degree)
     p, r = degree + 1, 4 * _BLOCK
     prior = _random_prior(rng, p)
     y1, y2 = rng.uniform(-1, 1, size=(r, 12)), rng.normal(size=(r, 12))
-    _kernel(prior, y1, y2)
+    weights = rng.integers(0, 4, size=(r, 12)).astype(float) if weighted else None
+    _kernel(prior, y1, y2, weights)
     stacked = scratch("kernel.sums", (3 * p, r)).copy()
     for i in range(0, r, 7):
-        alone = _kernel(prior, y1[i : i + 1], y2[i : i + 1])[0]
+        alone = _kernel(prior, y1[i : i + 1], y2[i : i + 1], None if weights is None else weights[i : i + 1])[0]
         assert alone[:, 0].tobytes() == stacked[: 2 * p - 1, i].tobytes()
         assert scratch("kernel.sums", (3 * p, 1))[:, 0].tobytes() == stacked[:, i].tobytes()
 
