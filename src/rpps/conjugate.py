@@ -115,8 +115,8 @@ def default_prior(spec: ModelSpec) -> NormalGammaParams:
 
 
 # Datasets per block of each pass over the data: numpy's per-call cost is
-# spread over many rows while a block's powers (0.5 MB at degree 4 and 12
-# points) stay in cache.
+# spread over many rows while a block's stack (0.6 MB at degree 4 and 12
+# points, its weights row included) stays in cache.
 _BLOCK = 1024
 _TRUST = 32.0  # see `_kernel`: how far the sums form of beta' is trusted
 
@@ -129,12 +129,18 @@ def _kernel(
     overwrites, log det lam', mu', beta').  lam' = lam + Phi^T W Phi,
     mu' = lam'^-1 (lam mu + Phi^T W t), W the optional (R, n) `weights`.
 
-    Per block of `_BLOCK` datasets it stacks x^1 .. x^(p-1), x = y1, and t,
-    and takes each sum as a row's own sum of products, the same bits alone
-    as in any call: sum x^m = x^a . x^(m-a) with a = min(m, p - 1) (Phi^T Phi
-    is their Hankel matrix), sum t x^k = x^k . t, and t^T t, each with the
-    row's weights as one more factor when there are weights (the fold
-    evidences); sum x^0 is n, or sum w.  A column Cholesky of lam',
+    Per block of `_BLOCK` datasets it copies x^1 .. x^(p-1), x = y1, t and
+    the weights, if any, points-major into one stack of (n, b) rows, and
+    takes each sum of products as a running sum over the points in order,
+    vectorized across the block's datasets: sum x^m = x^a . x^(m-a) with
+    a = min(m, p - 1) (Phi^T Phi is their Hankel matrix), sum t x^k =
+    x^k . t, and t^T t, each with the row's weights as one more factor when
+    there are weights (the fold evidences); sum x^0 is n, or sum w.  The
+    stack is at least two datasets wide, so a one-row block is a strided
+    view, which numpy also sums in order (a contiguous row it would sum in
+    SIMD order): a row's sums are the same bits alone as anywhere in a
+    call.  At p = 1 the copy would cost more than it saves, so t stays as
+    it lies and each sum is a row's own `einsum`.  A column Cholesky of lam',
     stack last, carries the right-hand side as row p, which ends as L^-1 rhs
     (a pivot that is not positive raises LinAlgError).  beta' = beta +
     (T - |L^-1 rhs|^2)/2, T = t^T W t + mu^T lam mu, errs by some ulps of
@@ -147,23 +153,29 @@ def _kernel(
     if y1.ndim != 2 or y1.shape != y2.shape or (weights is not None and np.shape(weights) != y1.shape):
         raise ValueError("expected matching (R, n) arrays")
     p, (r, n) = params.p, y1.shape
-    n_pow, w = 2 * p - 1, "" if weights is None else ",ij"  # weights: one more factor of every sum
-    buf = scratch("kernel.buf", (p * min(r, _BLOCK) * n,))
+    n_pow, ij = 2 * p - 1, "ij" if p == 1 else "ji"  # p > 1: every block stacked points-major
+    w = "" if weights is None else "," + ij  # weights: one more factor of every sum
+    width = max(2, min(r, _BLOCK))  # so a one-row block is a strided view, summed in order as well
+    buf = scratch("kernel.buf", ((p + 1) * width * n,))
     sums = scratch("kernel.sums", (n_pow + p + 1, r))  # power sums, right-hand sides, t^T W t
     sums[0] = n if weights is None else np.einsum("ij->i", weights)
     for start in range(0, r, _BLOCK):
         blk, x, t = slice(start, start + _BLOCK), y1[start : start + _BLOCK], y2[start : start + _BLOCK]
         ws = () if weights is None else (weights[blk],)
-        stack = buf[: p * x.size].reshape(p, *x.shape) if p > 1 else t[None]  # t alone at p = 1
-        if p > 1:  # x^1 .. x^(p-1), t
-            stack[0], stack[-1] = x, t
+        stack = t[None]  # t alone, as it lies, at p = 1
+        if p > 1:  # x^1 .. x^(p-1), t, then the weights, each (n, b)
+            stack = buf.reshape(p + 1, n, width)[:, :, : len(x)]
+            stack[0], stack[p - 1] = x.T, t.T
             for k in range(1, p - 1):
-                np.multiply(stack[k - 1], x, out=stack[k])
-        np.einsum("kij" + w + "->ki", stack, *ws, out=sums[1 : p + 1, blk])  # sum x^k, then sum t in row p
-        np.einsum("kij,ij" + w + "->ki", stack, t, *ws, out=sums[n_pow + 1 :, blk])  # sum t x^k, then t^T t
+                np.multiply(stack[k - 1], stack[0], out=stack[k])
+            if ws:
+                stack[p], ws = ws[0].T, (stack[p],)
+            stack, t = stack[:p], stack[p - 1]
+        np.einsum("k" + ij + w + "->ki", stack, *ws, out=sums[1 : p + 1, blk])  # sum x^k, then sum t in row p
+        np.einsum("k" + ij + "," + ij + w + "->ki", stack, t, *ws, out=sums[n_pow + 1 :, blk])  # sum t x^k, t^T t
         if p > 1:  # sum t to its row, and sum x^m = x^(p-1) . x^(m-p+1) from m = p
             sums[n_pow, blk] = sums[p, blk]
-            np.einsum("kij,ij" + w + "->ki", stack[:-1], stack[-2], *ws, out=sums[p:n_pow, blk])
+            np.einsum("kji,ji" + w + "->ki", stack[:-1], stack[-2], *ws, out=sums[p:n_pow, blk])
 
     chol = scratch("kernel.chol", (p + 1, p, r))  # L[i, j] at i >= j; row p ends as L^-1 rhs
     np.add((params.lam @ params.mu)[:, None], sums[n_pow:-1], out=chol[p])

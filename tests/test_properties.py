@@ -8,10 +8,11 @@ equals the scalar one and obeys the chain rule over random priors and
 degrees 0-6, and WAIC, DIC and the plug-in log likelihood agree at a
 degenerate posterior.  The kernel's sums are within 8 ulps of exact at
 degrees 0-10 and, with weights or without, the same bits for a row alone
-as in a 4,096-row call; its beta' from them agrees with a written-out residual pass
-within 1e-13, and bit for bit on the rows its rule sends to that pass,
-however many of a call's rows go there, and so do the Monte Carlo oracle's
-scores on the same draws."""
+as in a 4,096-row call or a one-row tail block, and at p = 1 every output
+is bit for bit a row-wise `einsum` reference; its beta' from the sums
+agrees with a written-out residual pass within 1e-13, and bit for bit on
+the rows its rule sends to that pass, however many of a call's rows go
+there, and so do the Monte Carlo oracle's scores on the same draws."""
 
 import math
 from fractions import Fraction
@@ -405,27 +406,38 @@ def _rowsum(*factors):
     return np.einsum(",".join(["ij"] * len(factors)) + "->i", *factors)
 
 
+def _running_sum(*factors):
+    """The same sums as running sums over the points in order, all rows at
+    once, as the kernel forms them at p > 1."""
+    factors = [f for f in factors if f is not None]
+    total = np.zeros(len(factors[0]))
+    for j in range(factors[0].shape[1]):
+        total += math.prod(f[:, j] for f in factors)
+    return total
+
+
 def _residual_pass_kernel(params, y1, y2, weights):
     """(log det lam', beta', L^-1 rhs, mu', diagonal of lam') by the kernel's
-    residual-pass formula, written out: the same sums (each a row-wise sum
-    of products, sum x^m = x^a . x^(m - a) with a = min(m, p - 1) and
+    residual-pass formula, written out: the same sums (each a sum of
+    products, sum x^m = x^a . x^(m - a) with a = min(m, p - 1) and
     sum t x^k = x^k . t, with the weights as a last factor when there are
-    weights), the same column Cholesky, then mu' by back substitution and
+    weights; a row's own `einsum` at p = 1 and a running sum over the points
+    at p > 1), the same column Cholesky, then mu' by back substitution and
     beta' = beta + rss(mu')/2 + (mu' - mu)^T lam (mu' - mu)/2.  This is the
     kernel's arithmetic, so a row the kernel gives the residual pass must
     match it bit for bit."""
     p, (r, n) = params.p, y1.shape
-    n_pow = 2 * p - 1
+    n_pow, rowsum = 2 * p - 1, _rowsum if p == 1 else _running_sum
     xk = [None, y1]  # x^k; x^0 is never a factor
     for _ in range(2, p):
         xk.append(xk[-1] * y1)
     sums = np.empty((n_pow + p, r))
-    sums[0], sums[n_pow] = n if weights is None else _rowsum(weights), _rowsum(y2, weights)
+    sums[0], sums[n_pow] = n if weights is None else _rowsum(weights), rowsum(y2, weights)
     for m in range(1, n_pow):
         a = min(m, p - 1)
-        sums[m] = _rowsum(xk[a], xk[m - a], weights) if m > a else _rowsum(xk[a], weights)
+        sums[m] = rowsum(xk[a], xk[m - a], weights) if m > a else rowsum(xk[a], weights)
     for k in range(1, p):
-        sums[n_pow + k] = _rowsum(xk[k], y2, weights)
+        sums[n_pow + k] = rowsum(xk[k], y2, weights)
     chol = np.zeros((p + 1, p, r))
     chol[p] = (params.lam @ params.mu)[:, None] + sums[n_pow:]
     for j in range(p):
@@ -454,7 +466,7 @@ def _trust_ratio(params, y1, y2, weights):
     form's error scale T + sum_j mu'_j^2 lam'_jj over `_TRUST` times 2 beta'
     (inf where beta' <= beta); a row above 1 takes the residual pass."""
     _, _, l_inv_rhs, mu_n, lam_diag = _residual_pass_kernel(params, y1, y2, weights)
-    total = _rowsum(y2, y2, weights) + float(params.mu @ params.lam @ params.mu)
+    total = (_rowsum if params.p == 1 else _running_sum)(y2, y2, weights) + float(params.mu @ params.lam @ params.mu)
     gain = total - np.einsum("jr,jr->r", l_inv_rhs, l_inv_rhs)
     scale = np.einsum("jr,jr,jr->r", mu_n, mu_n, lam_diag) + total
     return np.where(gain > 0, scale / (_TRUST * (2 * params.beta + np.maximum(gain, 0.0))), np.inf)
@@ -521,11 +533,11 @@ def test_beta_from_the_sums_is_the_residual_pass(seed, degree, n, r, log_sigma):
 def test_kernel_sums_are_exact_within_their_rounding_bound(degree, weighted):
     # every sum the kernel forms (power sums, right-hand sides, t^T W t, the
     # `scratch` array it fills) against exact rationals, within 8 u sum|terms|,
-    # u the unit roundoff: over 33 seeds a degree the worst seen is 7.3 u
-    # without weights and 7.9 u with weights (both at degree 10; the a-priori
-    # bound is (m + n) u for a term rounded m times, and a weighted sum of
-    # three factors is numpy's plain running sum, where the matvec it replaced
-    # reached 4.9 u), so a looser summation fails
+    # u the unit roundoff: every sum is a running sum over the points in order
+    # (a row-wise `einsum` at p = 1), and over three sets of 33 seeds a degree
+    # the worst seen is 7.9 u without weights and 8.7 u with weights, both at
+    # degree 10 (the a-priori bound is (m + n) u for a term rounded m times),
+    # so the bound holds at these seeds, where a looser summation fails
     rng = np.random.default_rng(degree)
     p, r, n = degree + 1, 6, 12
     y1, y2 = rng.uniform(-1, 1, size=(r, n)), rng.normal(scale=3.0, size=(r, n))
@@ -544,26 +556,62 @@ def test_kernel_sums_are_exact_within_their_rounding_bound(degree, weighted):
 
 
 @pytest.mark.parametrize(
-    "degree, weighted",
-    [pytest.param(d, w, id=f"{d}-weighted" if w else str(d)) for w in (False, True) for d in (0, 1, 4, 10)],
+    "degree, weighted, r",
+    [
+        pytest.param(d, w, r, id=f"{d}-weighted{tail}" if w else f"{d}{tail}")
+        for r, tail in ((4 * _BLOCK, ""), (_BLOCK + 1, "-tail"))
+        for w in (False, True)
+        for d in (0, 1, 4, 10)
+    ],
 )
-def test_a_rows_sums_do_not_depend_on_its_call(degree, weighted):
-    # every sum is a row's own reduction, its weights (integers 0-3) one more
-    # factor, so a dataset's sums (the power sums the kernel returns and the
-    # rest of its `scratch` array) are the same bits alone and anywhere in a
-    # 4,096-row call; the Cholesky, and so log det, mu' and beta', may still
-    # depend on a row's place
+def test_a_rows_sums_do_not_depend_on_its_call(degree, weighted, r):
+    # every sum is a running sum over a row's own points, its weights
+    # (integers 0-3) one more factor, so a dataset's sums (the power sums the
+    # kernel returns and the rest of its `scratch` array) are the same bits
+    # alone and anywhere in a 4,096-row call, or in the one-row tail block of
+    # a 1,025-row call; the Cholesky, and so log det, mu' and beta', may
+    # still depend on a row's place
     rng = np.random.default_rng(degree)
-    p, r = degree + 1, 4 * _BLOCK
+    p = degree + 1
     prior = _random_prior(rng, p)
     y1, y2 = rng.uniform(-1, 1, size=(r, 12)), rng.normal(size=(r, 12))
     weights = rng.integers(0, 4, size=(r, 12)).astype(float) if weighted else None
     _kernel(prior, y1, y2, weights)
     stacked = scratch("kernel.sums", (3 * p, r)).copy()
-    for i in range(0, r, 7):
+    for i in [*range(0, r, 7), r - 1]:
         alone = _kernel(prior, y1[i : i + 1], y2[i : i + 1], None if weights is None else weights[i : i + 1])[0]
         assert alone[:, 0].tobytes() == stacked[: 2 * p - 1, i].tobytes()
         assert scratch("kernel.sums", (3 * p, 1))[:, 0].tobytes() == stacked[:, i].tobytes()
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("r", [1, 2, 12, _BLOCK + 1])
+def test_a_one_coefficient_kernel_is_its_row_wise_reference(r, weighted):
+    # at p = 1 the kernel sums each row as it lies, one row-wise `einsum` a
+    # sum, so every output (its sums, log det, mu', beta' from the sums and,
+    # on nearly constant rows, from the residual pass) is bit for bit this
+    # reference written out in that arithmetic
+    rng = np.random.default_rng(r)
+    prior = NormalGammaParams(mu=np.array([0.3]), lam=np.array([[2.0]]), alpha=1.0, beta=1e-6)
+    y1, y2 = rng.uniform(-1, 1, size=(r, 12)), rng.normal(size=(r, 12))
+    flat = rng.uniform(size=r) < 0.3
+    flat[0], flat[-1] = r > 1, False  # a multi-row call holds a flat row and a trusted one
+    y2[flat] = 0.5 + 1e-7 * y2[flat]
+    weights = rng.integers(0, 4, size=(r, 12)).astype(float) if weighted else None
+    _, logdet, mu_n, beta_n = _kernel(prior, y1, y2, weights)
+    sums = scratch("kernel.sums", (3, r)).copy()
+    expected_sums = np.stack([12.0 * np.ones(r) if weights is None else _rowsum(weights), _rowsum(y2, weights)])
+    expected_sums = np.concatenate([expected_sums, _rowsum(y2, y2, weights)[None]])
+    assert sums.tobytes() == expected_sums.tobytes()
+    expected_logdet, fallback_beta, l_inv_rhs, expected_mu, lam_diag = _residual_pass_kernel(prior, y1, y2, weights)
+    assert logdet.tobytes() == expected_logdet.tobytes() and mu_n.tobytes() == expected_mu.T.tobytes()
+    total = expected_sums[2] + float(prior.mu @ prior.lam @ prior.mu)
+    gain = total - np.einsum("jr,jr->r", l_inv_rhs, l_inv_rhs)
+    sums_beta = prior.beta + 0.5 * gain
+    size = np.einsum("jr,jr,jr->r", expected_mu, expected_mu, lam_diag) + total
+    trusted = (gain > 0) & (size <= _TRUST * 2.0 * sums_beta)
+    assert np.array_equal(~trusted, flat)
+    assert beta_n.tobytes() == np.where(trusted, sums_beta, fallback_beta).tobytes()
 
 
 @pytest.mark.parametrize("weighted", [False, True])
