@@ -147,7 +147,8 @@ def _kernel(
     T + sum_j mu'_j^2 lam'_jj, which cancellation and large alternating
     coefficients raise.  Where that exceeds `_TRUST` times 2 beta', or
     beta' <= beta, a row takes the residual pass instead, positive by design:
-    beta + (its own sum w (t - Phi mu')^2 + (mu' - mu)^T lam (mu' - mu))/2.
+    beta + (its own sum w (t - Phi mu')^2 + (mu' - mu)^T lam (mu' - mu))/2,
+    one loop over `_BLOCK` of those rows at a time, in the spent stack.
     """
     y1, y2 = np.asarray(y1, dtype=float), np.asarray(y2, dtype=float)
     if y1.ndim != 2 or y1.shape != y2.shape or (weights is not None and np.shape(weights) != y1.shape):
@@ -205,15 +206,14 @@ def _kernel(
     if not trusted.all():  # rows p and 0 of the spent chol then hold mu' - mu and lam (mu' - mu)
         shift = np.subtract(mu_n, params.mu[:, None], out=chol[p])
         shrink = np.einsum("jr,jr->r", np.matmul(params.lam, shift, out=chol[0]), shift)
-        rows, rss = np.flatnonzero(~trusted), np.zeros(r)
-        dense = 3 * rows.size > r  # most rows: whole blocks, in place; a few: `_BLOCK` of those rows at a time
-        for start in range(0, r if dense else rows.size, _BLOCK):
-            sel = slice(start, start + _BLOCK) if dense else rows[start : start + _BLOCK]
-            out = buf[: y1[sel].size].reshape(-1, n) if dense else None  # either way each row's own sum
-            resid = np.square(np.subtract(y2[sel], horner(y1[sel], mu_n[:, sel, None], out=out), out=out), out=out)
-            resid *= 1.0 if weights is None else weights[sel]
-            rss[sel] = np.einsum("ij->i", resid)
-        beta_n = np.where(trusted, beta_n, params.beta + 0.5 * rss + 0.5 * shrink)
+        rows = np.flatnonzero(~trusted)
+        for start in range(0, rows.size, _BLOCK):  # each row's own sum, whatever the other rows
+            sel = rows[start : start + _BLOCK]
+            out = buf[: sel.size * n].reshape(-1, n)  # `take` gathers rows faster than indexing does
+            mean = horner(y1.take(sel, axis=0), mu_n.take(sel, axis=1)[:, :, None], out=out)
+            resid = np.square(np.subtract(y2.take(sel, axis=0), mean, out=out), out=out)
+            resid *= 1.0 if weights is None else weights.take(sel, axis=0)
+            beta_n[sel] = params.beta + 0.5 * np.einsum("ij->i", resid) + 0.5 * shrink[sel]
     return sums[:n_pow], logdet_n, mu_n.T, beta_n
 
 

@@ -21,7 +21,6 @@ from enum import Enum
 import numpy as np
 
 from .conjugate import (
-    _BLOCK,
     NormalGammaParams,
     PosteriorSample,
     Predictive,
@@ -220,7 +219,9 @@ class PredictiveBuilder:
 # ---------------------------------------------------------------------------
 # Exact-score oracles
 
-_MC_BLOCK = 4 * _BLOCK  # measurements per block of the Monte Carlo oracle
+# Measurements per block of the Monte Carlo oracle: the kernel's Cholesky
+# makes one pass per block, and a block's draw stays cache-sized.
+_MC_BLOCK = 4096
 
 
 def exact_score_mc(
@@ -236,9 +237,9 @@ def exact_score_mc(
     process and averages the negated joint log density of the (fixed)
     predictive; the standard error is the sample SD over replicates divided
     by sqrt(n_datasets).  The measurements, bit for bit those of one draw,
-    are drawn and scored in blocks of four conjugate kernel blocks, so the
-    working set stays cache-sized whatever n_datasets is.  Each block is
-    drawn into the `draw_blocks` buffers that the next block overwrites:
+    are drawn and scored in blocks of `_MC_BLOCK`, so the working set stays
+    cache-sized whatever n_datasets is.  Each block is drawn into the
+    `draw_blocks` buffers that the next block overwrites:
     `predictive.log_density_batch` must return fresh densities and keep
     none of its arguments.
     """
@@ -322,17 +323,20 @@ def delta_estimator(predictive: Predictive, data: DataSet) -> ScoreEstimate:
 
 
 def _cross_validate(
-    build: PredictiveBuilder, data: DataSet, train: np.ndarray, valid: np.ndarray, estimator: EstimatorKind
+    build: PredictiveBuilder, data: DataSet, valid: np.ndarray, seed: int, estimator: EstimatorKind
 ) -> ScoreEstimate:
-    """Cross-validation over R folds: fold r trains on the m points of the
-    (R, m) index array `train` and scores the points that the (R, N) mask
-    `valid` selects.  The value is the negated sum of the held-out log
-    densities rescaled by N / |V| to the measurement size, |V| counting the
-    scored points of all folds; every fold must be usable."""
+    """Cross-validation over R folds of the measurement shuffled once by
+    `seed`: fold r scores the positions of the shuffled measurement that row
+    r of the (R, N) mask `valid` selects and trains on the rest, in order.
+    The value is the negated sum of the held-out log densities rescaled by
+    N / |V| to the measurement size, |V| counting the scored points of all
+    folds; every fold must be usable."""
+    train = np.nonzero(~valid)[1].reshape(len(valid), -1)  # each fold's complement, in order
     n, (r, m) = len(data), train.shape
     if m < build.min_train_size:
         raise TooFewPoints(f"training sets of {m} points below model minimum {build.min_train_size}")
-    log_density, floored, usable = build.score_folds(data, train, valid)
+    shuffled = data.subset(np.random.default_rng(seed).permutation(n))
+    log_density, floored, usable = build.score_folds(shuffled, train, valid)
     if not usable.all():
         raise RankDeficient(f"fold {np.argmin(usable)} of {r} trains on a rank-deficient design matrix")
     return ScoreEstimate(
@@ -356,9 +360,7 @@ def holdout_estimator(
     if n_train < 1 or n_valid < 1:
         raise ValueError("both partitions need at least one point")
     # the head of the shuffled measurement trains, its tail validates
-    shuffled = data.subset(np.random.default_rng(seed).permutation(n))
-    valid = np.arange(n)[None] >= n_train
-    return _cross_validate(build, shuffled, np.arange(n_train)[None], valid, EstimatorKind.HOLD_OUT)
+    return _cross_validate(build, data, np.arange(n)[None] >= n_train, seed, EstimatorKind.HOLD_OUT)
 
 
 def jackknife_estimator(build: PredictiveBuilder, data: DataSet, k_folds: int, seed: int = 0) -> ScoreEstimate:
@@ -370,13 +372,8 @@ def jackknife_estimator(build: PredictiveBuilder, data: DataSet, k_folds: int, s
     n = len(data)
     if k_folds < 1 or n % k_folds != 0:
         raise ValueError(f"k_folds must divide the measurement size {n}")
-    fold_size = n // k_folds
-    idx = np.random.default_rng(seed).permutation(n)
-    in_fold = np.eye(k_folds, dtype=bool).repeat(fold_size, axis=1)  # over positions of idx
-    train = np.broadcast_to(idx, (k_folds, n))[~in_fold].reshape(k_folds, n - fold_size)
-    valid = np.zeros((k_folds, n), dtype=bool)
-    valid[np.arange(k_folds)[:, None], idx.reshape(k_folds, fold_size)] = True
-    return _cross_validate(build, data, train, valid, EstimatorKind.JACKKNIFE)
+    valid = np.eye(k_folds, dtype=bool).repeat(n // k_folds, axis=1)
+    return _cross_validate(build, data, valid, seed, EstimatorKind.JACKKNIFE)
 
 
 def bootstrap_estimator(build: PredictiveBuilder, data: DataSet, scheme: Bootstrap) -> ScoreEstimate:

@@ -7,7 +7,9 @@ equal numpy's per-row routines and the explicit algebra, the batch evidence
 equals the scalar one and obeys the chain rule over random priors and
 degrees 0-6, and WAIC, DIC and the plug-in log likelihood agree at a
 degenerate posterior.  The kernel's sums are within 8 ulps of exact at
-degrees 0-10 and, with weights or without, the same bits for a row alone
+degrees 0-10, bit for bit a written-out running sum over the points (a
+row-wise `einsum` at p = 1) for any draws at degrees 0-10, and, with
+weights or without, the same bits for a row alone
 as in a 4,096-row call or a one-row tail block, and at p = 1 every output
 is bit for bit a row-wise `einsum` reference; its beta' from the sums
 agrees with a written-out residual pass within 1e-13, and bit for bit on
@@ -416,30 +418,39 @@ def _running_sum(*factors):
     return total
 
 
-def _residual_pass_kernel(params, y1, y2, weights):
-    """(log det lam', beta', L^-1 rhs, mu', diagonal of lam') by the kernel's
-    residual-pass formula, written out: the same sums (each a sum of
-    products, sum x^m = x^a . x^(m - a) with a = min(m, p - 1) and
-    sum t x^k = x^k . t, with the weights as a last factor when there are
-    weights; a row's own `einsum` at p = 1 and a running sum over the points
-    at p > 1), the same column Cholesky, then mu' by back substitution and
-    beta' = beta + rss(mu')/2 + (mu' - mu)^T lam (mu' - mu)/2.  This is the
-    kernel's arithmetic, so a row the kernel gives the residual pass must
-    match it bit for bit."""
-    p, (r, n) = params.p, y1.shape
+def _reference_sums(p, y1, y2, weights):
+    """Every sum the kernel forms, laid out as its `scratch("kernel.sums")`
+    array: the power sums sum x^m (m = 0 .. 2p - 2), the right-hand sides
+    sum t x^k (k = 0 .. p - 1) and t^T t, each a sum of products,
+    sum x^m = x^a . x^(m - a) with a = min(m, p - 1) and sum t x^k =
+    x^k . t, with the weights as a last factor when there are weights; a
+    row's own `einsum` at p = 1 and a running sum over the points at p > 1."""
     n_pow, rowsum = 2 * p - 1, _rowsum if p == 1 else _running_sum
     xk = [None, y1]  # x^k; x^0 is never a factor
     for _ in range(2, p):
         xk.append(xk[-1] * y1)
-    sums = np.empty((n_pow + p, r))
-    sums[0], sums[n_pow] = n if weights is None else _rowsum(weights), rowsum(y2, weights)
+    sums = np.empty((n_pow + p + 1, len(y1)))
+    sums[0], sums[n_pow] = y1.shape[1] if weights is None else _rowsum(weights), rowsum(y2, weights)
     for m in range(1, n_pow):
         a = min(m, p - 1)
         sums[m] = rowsum(xk[a], xk[m - a], weights) if m > a else rowsum(xk[a], weights)
     for k in range(1, p):
         sums[n_pow + k] = rowsum(xk[k], y2, weights)
+    sums[-1] = rowsum(y2, y2, weights)
+    return sums
+
+
+def _residual_pass_kernel(params, y1, y2, weights):
+    """(log det lam', beta', L^-1 rhs, mu', diagonal of lam') by the kernel's
+    residual-pass formula, written out: the same sums (`_reference_sums`),
+    the same column Cholesky, then mu' by back substitution and
+    beta' = beta + rss(mu')/2 + (mu' - mu)^T lam (mu' - mu)/2.  This is the
+    kernel's arithmetic, so a row the kernel gives the residual pass must
+    match it bit for bit."""
+    p, r = params.p, len(y1)
+    n_pow, sums = 2 * p - 1, _reference_sums(p, y1, y2, weights)
     chol = np.zeros((p + 1, p, r))
-    chol[p] = (params.lam @ params.mu)[:, None] + sums[n_pow:]
+    chol[p] = (params.lam @ params.mu)[:, None] + sums[n_pow:-1]
     for j in range(p):
         col = chol[j:, j]
         col[:-1] = params.lam[j:, j, None] + sums[2 * j : j + p]
@@ -553,6 +564,27 @@ def test_kernel_sums_are_exact_within_their_rounding_bound(degree, weighted):
         terms += [[wj * tj * tj for wj, tj in zip(w, t)]]
         for row, ts in enumerate(terms):
             assert abs(Fraction(sums[row, i]) - sum(ts)) <= 8 * u * sum(map(abs, ts))
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    degree=st.integers(0, 10),
+    n=st.integers(1, 40),
+    r=st.sampled_from([1, 2, 12, _BLOCK + 1]),
+    weighted=st.booleans(),
+)
+def test_kernel_sums_are_the_reference_sums_bit_for_bit(seed, degree, n, r, weighted):
+    # every entry of the kernel's `scratch` sums array is the same bits as
+    # the reference's running sum over the points in order (its row-wise
+    # `einsum` at p = 1), whatever the draws: the summation order is pinned
+    # for every input, not only at the seeds of the rounding-bound test
+    rng = np.random.default_rng(seed)
+    p = degree + 1
+    y1, y2 = rng.uniform(-1, 1, size=(r, n)), rng.normal(scale=3.0, size=(r, n))
+    weights = rng.integers(0, 4, size=(r, n)).astype(float) if weighted else None
+    _kernel(default_prior(ModelSpec(degree)), y1, y2, weights)
+    assert scratch("kernel.sums", (3 * p, r)).tobytes() == _reference_sums(p, y1, y2, weights).tobytes()
 
 
 @pytest.mark.parametrize(

@@ -425,6 +425,27 @@ def test_cross_validation_rescales_to_the_measurement_size(estimate):
     assert est.std_error is None and est.floor_engaged == 0
 
 
+def test_every_fold_is_a_mask_over_one_shuffled_measurement(monkeypatch):
+    # hold-out and jackknife both score the measurement shuffled once by the
+    # seed, and each fold trains on exactly the positions its mask leaves out
+    calls = []
+    original = PredictiveBuilder.score_folds
+
+    def recording(build, data, train, valid):
+        calls.append((data, np.asarray(train), np.asarray(valid)))
+        return original(build, data, train, valid)
+
+    monkeypatch.setattr(PredictiveBuilder, "score_folds", recording)
+    data = sample_dataset(QUARTIC, n=12, seed=3)
+    holdout_estimator(_mle(1), data, 8, 4, seed=5)
+    jackknife_estimator(_mle(1), data, 4, seed=5)
+    shuffled = data.subset(np.random.default_rng(5).permutation(12))
+    assert [valid.sum(axis=1).tolist() for _, _, valid in calls] == [[4], [3, 3, 3, 3]]
+    for seen, train, valid in calls:
+        assert seen.y1.tobytes() == shuffled.y1.tobytes() and seen.y2.tobytes() == shuffled.y2.tobytes()
+        assert [t.tolist() for t in train] == [np.flatnonzero(~v).tolist() for v in valid]
+
+
 class TestUnusableFold:
     # three points share y1 = 0.5, so a line fit on them alone is rank-deficient
     DATA = DataSet([0.5, 0.5, 0.5, -0.2], [1.0, 1.3, 0.8, 0.1])

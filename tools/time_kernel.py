@@ -8,10 +8,13 @@ alternating order (old first in even rounds), with one BLAS thread.  A child
 times `NormalGammaParams.log_density_batch` at every shape the workloads
 use: p = 1, 3 and 5 coefficients, R = 1, 2, 12, 400 and 4,096 datasets of
 12 points, without and with integer point weights 0-3, M calls each after
-one warm-up call.  It uses only the public constructor and that method, so
-any tree since weighted evidences exist can be timed.  The table gives, per
-shape, the min over the N x M calls in us per call for each tree and the
-ratio new / old.  The exit code is 0.
+one warm-up call.  Those draws are noise, so almost no row takes the
+kernel's residual pass; four more shapes (p = 3 and 5, R = 12 and 4,096,
+no weights) draw rows within 1e-6 of a polynomial of degree p - 1 under a
+weak prior, so that every row takes it.  It uses only the public
+constructor and that method, so any tree since weighted evidences exist
+can be timed.  The table gives, per shape, the min over the N x M calls in
+us per call for each tree and the ratio new / old.  The exit code is 0.
 """
 
 from __future__ import annotations
@@ -23,8 +26,30 @@ import subprocess
 import sys
 from pathlib import Path
 
-SHAPES = [(p, r, weighted) for p in (1, 3, 5) for r in (1, 2, 12, 400, 4096) for weighted in (False, True)]
+import numpy as np
+
+# (p, R, weighted, fallback): every row of a fallback shape takes the residual pass
+SHAPES = [(p, r, weighted, False) for p in (1, 3, 5) for r in (1, 2, 12, 400, 4096) for weighted in (False, True)]
+SHAPES += [(p, r, False, True) for p in (3, 5) for r in (12, 4096)]
 N_POINTS = 12
+
+
+def draw_case(conjugate, p: int, r: int, weighted: bool, fallback: bool) -> tuple:
+    """(params, y1, y2, weights) of one shape, seeded by it: noise under a
+    random prior, or with `fallback` rows within 1e-6 of a random polynomial
+    of degree p - 1 under a weak prior (mu = 0, lam = 1e-3 I, beta = 1e-6)."""
+    rng = np.random.default_rng(p * 10_000 + r + (1 if fallback else 0))
+    if fallback:
+        params = conjugate.NormalGammaParams(mu=np.zeros(p), lam=1e-3 * np.eye(p), alpha=0.5, beta=1e-6)
+        y1 = rng.uniform(-1, 1, size=(r, N_POINTS))
+        y2 = np.polynomial.polynomial.polyval(y1, rng.normal(size=p)) + 1e-6 * rng.normal(size=(r, N_POINTS))
+        return params, y1, y2, None
+    a = rng.normal(size=(p + 3, p))
+    params = conjugate.NormalGammaParams(mu=rng.normal(size=p), lam=a.T @ a + np.eye(p), alpha=6.5, beta=4.0)
+    y1 = rng.uniform(-1, 1, size=(r, N_POINTS))
+    y2 = rng.normal(size=(r, N_POINTS))
+    weights = rng.integers(0, 4, size=(r, N_POINTS)).astype(float) if weighted else None
+    return params, y1, y2, weights
 
 
 def _child(src: str, calls: int) -> None:
@@ -33,17 +58,11 @@ def _child(src: str, calls: int) -> None:
     sys.path.insert(0, src)
     import time
 
-    import numpy as np
     import rpps.conjugate as conjugate
 
     times = []
-    for p, r, weighted in SHAPES:
-        rng = np.random.default_rng(p * 10_000 + r)
-        a = rng.normal(size=(p + 3, p))
-        params = conjugate.NormalGammaParams(mu=rng.normal(size=p), lam=a.T @ a + np.eye(p), alpha=6.5, beta=4.0)
-        y1 = rng.uniform(-1, 1, size=(r, N_POINTS))
-        y2 = rng.normal(size=(r, N_POINTS))
-        weights = rng.integers(0, 4, size=(r, N_POINTS)).astype(float) if weighted else None
+    for shape in SHAPES:
+        params, y1, y2, weights = draw_case(conjugate, *shape)
         params.log_density_batch(y1, y2, weights)
         best = float("inf")
         for _ in range(calls):
@@ -86,9 +105,10 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("expected OLD_SRC, NEW_SRC and --rounds, --calls >= 1")
     best = time_trees(args.old_src, args.new_src, args.rounds, args.calls)
     print(f"min of {args.rounds} x {args.calls} calls, us per call")
-    print(f"{'p':>2} {'R':>5} {'weights':>7} {'old':>10} {'new':>10} {'new/old':>7}")
-    for (p, r, weighted), a, b in zip(SHAPES, best["old"], best["new"]):
-        print(f"{p:>2} {r:>5} {'yes' if weighted else 'no':>7} {a:>10.1f} {b:>10.1f} {b / a:>7.3f}")
+    print(f"{'p':>2} {'R':>5} {'weights':>7} {'fallback':>8} {'old':>10} {'new':>10} {'new/old':>7}")
+    for (p, r, weighted, fallback), a, b in zip(SHAPES, best["old"], best["new"]):
+        flags = f"{'yes' if weighted else 'no':>7} {'yes' if fallback else 'no':>8}"
+        print(f"{p:>2} {r:>5} {flags} {a:>10.1f} {b:>10.1f} {b / a:>7.3f}")
     return 0
 
 
