@@ -8,6 +8,8 @@ import numpy as np
 
 from .datagen import LOG_HALF, DataSet, frozen_copy, horner, load_json_object, normal_logpdf, require_count
 
+_EPS = np.finfo(float).eps  # the rank rule's unit, looked up once
+
 
 class TooFewPoints(ValueError):
     """Not enough points for a finite, positive-variance fit."""
@@ -77,12 +79,13 @@ def _least_squares(phi: np.ndarray, y2: np.ndarray) -> tuple[np.ndarray, np.ndar
     and the numerical rank.  The one fit behind `fit_mle` and the fold
     kernel."""
     u, s, vt = np.linalg.svd(phi, full_matrices=False)
-    keep = s > np.finfo(float).eps * max(phi.shape[1:]) * s[:, :1]
+    keep = s > _EPS * max(phi.shape[1:]) * s[:, :1]
     inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
     proj = inv_s * (y2[:, None, :] @ u)[:, 0]
     coeffs = (proj[:, None, :] @ vt)[:, 0]
     resid = y2 - (phi @ coeffs[..., None])[..., 0]
-    return coeffs, np.mean(resid**2, axis=1), keep.sum(axis=1)
+    # np.mean(resid**2, axis=1) bit for bit, squared in place
+    return coeffs, np.add.reduce(np.square(resid, out=resid), axis=1) / resid.shape[1], keep.sum(axis=1)
 
 
 @dataclass(frozen=True)

@@ -180,11 +180,12 @@ class PredictiveBuilder:
             return posterior_update(self.prior, train)
         return self.prior  # the prior predictive ignores the training set
 
-    def score_folds(self, data: DataSet, train, valid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def score_folds(self, data: DataSet, train, valid, counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The fold kernel: fold r trains on the points `train[r]` of an (R, m)
         index array (a repeated index counts its point again) and scores the
-        points that the (R, n) boolean mask `valid[r]` selects.  Returns per
-        fold the log density of those points, whether the MLE variance floor
+        points that the (R, n) boolean mask `valid[r]` selects; the (R, n)
+        `counts[r]` counts each point's copies in `train[r]`.  Returns per fold
+        the log density of those points, whether the MLE variance floor
         engaged, and whether the fold is usable: at least `min_train_size`
         distinct training points and, for the MLE, a full-rank fit (the other
         entries of an unusable fold mean nothing).  The MLE refits all folds
@@ -194,10 +195,7 @@ class PredictiveBuilder:
         predictive through the chain rule log p(V | W) = log Z(W + V) - log Z(W),
         the training counts W also as weights.
         """
-        train = np.asarray(train, dtype=int)
-        valid = np.asarray(valid, dtype=bool)
-        r, n = valid.shape
-        counts = np.bincount((train + n * np.arange(r)[:, None]).ravel(), minlength=r * n).reshape(r, n)
+        r = len(valid)
         usable = (counts > 0).sum(axis=1) >= self.min_train_size
         if self.inference != InferenceKind.MLE:
             chain = self.inference == InferenceKind.POSTERIOR_PREDICTIVE
@@ -263,11 +261,15 @@ def exact_score_mc(
     )
 
 
-@functools.cache
-def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    """The 64 read-only Gauss-Legendre nodes and weights, computed once."""
+@functools.lru_cache(maxsize=64)
+def _gauss_legendre(spec_true: GeneratorSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 64 read-only Gauss-Legendre nodes and weights and the truth's
+    read-only mean at the nodes, computed once per truth."""
     nodes, weights = np.polynomial.legendre.leggauss(64)
-    return frozen_copy("nodes", nodes), frozen_copy("weights", weights)
+    nodes = frozen_copy("nodes", nodes)
+    truth = spec_true.mean_at(nodes)
+    truth.flags.writeable = False
+    return nodes, frozen_copy("weights", weights), truth
 
 
 def exact_score_quadrature(spec_true: GeneratorSpec, predictive: PluginGaussian, n_points: int) -> ScoreEstimate:
@@ -284,8 +286,8 @@ def exact_score_quadrature(spec_true: GeneratorSpec, predictive: PluginGaussian,
         raise NotFactorizing("quadrature oracle applies to plug-in predictives only; use exact_score_mc")
     require_count("n_points", n_points)
     predictive, floored = _floored_predictive(predictive)
-    nodes, weights = _gauss_legendre()
-    gap = spec_true.mean_at(nodes) - predictive.mean_at(nodes)
+    nodes, weights, truth = _gauss_legendre(spec_true)
+    gap = truth - predictive.mean_at(nodes)
     cross_entropy = 0.5 * np.log(2.0 * math.pi * predictive.sigma2) + (spec_true.sigma**2 + gap**2) / (
         2.0 * predictive.sigma2
     )
@@ -322,25 +324,37 @@ def delta_estimator(predictive: Predictive, data: DataSet) -> ScoreEstimate:
     )
 
 
+@functools.lru_cache(maxsize=256)
+def _fold_plan(n: int, k_folds: int, n_valid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """The read-only plan of k_folds folds over N positions, fold r scoring
+    the r-th of k_folds blocks of n_valid positions that end the measurement
+    and training once on each other position, in order: the (R, N) scored
+    mask, the (R, m) training positions, the (R, N) training counts and
+    N / |V|.  Built once per (N, k_folds, n_valid), all it depends on."""
+    valid = (np.arange(n) - (n - k_folds * n_valid)) // n_valid == np.arange(k_folds)[:, None]
+    train = np.nonzero(~valid)[1].reshape(k_folds, -1)  # each fold's complement, in order
+    counts = (~valid).astype(int)
+    valid.flags.writeable = train.flags.writeable = counts.flags.writeable = False
+    return valid, train, counts, n / (k_folds * n_valid)
+
+
 def _cross_validate(
-    build: PredictiveBuilder, data: DataSet, valid: np.ndarray, seed: int, estimator: EstimatorKind
+    build: PredictiveBuilder, data: DataSet, plan: tuple, seed: int, estimator: EstimatorKind
 ) -> ScoreEstimate:
-    """Cross-validation over R folds of the measurement shuffled once by
-    `seed`: fold r scores the positions of the shuffled measurement that row
-    r of the (R, N) mask `valid` selects and trains on the rest, in order.
-    The value is the negated sum of the held-out log densities rescaled by
-    N / |V| to the measurement size, |V| counting the scored points of all
-    folds; every fold must be usable."""
-    train = np.nonzero(~valid)[1].reshape(len(valid), -1)  # each fold's complement, in order
-    n, (r, m) = len(data), train.shape
+    """Cross-validation over the folds of a `_fold_plan` on the measurement
+    shuffled once by `seed`.  The value is the negated sum of the held-out
+    log densities rescaled by N / |V| to the measurement size; every fold
+    must be usable."""
+    valid, train, counts, rescale = plan
+    (r, m), n = train.shape, len(data)
     if m < build.min_train_size:
         raise TooFewPoints(f"training sets of {m} points below model minimum {build.min_train_size}")
     shuffled = data.subset(np.random.default_rng(seed).permutation(n))
-    log_density, floored, usable = build.score_folds(shuffled, train, valid)
+    log_density, floored, usable = build.score_folds(shuffled, train, valid, counts)
     if not usable.all():
         raise RankDeficient(f"fold {np.argmin(usable)} of {r} trains on a rank-deficient design matrix")
     return ScoreEstimate(
-        value=-(n / int(np.count_nonzero(valid))) * float(np.sum(log_density)),
+        value=-rescale * float(np.sum(log_density)),
         std_error=None,
         estimator=estimator,
         n_effective=r,
@@ -360,7 +374,7 @@ def holdout_estimator(
     if n_train < 1 or n_valid < 1:
         raise ValueError("both partitions need at least one point")
     # the head of the shuffled measurement trains, its tail validates
-    return _cross_validate(build, data, np.arange(n)[None] >= n_train, seed, EstimatorKind.HOLD_OUT)
+    return _cross_validate(build, data, _fold_plan(n, 1, n_valid), seed, EstimatorKind.HOLD_OUT)
 
 
 def jackknife_estimator(build: PredictiveBuilder, data: DataSet, k_folds: int, seed: int = 0) -> ScoreEstimate:
@@ -372,8 +386,7 @@ def jackknife_estimator(build: PredictiveBuilder, data: DataSet, k_folds: int, s
     n = len(data)
     if k_folds < 1 or n % k_folds != 0:
         raise ValueError(f"k_folds must divide the measurement size {n}")
-    valid = np.eye(k_folds, dtype=bool).repeat(n // k_folds, axis=1)
-    return _cross_validate(build, data, valid, seed, EstimatorKind.JACKKNIFE)
+    return _cross_validate(build, data, _fold_plan(n, k_folds, n // k_folds), seed, EstimatorKind.JACKKNIFE)
 
 
 def bootstrap_estimator(build: PredictiveBuilder, data: DataSet, scheme: Bootstrap) -> ScoreEstimate:
@@ -389,9 +402,9 @@ def bootstrap_estimator(build: PredictiveBuilder, data: DataSet, scheme: Bootstr
         raise ValueError("b_resamples must be >= 1")
     n = len(data)
     draws = np.random.default_rng(scheme.seed).integers(0, n, size=(b, n))
-    oob = np.ones((b, n), dtype=bool)
-    oob[np.arange(b)[:, None], draws] = False
-    log_density, floored, usable = build.score_folds(data, draws, oob)
+    counts = np.bincount((draws + n * np.arange(b)[:, None]).ravel(), minlength=b * n).reshape(b, n)
+    oob = counts == 0
+    log_density, floored, usable = build.score_folds(data, draws, oob, counts)
     n_oob = oob.sum(axis=1)
     keep = usable & (n_oob > 0)
     if not keep.any():

@@ -50,6 +50,21 @@ def test_every_key_of_the_fold_evidence_workloads_matches_its_reference(tmp_path
         assert 0.0 <= check["worst_move"] <= 1e-12
 
 
+def test_every_key_of_the_mle_workloads_matches_its_reference(tmp_path):
+    # the MLE fold path (stacked least squares over the fold plans) and the
+    # CLI score path, every reference key
+    names = ["misfit-mle", "score-cli"]
+    checks = _in_child(
+        f"[check_refs.check_key(name, key, check_refs.Path({str(tmp_path)!r}) / name)"
+        f" for name in {names!r} for key in range(check_refs.W.REF_KEYS)]"
+    )
+    assert len(checks) == 2 * 16
+    for check in checks:
+        assert check["reference_found"] and check["repeat_identical"]
+        assert check["off"] == 0 and check["compared"] > 0
+        assert 0.0 <= check["worst_move"] <= 1e-12
+
+
 @pytest.fixture(scope="module")
 def worst_moves():
     cases = json.dumps([case[:3] for case in _WORST_MOVE_CASES])

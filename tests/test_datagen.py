@@ -232,6 +232,25 @@ class TestDataSet:
         np.testing.assert_array_equal(sub.y1, [0.5, 0.1])
         np.testing.assert_array_equal(sub.y2, [3.0, 1.0])
 
+    @pytest.mark.parametrize("indices", [[2, 0], [1, 1, 1], range(5), np.array([4, -1, 0])])
+    def test_a_subset_is_the_dataset_of_its_gathered_points(self, indices):
+        data = sample_dataset(QUARTIC, n=5, seed=3)
+        sub = data.subset(indices)
+        idx = np.asarray(indices)
+        expected = DataSet(data.y1[idx], data.y2[idx])
+        for got, want in ((sub.y1, expected.y1), (sub.y2, expected.y2)):
+            assert got.dtype == np.float64 and got.flags.c_contiguous and not got.flags.writeable
+            assert got.tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            sub.y1[0] = 0.0
+        assert sub == expected
+
+    @pytest.mark.parametrize(("indices", "error"), [([5], IndexError), ([0, -6], IndexError), ([], ValueError),
+                                                    (0, ValueError), ([[0, 1]], ValueError)])
+    def test_a_subset_of_no_points_or_points_out_of_range_raises(self, indices, error):
+        with pytest.raises(error):
+            sample_dataset(QUARTIC, n=5, seed=3).subset(indices)
+
     def test_order_matters(self):
         a = DataSet([0.1, 0.2], [1.0, 2.0])
         b = DataSet([0.2, 0.1], [2.0, 1.0])

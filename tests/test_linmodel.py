@@ -134,6 +134,15 @@ class TestStackedLeastSquares:
         np.testing.assert_allclose(sigma2, [1 / 6, 1 / 6, 0.0], rtol=1e-15, atol=1e-30)
 
 
+    @pytest.mark.parametrize(("r", "m", "p"), [(1, 12, 1), (6, 10, 3), (400, 6, 5), (3, 7, 7)])
+    def test_sigma2_is_the_mean_squared_residual_bit_for_bit(self, r, m, p):
+        rng = np.random.default_rng(r * m * p)
+        phi, y2 = rng.normal(size=(r, m, p)), rng.normal(size=(r, m))
+        coeffs, sigma2, _ = _least_squares(phi, y2)
+        resid = y2 - (phi @ coeffs[..., None])[..., 0]
+        assert sigma2.tobytes() == np.mean(resid**2, axis=1).tobytes()
+
+
 class TestPluginGaussian:
     @pytest.mark.parametrize(
         ("coeffs", "sigma2"),

@@ -198,6 +198,25 @@ class TestExactScoreQuadrature:
         off = exact_score_quadrature(truth, PluginGaussian([0.1 + delta], sigma**2), n_points=7)
         assert off.value - base.value == pytest.approx(7 * delta**2 / (2 * sigma**2), rel=1e-12)
 
+    def test_the_cached_truth_mean_is_the_formula_per_truth(self):
+        # two truths scored in turn: each value is the uncached formula's,
+        # bit for bit, and neither truth's node means leak into the other's
+        def uncached(truth, predictive, n_points):
+            nodes, weights = np.polynomial.legendre.leggauss(64)
+            gap = truth.mean_at(nodes) - predictive.mean_at(nodes)
+            cross = 0.5 * np.log(2.0 * math.pi * predictive.sigma2) + (truth.sigma**2 + gap**2) / (
+                2.0 * predictive.sigma2
+            )
+            return n_points * (float(np.sum(weights * 0.5 * cross)) + math.log(2.0))
+
+        predictive = PluginGaussian([0.3, -1.0, 0.5], 0.4)
+        truths = [QUARTIC, GeneratorSpec(degree=1, coeffs=(-0.2, 2.0), sigma=0.3)]
+        for truth in truths * 2:
+            assert exact_score_quadrature(truth, predictive, 12).value == uncached(truth, predictive, 12)
+        means = [scores._gauss_legendre(truth)[2] for truth in truths]
+        assert means[0] is scores._gauss_legendre(QUARTIC)[2] and not np.array_equal(*means)
+        assert not any(array.flags.writeable for array in scores._gauss_legendre(QUARTIC))
+
     def test_rejects_bayesian_kinds(self):
         prior = default_prior(ModelSpec(0))
         with pytest.raises(NotFactorizing):
@@ -323,7 +342,7 @@ class _ConstantPerPointBuilder:
 
     min_train_size = 0
 
-    def score_folds(self, data, train, valid):
+    def score_folds(self, data, train, valid, counts):
         r = len(valid)
         return -np.count_nonzero(valid, axis=1).astype(float), np.zeros(r, bool), np.ones(r, bool)
 
@@ -431,9 +450,9 @@ def test_every_fold_is_a_mask_over_one_shuffled_measurement(monkeypatch):
     calls = []
     original = PredictiveBuilder.score_folds
 
-    def recording(build, data, train, valid):
+    def recording(build, data, train, valid, counts):
         calls.append((data, np.asarray(train), np.asarray(valid)))
-        return original(build, data, train, valid)
+        return original(build, data, train, valid, counts)
 
     monkeypatch.setattr(PredictiveBuilder, "score_folds", recording)
     data = sample_dataset(QUARTIC, n=12, seed=3)
