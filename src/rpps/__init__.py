@@ -59,7 +59,6 @@ from .scores import (
     exact_score_quadrature,
     holdout_estimator,
     jackknife_estimator,
-    log_odds,
     waic,
 )
 

@@ -66,7 +66,6 @@ class EstimatorKind(str, Enum):
 
 class CriterionKind(str, Enum):
     LOG_EVIDENCE = "log_evidence"
-    LOG_ODDS = "log_odds"
     AIC = "aic"
     WAIC = "waic"
     DIC = "dic"
@@ -488,13 +487,6 @@ def dic(posterior_samples: PosteriorSample, point_estimate: PosteriorSample, dat
     penalty = 2.0 * float(np.sum(at_hat - np.mean(loglik, axis=1)))
     value = -(float(np.sum(at_hat)) - penalty)
     return Criterion(kind=CriterionKind.DIC, value=value, n_samples=len(posterior_samples))
-
-
-def log_odds(evidence_a: Criterion, evidence_b: Criterion) -> Criterion:
-    """Log-odds ratio between two models' evidences (positive favors A)."""
-    if evidence_a.kind != CriterionKind.LOG_EVIDENCE or evidence_b.kind != CriterionKind.LOG_EVIDENCE:
-        raise ValueError("log_odds takes two log-evidence criteria")
-    return Criterion(kind=CriterionKind.LOG_ODDS, value=evidence_a.value - evidence_b.value)
 
 
 def evidence_criterion(prior: NormalGammaParams, data: DataSet) -> Criterion:

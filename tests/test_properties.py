@@ -10,7 +10,9 @@ degenerate posterior.  The kernel's sums are within 8 ulps of exact at
 degrees 0-10, bit for bit a written-out running sum over the points (a
 row-wise `einsum` at p = 1) for any draws at degrees 0-10, and, with
 weights or without, the same bits for a row alone
-as in a 4,096-row call or a one-row tail block, and at p = 1 every output
+as in a 4,096-row call or a one-row tail block; a row's evidence is the
+same bits alone as in a 500-row call at degrees 0-1 and within 1e-13
+relative at degrees 2-6, and at p = 1 every output
 is bit for bit a row-wise `einsum` reference; its beta' from the sums
 agrees with a written-out residual pass within 1e-13, and bit for bit on
 the rows its rule sends to that pass, however many of a call's rows go
@@ -614,6 +616,31 @@ def test_a_rows_sums_do_not_depend_on_its_call(degree, weighted, r):
         alone = _kernel(prior, y1[i : i + 1], y2[i : i + 1], None if weights is None else weights[i : i + 1])[0]
         assert alone[:, 0].tobytes() == stacked[: 2 * p - 1, i].tobytes()
         assert scratch("kernel.sums", (3 * p, 1))[:, 0].tobytes() == stacked[:, i].tobytes()
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+@pytest.mark.parametrize("degree", range(7))
+def test_a_rows_evidence_barely_depends_on_its_call(degree, weighted):
+    # a row's sums are the same bits in any call, but the Cholesky's `einsum`
+    # and the log det's sum reduce over the coefficients in an order that
+    # depends on R: so one R = 500 call and 500 R = 1 calls agree bit for bit
+    # at degrees 0-1 (p <= 2), and within 1e-13 relative at degrees 2-6, for 500
+    # datasets of each shipped truth under the default prior and a
+    # posterior, without weights and with integer weights 0-2
+    spec = ModelSpec(degree)
+    prior = default_prior(spec)
+    for seed, truth in enumerate([GeneratorSpec(4, (0.5, -3.0, -4.0, 3.0, 6.0), 0.5), GeneratorSpec(0, (0.5,), 0.5)]):
+        rng = np.random.default_rng(seed)
+        y1, y2 = truth.draw(rng, (500, 12))
+        weights = rng.integers(0, 3, size=(500, 12)).astype(float) if weighted else None
+        for params in (prior, posterior_update(prior, sample_dataset(truth, 12, seed=seed))):
+            stacked = params.log_density_batch(y1, y2, weights)
+            rows = [(y1[i : i + 1], y2[i : i + 1], None if weights is None else weights[i : i + 1]) for i in range(500)]
+            alone = np.concatenate([params.log_density_batch(*row) for row in rows])
+            if degree <= 1:
+                assert alone.tobytes() == stacked.tobytes()
+            else:
+                np.testing.assert_allclose(alone, stacked, rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("weighted", [False, True])
