@@ -12,8 +12,10 @@ from __future__ import annotations
 import csv
 import math
 import numbers
+import os
 import sys
 import threading
+from collections import deque
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
@@ -96,6 +98,24 @@ def scratch(name: str, shape: tuple[int, ...]) -> np.ndarray:
     return buf[:size].reshape(shape)
 
 
+_worker = None  # (pid, executor) of `_normals_worker`
+
+
+def _normals_worker():
+    """The one worker thread of this process that draws `draw_blocks`'
+    normals, started on first use (so importing rpps starts no thread or
+    executor) and again in a fork child, which has the parent's executor
+    but not its thread.  Threads that start it at once may each make an
+    executor; each `draw_blocks` keeps the one it got, so a spare only
+    idles until it is collected."""
+    global _worker
+    if _worker is None or _worker[0] != os.getpid():
+        from concurrent.futures import ThreadPoolExecutor
+
+        _worker = (os.getpid(), ThreadPoolExecutor(max_workers=1, thread_name_prefix="rpps-normals"))
+    return _worker[1]
+
+
 def horner(y1, coeffs, out=None):
     """sum_k coeffs[k] * y1**k by Horner's rule, computed in place (into
     `out` if given).  Equal to `np.polynomial.polynomial.polyval(y1, coeffs)`
@@ -150,19 +170,22 @@ class GeneratorSpec:
         return horner(y1, self.coeffs)
 
     def draw(self, rng: np.random.Generator, shape, normals=None, out=None) -> tuple[np.ndarray, np.ndarray]:
-        """Draw y1 and then y2 arrays of `shape` from `rng`, y2's noise from
-        `normals` if given, into the C-contiguous float64 pair `out` if
-        given.  y1 is 2u - 1, bit for bit `rng.uniform(-1, 1, shape)`, and
-        y2 is mean + sigma * z, formed in place with z in a `scratch`
-        buffer (a constant mean is added to sigma * z in one pass): bit for
-        bit `rng.normal(self.mean_at(y1), self.sigma)`."""
+        """Draw y1 and then y2 arrays of `shape` from `rng`, into the
+        C-contiguous float64 pair `out` if given.  y1 is 2u - 1, bit for bit
+        `rng.uniform(-1, 1, shape)`, and y2 is mean + sigma * z, formed in
+        place with z in a `scratch` buffer (a constant mean is added to
+        sigma * z in one pass): bit for bit `rng.normal(self.mean_at(y1),
+        self.sigma)`.  If `normals` is given, it is called once the mean is
+        in y2 and returns z, a writeable array of `shape` that this draw
+        scales in place, instead of drawing z from `rng`."""
         y1, y2 = (np.empty(shape), np.empty(shape)) if out is None else out
         rng.random(out=y1)
         y1 *= 2.0
         y1 -= 1.0
-        z = (rng if normals is None else normals).standard_normal(out=scratch("draw.z", y1.shape))
+        mean = horner(y1, self.coeffs, out=y2) if self.degree else self.coeffs[0]
+        z = rng.standard_normal(out=scratch("draw.z", y1.shape)) if normals is None else normals()
         z *= self.sigma
-        np.add(horner(y1, self.coeffs, out=y2) if self.degree else self.coeffs[0], z, out=y2)
+        np.add(mean, z, out=y2)
         return y1, y2
 
     def draw_blocks(self, rng: np.random.Generator, n_rows: int, n_points: int, block: int):
@@ -172,17 +195,42 @@ class GeneratorSpec:
         one 64-bit output, so the normals start n_rows * n_points outputs
         on, where a copy of its state advanced that far draws them.
 
+        That copy is the process's `_normals_worker`'s alone: it draws the
+        normals of the next two blocks, in order, into two `scratch`
+        buffers taken here, while the caller works on the block yielded.
+        The worker runs numpy's `standard_normal` and nothing else; the
+        uniforms, the truth's mean and the consumer's code stay on the
+        caller's thread.  When the generator closes (exhausted, or its
+        consumer breaks off or raises), every job is finished or cancelled.
+
         Every block is drawn into the same `scratch` buffers, so the next
         block (or the next `draw_blocks` in this thread) overwrites the one
         yielded before it: a consumer must not keep the arrays, only what
         it computed from them."""
         stops = [*range(block, n_rows - block + 1, block), n_rows]
+        shapes = [(stop - start, n_points) for start, stop in zip([0, *stops], stops)]
         bits = np.random.PCG64()
         bits.state = rng.bit_generator.state
-        normals = np.random.Generator(bits.advance(n_rows * n_points))
-        for start, stop in zip([0, *stops], stops):
-            shape = (stop - start, n_points)
-            yield self.draw(rng, shape, normals, out=(scratch("draw.y1", shape), scratch("draw.y2", shape)))
+        normals = np.random.Generator(bits.advance(n_rows * n_points)).standard_normal
+        worker = _normals_worker()
+        jobs = deque()
+
+        def submit(k):  # block k's z, into the buffer block k - 2 has spent
+            jobs.append(worker.submit(normals, out=scratch(f"draw.z{k % 2}", shapes[k])))
+
+        try:
+            for k in range(min(2, len(shapes))):
+                submit(k)
+            for k, shape in enumerate(shapes):
+                drawn = self.draw(rng, shape, jobs[0].result, out=(scratch("draw.y1", shape), scratch("draw.y2", shape)))
+                jobs.popleft()
+                if k + 2 < len(shapes):
+                    submit(k + 2)
+                yield drawn
+        finally:  # no job may write a buffer once the caller has moved on
+            for job in jobs:
+                if not job.cancel():
+                    job.exception()  # waits for it to finish
 
     def to_json_dict(self) -> dict:
         return {"degree": self.degree, "coeffs": list(self.coeffs), "sigma": self.sigma}
@@ -272,11 +320,13 @@ def write_dataset_csv(data: DataSet, path) -> None:
 
 
 def read_dataset_csv(path) -> DataSet:
-    """Read a CSV whose header is exactly y1,y2.  A non-blank row without
-    two numeric fields, or with a y2 that is not finite, is a ValueError,
-    and a y1 outside [-1, 1] is OutsideSupport; each names the line."""
+    """Read a CSV whose header is exactly y1,y2, after a UTF-8 byte-order
+    mark if the file starts with one (as spreadsheet tools write it).  A
+    non-blank row without two numeric fields, or with a y2 that is not
+    finite, is a ValueError, and a y1 outside [-1, 1] is OutsideSupport;
+    each names the line."""
     path = Path(path)
-    with path.open("r", encoding="utf-8", newline="") as f:
+    with path.open("r", encoding="utf-8-sig", newline="") as f:
         r = csv.reader(f)
         header = next(r, None)
         if header is None or [h.strip() for h in header] != ["y1", "y2"]:

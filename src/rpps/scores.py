@@ -238,7 +238,8 @@ def exact_score_mc(
     cache-sized whatever n_datasets is.  Each block is drawn into the
     `draw_blocks` buffers that the next block overwrites:
     `predictive.log_density_batch` must return fresh densities and keep
-    none of its arguments.
+    none of its arguments.  It runs on the caller's thread while the
+    process's one normals worker draws the noise of the next two blocks.
     """
     require_count("n_datasets", n_datasets, minimum=2)
     require_count("n_points", n_points)

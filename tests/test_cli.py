@@ -217,6 +217,15 @@ class TestFit:
             main(["fit", "--data", str(data_file), "--model", str(model_file)])
         assert capsys.readouterr().err == ""
 
+    def test_a_byte_order_mark_is_read_past(self, tmp_path, data_file, model_file, capsys):
+        # the same file as a spreadsheet tool saves it fits the same
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + data_file.read_bytes())
+        assert main(["fit", "--data", str(data_file), "--model", str(model_file)]) == 0
+        plain = capsys.readouterr().out
+        assert main(["fit", "--data", str(bom), "--model", str(model_file)]) == 0
+        assert capsys.readouterr().out == plain
+
     def test_a_third_header_field_is_rejected(self, tmp_path, model_file, capsys):
         data = tmp_path / "data.csv"
         data.write_text("y1,y2,z\n0.1,0.2\n0.3,0.4\n0.5,0.6\n")

@@ -319,6 +319,12 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="expected CSV header 'y1,y2'"):
             read_dataset_csv(path)
 
+    def test_a_byte_order_mark_is_skipped(self, tmp_path):
+        # spreadsheet tools start a UTF-8 CSV with one
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfy1,y2\n0.1,0.2\n")
+        assert read_dataset_csv(path) == DataSet([0.1], [0.2])
+
     def test_header_fields_may_carry_spaces(self, tmp_path):
         path = tmp_path / "spaced.csv"
         path.write_text(" y1 , y2 \n0.1,0.2\n")

@@ -1,6 +1,9 @@
 import itertools
 import math
+import multiprocessing
+import queue
 import sys
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -9,7 +12,7 @@ import pytest
 from scipy import stats
 from scipy.special import logsumexp
 
-from rpps import scores
+from rpps import datagen, scores
 from rpps.conjugate import (
     NormalGammaParams,
     PluginGaussian,
@@ -166,6 +169,107 @@ class TestExactScoreMc:
         sys.setswitchinterval(1e-5)
         try:
             with ThreadPoolExecutor(max_workers=2) as pool:
+                futures = [pool.submit(exact_score_mc, QUARTIC, predictive, 20_001, 12, seed) for seed in seeds]
+                concurrent = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert concurrent == sequential
+
+    def test_the_oracles_rpps_code_runs_on_the_callers_thread(self, monkeypatch):
+        # the normals' worker runs numpy only: every kernel call and every
+        # evaluation of the truth's mean is the caller's
+        threads = []
+
+        def spy(function):
+            def wrapper(*args, **kwargs):
+                threads.append(threading.get_ident())
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        data = sample_dataset(QUARTIC, 12, seed=5)
+        prior = default_prior(ModelSpec(4))
+        predictives = (fit_mle(ModelSpec(4), data), prior, posterior_update(prior, data))
+        for cls in (NormalGammaParams, PluginGaussian):
+            monkeypatch.setattr(cls, "log_density_batch", spy(cls.log_density_batch))
+        monkeypatch.setattr(datagen, "horner", spy(datagen.horner))
+        for predictive in predictives:
+            exact_score_mc(QUARTIC, predictive, 20_001, 12, seed=3)
+        # four blocks a call, each one kernel call and one mean
+        assert len(threads) == 3 * 4 * 2
+        assert set(threads) == {threading.get_ident()}
+
+    def test_no_job_outlives_the_call(self, monkeypatch):
+        # however the consumer stops, every normals job is done (finished
+        # or cancelled) when it goes on, and the next call draws the same bits
+        jobs = []
+        worker = datagen._normals_worker()
+        submit = worker.submit
+
+        def recorded(*args, **kwargs):
+            jobs.append(submit(*args, **kwargs))
+            return jobs[-1]
+
+        monkeypatch.setattr(worker, "submit", recorded)
+        predictive = posterior_update(default_prior(ModelSpec(4)), sample_dataset(QUARTIC, 12, seed=1))
+
+        class FailsOnTheSecondBlock:
+            calls = 0
+
+            def log_density_batch(self, y1, y2):
+                self.calls += 1
+                if self.calls == 2:
+                    raise RuntimeError("second block")
+                return predictive.log_density_batch(y1, y2)
+
+        with pytest.raises(RuntimeError, match="second block"):
+            exact_score_mc(QUARTIC, FailsOnTheSecondBlock(), 20_001, 12, seed=4)
+        assert len(jobs) == 4 and all(job.done() for job in jobs)  # blocks 0-3 of 4
+        for _ in QUARTIC.draw_blocks(np.random.default_rng(4), 20_001, 12, scores._MC_BLOCK):
+            break
+        assert len(jobs) == 7 and all(job.done() for job in jobs)  # blocks 0-2 of 4
+        y1, y2 = QUARTIC.draw(np.random.default_rng(4), (20_001, 12))
+        reference = -predictive.log_density_batch(y1, y2)
+        est = exact_score_mc(QUARTIC, predictive, 20_001, 12, seed=4)
+        assert est.value == float(np.mean(reference))
+        assert est.std_error == float(np.std(reference, ddof=1) / math.sqrt(20_001))
+
+    def test_a_fork_child_draws_with_its_own_worker(self):
+        # the parent's worker thread does not survive a fork, so a child
+        # that reused its executor would wait on it forever
+        predictive = posterior_update(default_prior(ModelSpec(4)), sample_dataset(QUARTIC, 12, seed=1))
+        parent = exact_score_mc(QUARTIC, predictive, 20_001, 12, seed=7)
+        context = multiprocessing.get_context("fork")
+        results = context.Queue()
+
+        def child():
+            est = exact_score_mc(QUARTIC, predictive, 20_001, 12, seed=7)
+            results.put((est.value, est.std_error))
+
+        process = context.Process(target=child)
+        process.start()
+        try:
+            assert results.get(timeout=60) == (parent.value, parent.std_error)
+            process.join(timeout=10)
+            assert process.exitcode == 0
+        except queue.Empty:
+            pytest.fail("the fork child's oracle call did not return")
+        finally:
+            if process.is_alive():
+                process.kill()
+                process.join()
+
+    def test_callers_that_start_the_worker_at_once_draw_their_own_bits(self, monkeypatch):
+        # more callers than cores, all starting the normals worker together
+        # and then sharing it: each call equals its sequential result
+        predictive = posterior_update(default_prior(ModelSpec(4)), sample_dataset(QUARTIC, 12, seed=1))
+        seeds = range(20, 28)
+        sequential = [exact_score_mc(QUARTIC, predictive, 20_001, 12, seed) for seed in seeds]
+        monkeypatch.setattr(datagen, "_worker", None)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
                 futures = [pool.submit(exact_score_mc, QUARTIC, predictive, 20_001, 12, seed) for seed in seeds]
                 concurrent = [future.result(timeout=120) for future in futures]
         finally:
