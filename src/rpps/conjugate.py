@@ -45,9 +45,8 @@ class NormalGammaParams:
         mu, lam = frozen_copy("mu", self.mu), frozen_copy("lam", self.lam)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "lam", lam)
-        p = mu.shape[0]
-        if mu.ndim != 1 or lam.shape != (p, p):
-            raise ValueError("mu must be a p-vector and lam a p x p matrix")
+        if mu.ndim != 1 or not mu.size or lam.shape != (mu.size, mu.size):
+            raise ValueError(f"mu must be a p-vector, p >= 1, and lam a p x p matrix, got {mu.shape} and {lam.shape}")
         if not np.abs(lam - lam.T).max() <= 1e-10 * max(1.0, float(np.abs(lam).max())):
             raise ValueError("lam must be symmetric")
         try:

@@ -15,7 +15,6 @@ import numbers
 import os
 import sys
 import threading
-from collections import deque
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
@@ -169,24 +168,12 @@ class GeneratorSpec:
         """Polynomial mean of y2 at the given y1 value(s)."""
         return horner(y1, self.coeffs)
 
-    def draw(self, rng: np.random.Generator, shape, normals=None, out=None) -> tuple[np.ndarray, np.ndarray]:
-        """Draw y1 and then y2 arrays of `shape` from `rng`, into the
-        C-contiguous float64 pair `out` if given.  y1 is 2u - 1, bit for bit
-        `rng.uniform(-1, 1, shape)`, and y2 is mean + sigma * z, formed in
-        place with z in a `scratch` buffer (a constant mean is added to
-        sigma * z in one pass): bit for bit `rng.normal(self.mean_at(y1),
-        self.sigma)`.  If `normals` is given, it is called once the mean is
-        in y2 and returns z, a writeable array of `shape` that this draw
-        scales in place, instead of drawing z from `rng`."""
-        y1, y2 = (np.empty(shape), np.empty(shape)) if out is None else out
-        rng.random(out=y1)
-        y1 *= 2.0
-        y1 -= 1.0
-        mean = horner(y1, self.coeffs, out=y2) if self.degree else self.coeffs[0]
-        z = rng.standard_normal(out=scratch("draw.z", y1.shape)) if normals is None else normals()
-        z *= self.sigma
-        np.add(mean, z, out=y2)
-        return y1, y2
+    def draw(self, rng: np.random.Generator, shape) -> tuple[np.ndarray, np.ndarray]:
+        """Draw y1 and then y2 arrays of `shape` from `rng`: numpy's
+        uniform-then-normal stream, bit for bit `rng.normal(self.mean_at(y1),
+        self.sigma)` after `y1 = rng.uniform(-1, 1, shape)`."""
+        y1 = rng.uniform(-1.0, 1.0, shape)
+        return y1, self.mean_at(y1) + self.sigma * rng.standard_normal(shape)
 
     def draw_blocks(self, rng: np.random.Generator, n_rows: int, n_points: int, block: int):
         """Yield the rows of `self.draw(rng, (n_rows, n_points))` bit for
@@ -195,38 +182,39 @@ class GeneratorSpec:
         one 64-bit output, so the normals start n_rows * n_points outputs
         on, where a copy of its state advanced that far draws them.
 
-        That copy is the process's `_normals_worker`'s alone: it draws the
-        normals of the next two blocks, in order, into two `scratch`
-        buffers taken here, while the caller works on the block yielded.
-        The worker runs numpy's `standard_normal` and nothing else; the
-        uniforms, the truth's mean and the consumer's code stay on the
-        caller's thread.  When the generator closes (exhausted, or its
-        consumer breaks off or raises), every job is finished or cancelled.
+        That copy is the process's `_normals_worker`'s alone: it runs only
+        numpy's `standard_normal`, drawing z of the next two blocks in order
+        into two `scratch` buffers taken here.  Meanwhile the caller forms
+        each block in place (y1 as 2u - 1, the truth's mean in y2, then
+        sigma * z added into y2) and works on the block yielded.  When the
+        generator closes (exhausted, or its consumer breaks off or raises),
+        every job is finished or cancelled.
 
-        Every block is drawn into the same `scratch` buffers, so the next
-        block (or the next `draw_blocks` in this thread) overwrites the one
-        yielded before it: a consumer must not keep the arrays, only what
-        it computed from them."""
+        Every block is drawn into the same `scratch` buffers, which the next
+        block (or the next `draw_blocks` in this thread) overwrites: a
+        consumer must keep only what it computed from them."""
+        n_rows, n_points = int(n_rows), int(n_points)  # numpy integers: PCG64.advance takes an int
         stops = [*range(block, n_rows - block + 1, block), n_rows]
         shapes = [(stop - start, n_points) for start, stop in zip([0, *stops], stops)]
         bits = np.random.PCG64()
         bits.state = rng.bit_generator.state
         normals = np.random.Generator(bits.advance(n_rows * n_points)).standard_normal
         worker = _normals_worker()
-        jobs = deque()
-
-        def submit(k):  # block k's z, into the buffer block k - 2 has spent
-            jobs.append(worker.submit(normals, out=scratch(f"draw.z{k % 2}", shapes[k])))
-
+        # jobs[k] draws block k's z, into the buffer block k - 2 has spent
+        jobs = [worker.submit(normals, out=scratch(f"draw.z{k}", shape)) for k, shape in enumerate(shapes[:2])]
         try:
-            for k in range(min(2, len(shapes))):
-                submit(k)
             for k, shape in enumerate(shapes):
-                drawn = self.draw(rng, shape, jobs[0].result, out=(scratch("draw.y1", shape), scratch("draw.y2", shape)))
-                jobs.popleft()
+                y1, y2 = scratch("draw.y1", shape), scratch("draw.y2", shape)
+                rng.random(out=y1)
+                y1 *= 2.0
+                y1 -= 1.0
+                mean = horner(y1, self.coeffs, out=y2) if self.degree else self.coeffs[0]
+                z = jobs[k].result()
+                z *= self.sigma
+                np.add(mean, z, out=y2)
                 if k + 2 < len(shapes):
-                    submit(k + 2)
-                yield drawn
+                    jobs.append(worker.submit(normals, out=scratch(f"draw.z{k % 2}", shapes[k + 2])))
+                yield y1, y2
         finally:  # no job may write a buffer once the caller has moved on
             for job in jobs:
                 if not job.cancel():
@@ -271,11 +259,11 @@ class DataSet:
         return f"DataSet(n={len(self)})"
 
     def subset(self, indices) -> "DataSet":
-        """New DataSet of the given indices, in the given order, its gathered
+        """New DataSet of the given integer indices, in order, its gathered
         arrays frozen: gathered from finite float64 arrays, they need no check."""
-        idx = np.asarray(indices, dtype=int)
-        if idx.ndim != 1 or not idx.size:
-            raise ValueError("a subset takes a nonempty 1-D sequence of indices")
+        idx = np.asarray(indices)
+        if idx.ndim != 1 or not idx.size or idx.dtype.kind not in "iu":
+            raise ValueError(f"a subset takes nonempty 1-D integer indices, got {idx.dtype} of shape {idx.shape}")
         out = object.__new__(DataSet)
         out.y1, out.y2 = self.y1[idx], self.y2[idx]
         out.y1.flags.writeable = out.y2.flags.writeable = False

@@ -256,7 +256,7 @@ def exact_score_mc(
         value=value,
         std_error=std_error,
         estimator=EstimatorKind.MONTE_CARLO_ENSEMBLE,
-        n_effective=n_datasets,
+        n_effective=int(n_datasets),
         floor_engaged=floored,
     )
 

@@ -113,6 +113,12 @@ def test_setup_reference_launch_imports_what_rpps_cli_imports():
     assert not outside
 
 
+def test_importing_rpps_starts_nothing():
+    # the normals worker starts on the oracle's first call, not on import
+    probe = "import rpps.cli, sys, threading\nprint('concurrent.futures' in sys.modules, threading.active_count())"
+    assert _last_line_of(probe) == "False 1"
+
+
 def test_rpps_cli_loads_no_scipy():
     # numpy is the one runtime dependency; scipy serves the tests only
     loaded = _modules_loaded_by("import rpps.cli")

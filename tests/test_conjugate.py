@@ -87,6 +87,11 @@ class TestParamsValidation:
         with pytest.raises(ValueError, match=complaint):
             NormalGammaParams(mu=np.array(mu), lam=np.eye(2), alpha=alpha, beta=beta)
 
+    @pytest.mark.parametrize(("mu", "lam"), [(0.0, 1.0), (np.zeros(0), np.zeros((0, 0)))], ids=["scalar", "empty"])
+    def test_rejects_a_mu_that_is_no_nonempty_vector(self, mu, lam):
+        with pytest.raises(ValueError, match="mu must be a p-vector, p >= 1"):
+            NormalGammaParams(mu=mu, lam=lam, alpha=1.0, beta=1.0)
+
     def test_keeps_the_read_only_cholesky_factor(self):
         prior, _, _ = _random_case(4, degree=3)
         assert prior.chol.tobytes() == np.linalg.cholesky(prior.lam).tobytes()

@@ -246,7 +246,8 @@ class TestDataSet:
         assert sub == expected
 
     @pytest.mark.parametrize(("indices", "error"), [([5], IndexError), ([0, -6], IndexError), ([], ValueError),
-                                                    (0, ValueError), ([[0, 1]], ValueError)])
+                                                    (0, ValueError), ([[0, 1]], ValueError),
+                                                    ([True, False, True, False], ValueError), ([0.7, 1.2], ValueError)])
     def test_a_subset_of_no_points_or_points_out_of_range_raises(self, indices, error):
         with pytest.raises(error):
             sample_dataset(QUARTIC, n=5, seed=3).subset(indices)

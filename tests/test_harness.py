@@ -303,6 +303,12 @@ class TestRunExperiment:
         result = run_experiment(config)
         assert all(np.isfinite(r.estimate) for r in result.rows)
 
+    def test_a_numpy_integer_ensemble_size_runs(self):
+        # the Monte Carlo oracle's PCG64 advance takes a Python int only
+        config = _config(inference=InferenceKind.POSTERIOR_PREDICTIVE, replications=2)
+        numpy_sized = replace(config, oracle=OracleConfig(mc_datasets=np.int64(400)))
+        assert run_experiment(numpy_sized).rows == run_experiment(config).rows
+
     def test_warns_when_oracle_se_dominates(self):
         config = _config(
             truth=GeneratorSpec(degree=0, coeffs=(0.5,), sigma=0.5),

@@ -234,6 +234,21 @@ class TestExactScoreMc:
         assert est.value == float(np.mean(reference))
         assert est.std_error == float(np.std(reference, ddof=1) / math.sqrt(20_001))
 
+    def test_the_normals_run_two_blocks_ahead(self, monkeypatch):
+        # the worker's overlap with the caller: when the consumer receives
+        # block k, the normals of blocks k + 1 and k + 2 are already submitted
+        submitted = []
+        worker = datagen._normals_worker()
+        submit = worker.submit
+
+        def counted(*args, **kwargs):
+            submitted.append(None)
+            return submit(*args, **kwargs)
+
+        monkeypatch.setattr(worker, "submit", counted)
+        seen = [len(submitted) for _ in QUARTIC.draw_blocks(np.random.default_rng(2), 50, 12, block=10)]
+        assert seen == [3, 4, 5, 5, 5]
+
     def test_a_fork_child_draws_with_its_own_worker(self):
         # the parent's worker thread does not survive a fork, so a child
         # that reused its executor would wait on it forever
@@ -275,6 +290,15 @@ class TestExactScoreMc:
         finally:
             sys.setswitchinterval(interval)
         assert concurrent == sequential
+
+    @pytest.mark.parametrize("integer", [np.int64, np.int32, np.uint64])
+    def test_numpy_integer_counts_give_the_int_result(self, integer):
+        predictive = posterior_update(default_prior(ModelSpec(4)), sample_dataset(QUARTIC, 12, seed=1))
+        for n_datasets in (10, 2 * scores._MC_BLOCK + 1):
+            expected = exact_score_mc(QUARTIC, predictive, n_datasets, 12, seed=1)
+            est = exact_score_mc(QUARTIC, predictive, integer(n_datasets), integer(12), integer(1))
+            assert (est.value, est.std_error, est.n_effective) == (expected.value, expected.std_error, n_datasets)
+            assert type(est.n_effective) is int
 
     def test_bayesian_predictive_supported(self):
         prior = default_prior(ModelSpec(0))
