@@ -12,9 +12,9 @@ from __future__ import annotations
 import csv
 import math
 import numbers
-import os
 import sys
 import threading
+from collections import deque
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
@@ -28,10 +28,12 @@ class OutsideSupport(ValueError):
     """A y1 value lies outside [-1, 1], where the generating density is zero."""
 
 
-def require_count(name: str, value, minimum: int = 1) -> None:
-    """Raise ValueError unless `value` is an integer (not a bool) >= `minimum`."""
+def require_count(name: str, value, minimum: int = 1) -> int:
+    """`value` as an int; ValueError unless it is an integer (not a bool) >=
+    `minimum`.  A numpy integer so becomes the Python int a JSON writer takes."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
 def frozen_copy(name: str, values) -> np.ndarray:
@@ -97,24 +99,6 @@ def scratch(name: str, shape: tuple[int, ...]) -> np.ndarray:
     return buf[:size].reshape(shape)
 
 
-_worker = None  # (pid, executor) of `_normals_worker`
-
-
-def _normals_worker():
-    """The one worker thread of this process that draws `draw_blocks`'
-    normals, started on first use (so importing rpps starts no thread or
-    executor) and again in a fork child, which has the parent's executor
-    but not its thread.  Threads that start it at once may each make an
-    executor; each `draw_blocks` keeps the one it got, so a spare only
-    idles until it is collected."""
-    global _worker
-    if _worker is None or _worker[0] != os.getpid():
-        from concurrent.futures import ThreadPoolExecutor
-
-        _worker = (os.getpid(), ThreadPoolExecutor(max_workers=1, thread_name_prefix="rpps-normals"))
-    return _worker[1]
-
-
 def horner(y1, coeffs, out=None):
     """sum_k coeffs[k] * y1**k by Horner's rule, computed in place (into
     `out` if given).  Equal to `np.polynomial.polynomial.polyval(y1, coeffs)`
@@ -147,7 +131,7 @@ class GeneratorSpec:
     sigma: float
 
     def __post_init__(self):
-        require_count("degree", self.degree, minimum=0)
+        object.__setattr__(self, "degree", require_count("degree", self.degree, minimum=0))
         if not isinstance(self.coeffs, (list, tuple)) or not all(map(_is_real, self.coeffs)):
             raise ValueError(f"coeffs must be a list or tuple of real numbers, got {self.coeffs!r}")
         if not _is_real(self.sigma):
@@ -182,43 +166,44 @@ class GeneratorSpec:
         one 64-bit output, so the normals start n_rows * n_points outputs
         on, where a copy of its state advanced that far draws them.
 
-        That copy is the process's `_normals_worker`'s alone: it runs only
-        numpy's `standard_normal`, drawing z of the next two blocks in order
-        into two `scratch` buffers taken here.  Meanwhile the caller forms
-        each block in place (y1 as 2u - 1, the truth's mean in y2, then
-        sigma * z added into y2) and works on the block yielded.  When the
-        generator closes (exhausted, or its consumer breaks off or raises),
-        every job is finished or cancelled.
+        That copy is this call's own normals thread's alone, a one-thread
+        executor that runs only numpy's `standard_normal`, drawing z of the
+        next two blocks in order into two `scratch` buffers taken here.
+        Meanwhile the caller forms each block in place (y1 as 2u - 1, the
+        truth's mean in y2, then sigma * z added into y2) and works on the
+        block yielded.  When the generator closes (exhausted, or its
+        consumer breaks off or raises), the queued job is cancelled and the
+        thread joined once its running job is done.
 
         Every block is drawn into the same `scratch` buffers, which the next
         block (or the next `draw_blocks` in this thread) overwrites: a
         consumer must keep only what it computed from them."""
+        from concurrent.futures import ThreadPoolExecutor  # importing rpps loads no executor
+
         n_rows, n_points = int(n_rows), int(n_points)  # numpy integers: PCG64.advance takes an int
         stops = [*range(block, n_rows - block + 1, block), n_rows]
         shapes = [(stop - start, n_points) for start, stop in zip([0, *stops], stops)]
         bits = np.random.PCG64()
         bits.state = rng.bit_generator.state
         normals = np.random.Generator(bits.advance(n_rows * n_points)).standard_normal
-        worker = _normals_worker()
-        # jobs[k] draws block k's z, into the buffer block k - 2 has spent
-        jobs = [worker.submit(normals, out=scratch(f"draw.z{k}", shape)) for k, shape in enumerate(shapes[:2])]
+        worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="rpps-normals")
         try:
+            # the pending jobs of blocks k and k + 1; block k + 2's takes the buffer block k spends
+            jobs = deque(worker.submit(normals, out=scratch(f"draw.z{k}", shape)) for k, shape in enumerate(shapes[:2]))
             for k, shape in enumerate(shapes):
                 y1, y2 = scratch("draw.y1", shape), scratch("draw.y2", shape)
                 rng.random(out=y1)
                 y1 *= 2.0
                 y1 -= 1.0
                 mean = horner(y1, self.coeffs, out=y2) if self.degree else self.coeffs[0]
-                z = jobs[k].result()
+                z = jobs.popleft().result()
                 z *= self.sigma
                 np.add(mean, z, out=y2)
                 if k + 2 < len(shapes):
                     jobs.append(worker.submit(normals, out=scratch(f"draw.z{k % 2}", shapes[k + 2])))
                 yield y1, y2
         finally:  # no job may write a buffer once the caller has moved on
-            for job in jobs:
-                if not job.cancel():
-                    job.exception()  # waits for it to finish
+            worker.shutdown(cancel_futures=True)
 
     def to_json_dict(self) -> dict:
         return {"degree": self.degree, "coeffs": list(self.coeffs), "sigma": self.sigma}

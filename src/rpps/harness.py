@@ -93,7 +93,7 @@ class EstimatorRequest:
             elif value is None:
                 raise ValueError(f"{self.kind} needs {key}")
             else:
-                require_count(key, value, minimum=2 if key == "n_samples" else 1)
+                object.__setattr__(self, key, require_count(key, value, minimum=2 if key == "n_samples" else 1))
         # a label is a rows.csv and summary.csv cell, written without quoting
         if self.label is not None and (
             not isinstance(self.label, str) or not self.label or any(c in self.label for c in ',"\r\n')
@@ -146,7 +146,7 @@ class OracleConfig:
     quadrature: bool = True
 
     def __post_init__(self):
-        require_count("mc_datasets", self.mc_datasets, minimum=2)
+        object.__setattr__(self, "mc_datasets", require_count("mc_datasets", self.mc_datasets, minimum=2))
         if not isinstance(self.quadrature, bool):
             raise ValueError(f"quadrature must be true or false, got {self.quadrature!r}")
 
@@ -170,9 +170,8 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "estimators", tuple(self.estimators))
         object.__setattr__(self, "inference", InferenceKind(self.inference))
-        require_count("replications", self.replications)
-        require_count("n_points", self.n_points)
-        require_count("seed", self.seed, minimum=0)
+        for key, minimum in (("replications", 1), ("n_points", 1), ("seed", 0)):
+            object.__setattr__(self, key, require_count(key, getattr(self, key), minimum))
         if self.output_dir is not None and not isinstance(self.output_dir, str):
             raise ValueError(f"output_dir must be a string or null, got {self.output_dir!r}")
         if not self.estimators:
@@ -356,21 +355,22 @@ def _fmt(value: float | None) -> str:
 def emit_outputs(result: ExperimentResult, out_dir) -> None:
     """Write rows.csv (long format, one row per replication x estimator),
     summary.csv, and config.echo.json into `out_dir`."""
+    rows = [",".join(ROWS_HEADER)]
+    for row in result.rows:
+        numbers = map(_fmt, (row.estimate, row.std_error, row.exact, row.error))
+        rows.append(",".join([str(row.replication_id), row.estimator, *numbers, str(row.floor_engaged)]))
+    summary = [",".join(SUMMARY_HEADER)]
+    summary += [",".join([s.estimator, _fmt(s.q20), _fmt(s.q50), _fmt(s.q80)]) for s in result.summary]
+    texts = {  # every text is whole before a file opens, so a value that cannot be written writes no file
+        "rows.csv": "\n".join(rows) + "\n",
+        "summary.csv": "\n".join(summary) + "\n",
+        "config.echo.json": json.dumps(result.config.to_json_dict(), indent=2, sort_keys=True) + "\n",
+    }
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        rows_path = out / "rows.csv"
-        with rows_path.open("w", encoding="utf-8", newline="") as f:
-            f.write(",".join(ROWS_HEADER) + "\n")
-            for row in result.rows:
-                numbers = map(_fmt, (row.estimate, row.std_error, row.exact, row.error))
-                f.write(",".join([str(row.replication_id), row.estimator, *numbers, str(row.floor_engaged)]) + "\n")
-        with (out / "summary.csv").open("w", encoding="utf-8", newline="") as f:
-            f.write(",".join(SUMMARY_HEADER) + "\n")
-            for s in result.summary:
-                f.write(",".join([s.estimator, _fmt(s.q20), _fmt(s.q50), _fmt(s.q80)]) + "\n")
-        with (out / "config.echo.json").open("w", encoding="utf-8") as f:
-            json.dump(result.config.to_json_dict(), f, indent=2, sort_keys=True)
-            f.write("\n")
+        for name, text in texts.items():
+            with (out / name).open("w", encoding="utf-8", newline="") as f:
+                f.write(text)
     except OSError as exc:
         raise OSError(f"failed writing experiment outputs under {out}: {exc}") from exc

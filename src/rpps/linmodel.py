@@ -26,7 +26,7 @@ class ModelSpec:
     degree: int
 
     def __post_init__(self):
-        require_count("degree", self.degree, minimum=0)
+        object.__setattr__(self, "degree", require_count("degree", self.degree, minimum=0))
 
     @property
     def n_coeffs(self) -> int:

@@ -239,9 +239,9 @@ def exact_score_mc(
     `draw_blocks` buffers that the next block overwrites:
     `predictive.log_density_batch` must return fresh densities and keep
     none of its arguments.  It runs on the caller's thread while the
-    process's one normals worker draws the noise of the next two blocks.
+    call's own normals thread draws the noise of the next two blocks.
     """
-    require_count("n_datasets", n_datasets, minimum=2)
+    n_datasets = require_count("n_datasets", n_datasets, minimum=2)
     require_count("n_points", n_points)
     predictive, floored = _floored_predictive(predictive)
     scores = np.empty(n_datasets)
@@ -256,7 +256,7 @@ def exact_score_mc(
         value=value,
         std_error=std_error,
         estimator=EstimatorKind.MONTE_CARLO_ENSEMBLE,
-        n_effective=int(n_datasets),
+        n_effective=n_datasets,
         floor_engaged=floored,
     )
 

@@ -431,6 +431,37 @@ class TestEmitOutputs:
         for name in ("rows.csv", "summary.csv", "config.echo.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    def test_numpy_integer_counts_write_the_int_files(self, tmp_path):
+        # every validated count is stored as an int, so the echo is JSON
+        def config(integer):
+            return _config(
+                truth=GeneratorSpec(degree=integer(4), coeffs=MISFIT_TRUTH.coeffs, sigma=0.5),
+                model=ModelSpec(integer(0)),
+                inference=InferenceKind.POSTERIOR_PREDICTIVE,
+                estimators=(
+                    EstimatorRequest(kind="holdout", n_train=integer(6), n_valid=integer(6)),
+                    EstimatorRequest(kind="jackknife", k_folds=integer(6)),
+                    EstimatorRequest(kind="bootstrap", b_resamples=integer(5)),
+                    EstimatorRequest(kind="waic", n_samples=integer(50)),
+                ),
+                oracle=OracleConfig(mc_datasets=integer(400)),
+                replications=integer(3),
+                n_points=integer(12),
+                seed=integer(101),
+            )
+
+        emit_outputs(run_experiment(config(int)), tmp_path / "int")
+        emit_outputs(run_experiment(config(np.int64)), tmp_path / "numpy")
+        for name in ("rows.csv", "summary.csv", "config.echo.json"):
+            assert (tmp_path / "numpy" / name).read_bytes() == (tmp_path / "int" / name).read_bytes()
+
+    def test_a_value_that_cannot_be_written_writes_no_file(self, tmp_path):
+        result = run_experiment(_config(replications=2))
+        with mock.patch.object(ExperimentConfig, "to_json_dict", return_value={"seed": object()}):
+            with pytest.raises(TypeError):
+                emit_outputs(result, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_rows_csv_schema_and_lossless_floats(self, tmp_path):
         result = run_experiment(_config(replications=3))
         emit_outputs(result, tmp_path)

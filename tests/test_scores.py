@@ -5,6 +5,7 @@ import queue
 import sys
 import threading
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -203,14 +204,13 @@ class TestExactScoreMc:
         # however the consumer stops, every normals job is done (finished
         # or cancelled) when it goes on, and the next call draws the same bits
         jobs = []
-        worker = datagen._normals_worker()
-        submit = worker.submit
+        submit = ThreadPoolExecutor.submit
 
         def recorded(*args, **kwargs):
             jobs.append(submit(*args, **kwargs))
             return jobs[-1]
 
-        monkeypatch.setattr(worker, "submit", recorded)
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", recorded)
         predictive = posterior_update(default_prior(ModelSpec(4)), sample_dataset(QUARTIC, 12, seed=1))
 
         class FailsOnTheSecondBlock:
@@ -238,16 +238,59 @@ class TestExactScoreMc:
         # the worker's overlap with the caller: when the consumer receives
         # block k, the normals of blocks k + 1 and k + 2 are already submitted
         submitted = []
-        worker = datagen._normals_worker()
-        submit = worker.submit
+        submit = ThreadPoolExecutor.submit
 
         def counted(*args, **kwargs):
             submitted.append(None)
             return submit(*args, **kwargs)
 
-        monkeypatch.setattr(worker, "submit", counted)
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", counted)
         seen = [len(submitted) for _ in QUARTIC.draw_blocks(np.random.default_rng(2), 50, 12, block=10)]
         assert seen == [3, 4, 5, 5, 5]
+
+    def test_only_the_pending_jobs_are_held(self, monkeypatch):
+        # a finished block's job is let go: when block k is yielded, no
+        # job of an earlier block is alive
+        submitted = []
+        submit = ThreadPoolExecutor.submit
+
+        def referenced(*args, **kwargs):
+            job = submit(*args, **kwargs)
+            submitted.append(weakref.ref(job))
+            return job
+
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", referenced)
+        for k, _ in enumerate(QUARTIC.draw_blocks(np.random.default_rng(2), 50, 12, block=10)):
+            assert [ref() for ref in submitted[:k]] == [None] * k
+
+    @staticmethod
+    def _normals_threads():
+        return [thread for thread in threading.enumerate() if thread.name.startswith("rpps-normals")]
+
+    def test_no_normals_thread_outlives_the_call(self):
+        # each call's thread is joined when it returns, when it raises, and
+        # when its block generator is closed early
+        predictive = posterior_update(default_prior(ModelSpec(4)), sample_dataset(QUARTIC, 12, seed=1))
+        exact_score_mc(QUARTIC, predictive, 20_001, 12, seed=4)
+        assert self._normals_threads() == []
+
+        class FailsOnTheSecondBlock:
+            calls = 0
+
+            def log_density_batch(self, y1, y2):
+                self.calls += 1
+                if self.calls == 2:
+                    raise RuntimeError("second block")
+                return predictive.log_density_batch(y1, y2)
+
+        with pytest.raises(RuntimeError, match="second block"):
+            exact_score_mc(QUARTIC, FailsOnTheSecondBlock(), 20_001, 12, seed=4)
+        assert self._normals_threads() == []
+        blocks = QUARTIC.draw_blocks(np.random.default_rng(4), 20_001, 12, scores._MC_BLOCK)
+        next(blocks)
+        assert len(self._normals_threads()) == 1
+        blocks.close()
+        assert self._normals_threads() == []
 
     def test_a_fork_child_draws_with_its_own_worker(self):
         # the parent's worker thread does not survive a fork, so a child
@@ -274,13 +317,12 @@ class TestExactScoreMc:
                 process.kill()
                 process.join()
 
-    def test_callers_that_start_the_worker_at_once_draw_their_own_bits(self, monkeypatch):
-        # more callers than cores, all starting the normals worker together
-        # and then sharing it: each call equals its sequential result
+    def test_callers_that_start_the_worker_at_once_draw_their_own_bits(self):
+        # more callers than cores, each starting its own normals thread at
+        # once: each call equals its sequential result
         predictive = posterior_update(default_prior(ModelSpec(4)), sample_dataset(QUARTIC, 12, seed=1))
         seeds = range(20, 28)
         sequential = [exact_score_mc(QUARTIC, predictive, 20_001, 12, seed) for seed in seeds]
-        monkeypatch.setattr(datagen, "_worker", None)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:

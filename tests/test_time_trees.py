@@ -1,5 +1,6 @@
 """tools/time_trees.py at tiny counts: one round of one call per shape and
-one run of 2 replications per lane, the shapes meant to take the residual
+one run of 2 replications per lane, under a header that gives the CPUs the
+run may use; the shapes meant to take the residual
 pass take it on every row, and every lane is a valid config of the shipped
 experiments."""
 
@@ -9,6 +10,7 @@ import io
 import itertools
 import json
 import math
+import os
 from pathlib import Path
 
 import pytest
@@ -24,20 +26,24 @@ _SPEC.loader.exec_module(time_trees)
 
 @pytest.fixture(scope="module")
 def tables():
-    """The kernel table's lines and the lane table's lines of one tiny run
-    of the tool on this tree against itself."""
+    """The header line, the kernel table's lines and the lane table's lines
+    of one tiny run of the tool on this tree against itself."""
     src = str(_ROOT / "src")
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert time_trees.main([src, src, "--rounds", "1", "--calls", "1", "--runs", "1", "--reps", "2"]) == 0
-    lines = out.getvalue().splitlines()
+    header, *lines = out.getvalue().splitlines()
     split = 2 + len(time_trees.SHAPES)
     assert len(lines) == split + 2 + len(time_trees.LANES)
-    return lines[:split], lines[split:]
+    return header, lines[:split], lines[split:]
+
+
+def test_its_header_gives_the_cpus_it_may_use(tables):
+    assert tables[0] == f"{len(os.sched_getaffinity(0))} CPUs allowed, one BLAS thread per child"
 
 
 def test_it_times_every_shape_of_both_trees(tables):
-    lines = tables[0]
+    lines = tables[1]
     assert lines[0] == "min of 1 x 1 calls, us per call"
     assert lines[1].split() == ["p", "R", "weights", "fallback", "old", "new", "new/old"]
     for line, (p, r, weighted, fallback) in zip(lines[2:], time_trees.SHAPES, strict=True):
@@ -48,7 +54,7 @@ def test_it_times_every_shape_of_both_trees(tables):
 
 
 def test_it_times_every_lane_of_both_trees(tables):
-    lines = tables[1]
+    lines = tables[2]
     assert lines[0] == "min of 1 x 1 runs of 2 replications, us per replication"
     assert lines[1].split() == ["lane", "old", "new", "new/old"]
     for line, (label, _, _, _) in zip(lines[2:], time_trees.LANES, strict=True):

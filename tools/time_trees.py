@@ -14,7 +14,9 @@ on each of `LANES` (the shipped configs under `mle` and
 uses only those public names and `ExperimentConfig.from_json_dict`, so any
 tree that has them can be timed.  Two tables give the min over the rounds
 per shape, in us per call, and per lane, in us per replication, for each
-tree and the ratio new / old.  The exit code is 0.
+tree and the ratio new / old, under a header line that gives how many CPUs
+the run may use (its affinity, which the children inherit: run it under
+`taskset -c 0` for a one-CPU table).  The exit code is 0.
 """
 
 from __future__ import annotations
@@ -135,6 +137,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.old_src is None or args.new_src is None or min(args.rounds, args.calls, args.runs, args.reps) < 1:
         parser.error("expected OLD_SRC, NEW_SRC and --rounds, --calls, --runs, --reps >= 1")
     best = time_trees(args.old_src, args.new_src, args.rounds, args.calls, args.runs, args.reps)
+    print(f"{len(os.sched_getaffinity(0))} CPUs allowed, one BLAS thread per child")
     print(f"min of {args.rounds} x {args.calls} calls, us per call")
     print(f"{'p':>2} {'R':>5} {'weights':>7} {'fallback':>8} {'old':>10} {'new':>10} {'new/old':>7}")
     for (p, r, weighted, fallback), a, b in zip(SHAPES, best["old"], best["new"]):
