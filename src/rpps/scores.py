@@ -7,7 +7,7 @@ between two predictives' scores are reference-free.  This module provides
 the exact-score oracles (quadrature for plug-in predictives, Monte Carlo
 over replicate measurements otherwise), the single-measurement estimators
 (delta, hold-out, jackknife, bootstrap), and the information criteria
-(log evidence / log odds, AIC, WAIC, DIC), all on the same lower-is-better
+(log evidence, AIC, WAIC, DIC), all on the same lower-is-better
 orientation.
 """
 
@@ -114,7 +114,7 @@ class ScoreEstimate:
 @dataclass(frozen=True)
 class Criterion:
     """An information criterion value on the lower-is-better orientation
-    (log evidence and log odds keep their classical sign); `n_samples`
+    (the log evidence keeps its classical sign); `n_samples`
     counts the posterior draws behind WAIC and DIC.  Like a delta estimate
     it has no spread; AIC alone can engage the variance floor, which the
     record leaves out and an experiment row counts."""

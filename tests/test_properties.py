@@ -16,7 +16,9 @@ relative at degrees 2-6, and at p = 1 every output
 is bit for bit a row-wise `einsum` reference; its beta' from the sums
 agrees with a written-out residual pass within 1e-13, and bit for bit on
 the rows its rule sends to that pass, however many of a call's rows go
-there, and so do the Monte Carlo oracle's scores on the same draws."""
+there, and so do the Monte Carlo oracle's scores on the same draws.  The
+oracle's blocks, joined, are one draw bit for bit, also in a call made
+after an earlier call's blocks were closed part way."""
 
 import math
 from fractions import Fraction
@@ -709,3 +711,40 @@ def test_oracle_matches_the_residual_pass_reference(degree, sigma, kind, monkeyp
     ref = exact_score_mc(truth, predictive, 20_000, 12, seed=2)
     assert abs(est.value - ref.value) <= 1e-12 * abs(ref.value)
     assert abs(est.std_error - ref.std_error) <= 1e-12
+
+
+def _joined_blocks(truth, seed, n_rows, n_points, block):
+    # each block is overwritten by the next, so keep copies
+    blocks = [(y1.copy(), y2.copy()) for y1, y2 in truth.draw_blocks(np.random.default_rng(seed), n_rows, n_points, block)]
+    return np.concatenate([b[0] for b in blocks]), np.concatenate([b[1] for b in blocks])
+
+
+@PROPERTY
+@given(
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+    n_points=st.integers(1, 13),
+    block=st.integers(1, 64),
+    degree=st.integers(0, 4),
+    c0=st.sampled_from([None, 0.0, -0.0, 0.5]),
+)
+def test_the_blocks_are_one_draw_bit_for_bit(data, seed, n_points, block, degree, c0):
+    # random coefficients, the constant term 0.0, -0.0 or 0.5 if c0 gives one
+    n_rows = data.draw(st.integers(2, 3 * block + 1), label="n_rows")
+    rng = np.random.default_rng(seed)
+    coeffs = rng.normal(size=degree + 1)
+    if c0 is not None:
+        coeffs[0] = c0
+    truth = GeneratorSpec(degree, tuple(coeffs), float(rng.uniform(0.1, 2.0)))
+    y1, y2 = truth.draw(np.random.default_rng(seed), (n_rows, n_points))
+    got = _joined_blocks(truth, seed, n_rows, n_points, block)
+    assert (got[0].tobytes(), got[1].tobytes()) == (y1.tobytes(), y2.tobytes())
+    # a generator of another stream, closed after block j, leaves nothing
+    # behind that the next call draws
+    j = data.draw(st.integers(0, max(0, n_rows // block - 1)), label="j")
+    earlier = truth.draw_blocks(np.random.default_rng(seed + 1), n_rows, n_points, block)
+    for _ in range(j + 1):
+        next(earlier)
+    earlier.close()
+    got = _joined_blocks(truth, seed, n_rows, n_points, block)
+    assert (got[0].tobytes(), got[1].tobytes()) == (y1.tobytes(), y2.tobytes())
